@@ -18,6 +18,11 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import PreconditionError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
 from .term_syntax import (
+    _leaf_from_json,
+    _sort_from_json,
+    _term_from_json,
+    _term_to_json,
+    _typecheck,
     App,
     ArrowSort,
     Bound,
@@ -33,12 +38,10 @@ from .term_syntax import (
     arrow,
     bound_hints,
     free_vars,
-    parse_sort,
+    print_term,
     render_sort,
     substitute,
     term_from_json,
-    term_to_json,
-    typecheck,
 )
 
 __all__ = [
@@ -90,25 +93,11 @@ class QuantEquation:
         return {v.name for v in self.quantified}
 
     def to_json(self) -> dict:
-        return {
-            "left": term_to_json(self.left),
-            "right": term_to_json(self.right),
-            "eps": str(self.eps),
-            "sort": render_sort(self.sort),
-            "X": sorted(
-                ({"name": v.name, "sort": render_sort(v.sort)} for v in self.quantified),
-                key=lambda d: d["name"],
-            ),
-        }
+        return _equation_to_json(self, {})
 
     @classmethod
     def from_json(cls, data: dict) -> "QuantEquation":
-        left = term_from_json(data["left"])
-        right = term_from_json(data["right"])
-        xs = frozenset(
-            Var(v["name"], parse_sort(v["sort"])) for v in data.get("X", [])
-        )
-        return cls(left, right, Fraction(data["eps"]), parse_sort(data["sort"]), xs)
+        return _equation_from_json(data, {})
 
 
 @dataclass(frozen=True)
@@ -117,22 +106,14 @@ class Inference:
     conclusion: QuantEquation
 
     def to_json(self) -> dict:
-        return {
-            "hyps": [h.to_json() for h in _sorted_eqs(self.hypotheses)],
-            "eq": self.conclusion.to_json(),
-        }
+        return _inference_to_json(self, {})
 
     @classmethod
     def from_json(cls, data: dict) -> "Inference":
-        return cls(
-            frozenset(QuantEquation.from_json(h) for h in data.get("hyps", [])),
-            QuantEquation.from_json(data["eq"]),
-        )
+        return _inference_from_json(data, {})
 
 
 def _sorted_eqs(eqs: Iterable[QuantEquation]) -> list[QuantEquation]:
-    from .term_syntax import print_term
-
     return sorted(eqs, key=lambda e: (str(e.eps), print_term(e.left), print_term(e.right)))
 
 
@@ -512,13 +493,19 @@ def _bind_var(t: Term, var: Var) -> Term:
 
 
 def check_derivation(d: Derivation, th: Theory) -> CheckResult:
-    """Check every node against its rule schema; locate the first failure."""
+    """Check every node against its rule schema; locate the first failure.
+
+    Equation sides are typechecked against th.signature through one set of
+    the terms already checked in this call, so each distinct term is
+    checked once however often the derivation repeats it.
+    """
+    checked: set[Term] = set()
 
     def walk(node: Derivation, path: tuple[int, ...]) -> Optional[CheckResult]:
         for eq in list(node.conclusion.hypotheses) + [node.conclusion.conclusion]:
             try:
-                typecheck(eq.left, th.signature)
-                typecheck(eq.right, th.signature)
+                _typecheck(eq.left, th.signature, checked)
+                _typecheck(eq.right, th.signature, checked)
             except Exception as exc:
                 return CheckResult(False, path, f"ill-typed equation: {exc}")
         reason = _check_node(node, th)
@@ -807,29 +794,111 @@ def derive_equal_reducts(r1: CLReduction, r2: CLReduction, th: Theory) -> Deriva
 
 
 def derivation_to_json(d: Derivation) -> dict:
+    """The JSON tree of d.  Each term object is encoded once per call and
+    shared subterms share their dicts, so the result is read-only."""
+    return _derivation_to_json(d, {})
+
+
+def derivation_from_json(data: dict) -> Derivation:
+    """Decode a derivation; every malformed shape is a StructuralError.
+
+    All terms go through one table for the call, so equal subterms with
+    equal binder hints come back as one object and each sort text is
+    parsed once.
+    """
+    return _derivation_from_json(data, {})
+
+
+def _equation_to_json(eq: QuantEquation, memo: dict) -> dict:
+    return {
+        "left": _term_to_json(eq.left, memo),
+        "right": _term_to_json(eq.right, memo),
+        "eps": str(eq.eps),
+        "sort": render_sort(eq.sort),
+        "X": sorted(
+            ({"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified),
+            key=lambda d: d["name"],
+        ),
+    }
+
+
+def _inference_to_json(inf: Inference, memo: dict) -> dict:
+    return {
+        "hyps": [_equation_to_json(h, memo) for h in _sorted_eqs(inf.hypotheses)],
+        "eq": _equation_to_json(inf.conclusion, memo),
+    }
+
+
+def _derivation_to_json(d: Derivation, memo: dict) -> dict:
     params = dict(d.params)
     if "env" in params:
         params["env"] = {
-            name: term_to_json(t) if isinstance(t, Term) else t
+            name: _term_to_json(t, memo) if isinstance(t, Term) else t
             for name, t in params["env"].items()
         }
     return {
         "rule": d.rule,
         "params": params,
-        "conclusion": d.conclusion.to_json(),
-        "premises": [derivation_to_json(p) for p in d.premises],
+        "conclusion": _inference_to_json(d.conclusion, memo),
+        "premises": [_derivation_to_json(p, memo) for p in d.premises],
     }
 
 
-def derivation_from_json(data: dict) -> Derivation:
-    params = dict(data.get("params", {}))
+_REQUIRED = object()
+
+
+def _json_field(data, key: str, kind=str, default=_REQUIRED):
+    """data[key], which must be an instance of kind (a type or a tuple of
+    types, never bool); every other shape of data is a StructuralError."""
+    if not isinstance(data, dict):
+        raise StructuralError(f"bad JSON: expected an object, found {type(data).__name__}")
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise StructuralError(f"bad JSON: missing field {key!r}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise StructuralError(f"bad JSON: field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _eps_from_json(value, table: dict) -> Fraction:
+    key = ("eps", value)
+    eps = table.get(key)
+    if eps is None:
+        try:
+            eps = table[key] = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StructuralError(f"bad JSON: epsilon {value!r} is not a fraction") from exc
+    return eps
+
+
+def _equation_from_json(data: dict, table: dict) -> QuantEquation:
+    left = _term_from_json(_json_field(data, "left", dict), table)
+    right = _term_from_json(_json_field(data, "right", dict), table)
+    xs = frozenset(
+        _leaf_from_json("var", _json_field(v, "name"), _json_field(v, "sort"), table)
+        for v in _json_field(data, "X", list, [])
+    )
+    eps = _eps_from_json(_json_field(data, "eps", (str, int)), table)
+    return QuantEquation(left, right, eps, _sort_from_json(_json_field(data, "sort"), table), xs)
+
+
+def _inference_from_json(data: dict, table: dict) -> Inference:
+    return Inference(
+        frozenset(_equation_from_json(h, table) for h in _json_field(data, "hyps", list, [])),
+        _equation_from_json(_json_field(data, "eq", dict), table),
+    )
+
+
+def _derivation_from_json(data: dict, table: dict) -> Derivation:
+    params = dict(_json_field(data, "params", dict, {}))
     if "env" in params:
         params["env"] = {
-            name: term_from_json(t) for name, t in params["env"].items()
+            name: _term_from_json(t, table)
+            for name, t in _json_field(params, "env", dict).items()
         }
     return Derivation(
-        data["rule"],
-        Inference.from_json(data["conclusion"]),
-        tuple(derivation_from_json(p) for p in data.get("premises", [])),
+        _json_field(data, "rule"),
+        _inference_from_json(_json_field(data, "conclusion", dict), table),
+        tuple(_derivation_from_json(p, table) for p in _json_field(data, "premises", list, [])),
         params,
     )

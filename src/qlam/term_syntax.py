@@ -320,7 +320,7 @@ class App(Term):
         return self._sort
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, App)
             and self._hash == other._hash
             and self.fn == other.fn
@@ -349,7 +349,7 @@ class Lam(Term):
         return self._sort
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Lam)
             and self._hash == other._hash
             and self.var_sort == other.var_sort
@@ -462,14 +462,23 @@ def typecheck(t: Term, sig: Optional[Signature] = None) -> Sort:
     With a signature, constants must either be declared or match a
     combinator schema, and regime flags are enforced.
     """
-    def go(t: Term, depth: int) -> Sort:
-        if isinstance(t, (Var, Bound)):
+    return _typecheck(t, sig, set())
+
+
+def _typecheck(t: Term, sig: Optional[Signature], checked: set) -> Sort:
+    """typecheck that skips the subterms in checked and adds every node
+    that passes.  A node's check reads only its structure and sorts, which
+    equality compares, so a term equal to one that passed under sig passes
+    again: callers checking many terms against one signature share the
+    set and check each distinct subterm once.
+    """
+    def go(t: Term) -> Sort:
+        if t in checked:
             return t.sort
         if isinstance(t, Bottom):
             if sig is not None and not sig.allow_bottom:
                 raise SortError("bottom is not part of this signature")
-            return t.sort
-        if isinstance(t, Const):
+        elif isinstance(t, Const):
             if sig is not None:
                 declared = sig.constants.get(t.name)
                 if declared is not None:
@@ -478,28 +487,26 @@ def typecheck(t: Term, sig: Optional[Signature] = None) -> Sort:
                             f"constant {t.name} declared at "
                             f"{render_sort(declared)}, used at {render_sort(t.sort)}"
                         )
-                elif sig.combinators and combinator_schema_matches(t.name, t.sort):
-                    pass
-                else:
+                elif not (sig.combinators and combinator_schema_matches(t.name, t.sort)):
                     raise SortError(f"unknown constant {t.name}")
-            return t.sort
-        if isinstance(t, App):
-            fsort = go(t.fn, depth)
-            asort = go(t.arg, depth)
-            if isinstance(fsort, StarSort):
-                return STAR
-            if not isinstance(fsort, ArrowSort):
+        elif isinstance(t, App):
+            fsort = go(t.fn)
+            asort = go(t.arg)
+            if not isinstance(fsort, (StarSort, ArrowSort)):
                 raise SortError(f"application of non-arrow {render_sort(fsort)}")
-            if fsort.dom != asort:
+            if isinstance(fsort, ArrowSort) and fsort.dom != asort:
                 raise SortError("argument sort mismatch")
-            return fsort.cod
-        if isinstance(t, Lam):
+        elif isinstance(t, Lam):
             if sig is not None and not sig.allow_lambda:
                 raise SortError("lambda is not part of this signature")
-            return arrow(t.var_sort, go(t.body, depth + 1))
-        raise StructuralError(f"unknown term node {t!r}")
+            go(t.body)
+        elif not isinstance(t, (Var, Bound)):
+            raise StructuralError(f"unknown term node {t!r}")
+        # a node that passes has the sort its constructor computed
+        checked.add(t)
+        return t.sort
 
-    result = go(t, 0)
+    result = go(t)
     if sig is not None:
         if sig.untyped and result is not STAR:
             raise SortError("typed term used under an untyped signature")
@@ -629,9 +636,7 @@ class _Parser:
 
     def application(self, ctx: list[tuple[str, Sort]]) -> Term:
         t = self.atom(ctx)
-        while self.peek().kind in ("lpar", "name", "lam") or (
-            self.peek().kind == "lam"
-        ):
+        while self.peek().kind in ("lpar", "name", "lam"):
             if self.peek().kind == "lam":
                 t = App(t, self.term(ctx))
                 break
@@ -736,9 +741,11 @@ def print_term(t: Term, untyped: Optional[bool] = None) -> str:
     if untyped is None:
         untyped = t.sort is STAR
 
-    used = set(free_vars(t))
+    root = t
+    used: Optional[set[str]] = None  # free names of root, found at the first binder
 
     def go(t: Term, ctx: list[str], prec: int) -> str:
+        nonlocal used
         if isinstance(t, Var):
             return t.name
         if isinstance(t, Bound):
@@ -753,6 +760,8 @@ def print_term(t: Term, untyped: Optional[bool] = None) -> str:
             s = f"{go(t.fn, ctx, 1)} {go(t.arg, ctx, 2)}"
             return f"({s})" if prec >= 2 else s
         if isinstance(t, Lam):
+            if used is None:
+                used = set(free_vars(root))
             name = _fresh(t.hint, used | set(ctx))
             ann = "" if untyped else f":{render_sort(t.var_sort)}"
             s = f"\\{name}{ann}. {go(t.body, [name] + ctx, 0)}"
@@ -764,48 +773,115 @@ def print_term(t: Term, untyped: Optional[bool] = None) -> str:
 
 # ---------------------------------------------------------------------------
 # JSON trees
+#
+# One encoder and one decoder.  Each threads a table that lives for one
+# top-level call: one term here, a whole derivation in quant_deduction.
+# The encoder maps id(term) to the term's dict, so a subterm object met
+# twice is encoded once and its dict is shared.  The decoder keys a leaf
+# by (kind, name or index, sort text), an application by the ids of its
+# decoded children and an abstraction by (hint, sort text, id(body)), so
+# equal subtrees with equal hints come back as one object.  The table
+# holds every decoded object, which keeps those ids valid for the call.
 
 
 def term_to_json(t: Term) -> dict:
+    """The JSON tree of t.  Shared subterms share their dicts, so the
+    result is read-only."""
+    return _term_to_json(t, {})
+
+
+def _term_to_json(t: Term, memo: dict[int, dict]) -> dict:
+    out = memo.get(id(t))
+    if out is not None:
+        return out
     if isinstance(t, Var):
-        return {"node": "var", "name": t.name, "sort": render_sort(t.sort)}
-    if isinstance(t, Bound):
-        return {"node": "bvar", "index": t.index, "sort": render_sort(t.sort)}
-    if isinstance(t, Const):
-        return {"node": "const", "name": t.name, "sort": render_sort(t.sort)}
-    if isinstance(t, Bottom):
-        return {"node": "bottom", "sort": render_sort(t.sort)}
-    if isinstance(t, App):
-        return {"node": "app", "fn": term_to_json(t.fn), "arg": term_to_json(t.arg)}
-    if isinstance(t, Lam):
-        return {
+        out = {"node": "var", "name": t.name, "sort": render_sort(t.sort)}
+    elif isinstance(t, Bound):
+        out = {"node": "bvar", "index": t.index, "sort": render_sort(t.sort)}
+    elif isinstance(t, Const):
+        out = {"node": "const", "name": t.name, "sort": render_sort(t.sort)}
+    elif isinstance(t, Bottom):
+        out = {"node": "bottom", "sort": render_sort(t.sort)}
+    elif isinstance(t, App):
+        out = {"node": "app", "fn": _term_to_json(t.fn, memo), "arg": _term_to_json(t.arg, memo)}
+    elif isinstance(t, Lam):
+        out = {
             "node": "lam",
             "hint": t.hint,
             "var_sort": render_sort(t.var_sort),
-            "body": term_to_json(t.body),
+            "body": _term_to_json(t.body, memo),
         }
-    raise StructuralError(f"unknown term node {t!r}")
+    else:
+        raise StructuralError(f"unknown term node {t!r}")
+    memo[id(t)] = out
+    return out
 
 
 def term_from_json(data: dict) -> Term:
+    """Decode a JSON tree; equal subtrees come back as one object."""
+    return _term_from_json(data, {})
+
+
+def _sort_from_json(text: str, table: dict) -> Sort:
+    key = ("sort", text)
+    s = table.get(key)
+    if s is None:
+        if not isinstance(text, str):
+            raise StructuralError(f"bad JSON: sort {text!r} is not a string")
+        s = table[key] = parse_sort(text)
+    return s
+
+
+def _leaf_from_json(kind: str, name, text: str, table: dict) -> Term:
+    """The leaf (kind, name or index, sort text), validated when the
+    table first meets it."""
+    key = (kind, name, text)
+    t = table.get(key)
+    if t is None:
+        sort = _sort_from_json(text, table)
+        if kind == "bottom":
+            t = Bottom(sort)
+        elif kind == "bvar":
+            if not isinstance(name, int) or isinstance(name, bool) or name < 0:
+                raise StructuralError(f"bad JSON: bound index {name!r}")
+            t = Bound(name, sort)
+        elif not isinstance(name, str):
+            raise StructuralError(f"bad JSON: {kind} name {name!r} is not a string")
+        else:
+            t = Var(name, sort) if kind == "var" else Const(name, sort)
+        table[key] = t
+    return t
+
+
+def _term_from_json(data: dict, table: dict) -> Term:
     try:
-        node = data["node"]
-        if node == "var":
-            return Var(data["name"], parse_sort(data["sort"]))
-        if node == "bvar":
-            return Bound(int(data["index"]), parse_sort(data["sort"]))
-        if node == "const":
-            return Const(data["name"], parse_sort(data["sort"]))
-        if node == "bottom":
-            return Bottom(parse_sort(data["sort"]))
-        if node == "app":
-            return App(term_from_json(data["fn"]), term_from_json(data["arg"]))
-        if node == "lam":
-            return Lam(
-                data["hint"],
-                parse_sort(data["var_sort"]),
-                term_from_json(data["body"]),
-            )
+        kind = data["node"]
+        if kind in ("var", "const"):
+            return _leaf_from_json(kind, data["name"], data["sort"], table)
+        if kind == "bvar":
+            return _leaf_from_json(kind, data["index"], data["sort"], table)
+        if kind == "bottom":
+            return _leaf_from_json(kind, None, data["sort"], table)
+        if kind == "app":
+            fn = _term_from_json(data["fn"], table)
+            arg = _term_from_json(data["arg"], table)
+            key = ("app", id(fn), id(arg))
+        elif kind == "lam":
+            hint, text = data["hint"], data["var_sort"]
+            body = _term_from_json(data["body"], table)
+            key = ("lam", hint, text, id(body))
+        else:
+            raise StructuralError(f"unknown term node kind {kind!r}")
+        t = table.get(key)
     except (KeyError, TypeError) as exc:
+        # a missing field, a node that is not an object, an unhashable value
         raise StructuralError(f"bad term JSON: {exc}") from exc
-    raise StructuralError(f"unknown term node kind {node!r}")
+    if t is None:
+        if kind == "app":
+            t = App(fn, arg)
+        elif not isinstance(hint, str):
+            raise StructuralError(f"bad JSON: binder hint {hint!r} is not a string")
+        else:
+            t = Lam(hint, _sort_from_json(text, table), body)
+        table[key] = t
+    return t

@@ -92,6 +92,41 @@ def test_check_proof_valid_and_invalid(tmp_path):
     assert not json.loads(res.output)["ok"]
 
 
+def _drop_rule(data):
+    del data["rule"]
+    return data
+
+
+def _bvar_index_x(data):
+    data["conclusion"]["eq"]["left"] = {"node": "bvar", "index": "x", "sort": "*"}
+    return data
+
+
+def _eps_abc(data):
+    data["conclusion"]["eq"]["eps"] = "abc"
+    return data
+
+
+def _params_5(data):
+    data["params"] = 5
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_rule, _bvar_index_x, _eps_abc, lambda data: [data], _params_5],
+    ids=["missing-rule", "bvar-index-x", "eps-abc", "top-level-list", "params-5"],
+)
+def test_check_proof_malformed_json_is_exit_1_without_traceback(tmp_path, corrupt):
+    name, d = corpus_derivations()["U_CL"][0]
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(corrupt(json.loads(json.dumps(derivation_to_json(d))))))
+    res = run("check-proof", str(p), "--theory", "U_CL")
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    assert json.loads(res.stderr)["kind"] == "StructuralError"
+
+
 def test_harness_emits_json_lines():
     res = run("harness")
     assert res.exit_code == 0

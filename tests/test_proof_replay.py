@@ -1,0 +1,472 @@
+"""Proof replay against by-definition oracles.
+
+The derivation JSON codec shares structure (one encoding per term object,
+one decoded object per distinct subtree) and check_derivation typechecks
+each distinct term once.  The oracles below do neither: they are plain
+recursions that rebuild and re-check everything, and every fast path must
+agree with them exactly.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from qlam.corpus import corpus_derivations, corpus_theories
+from qlam.errors import SortError, StructuralError
+from qlam.quant_deduction import (
+    CheckResult,
+    Derivation,
+    Inference,
+    QuantEquation,
+    _check_node,
+    builtin_theory,
+    check_derivation,
+    derivation_from_json,
+    derivation_to_json,
+    derive_equal_reducts,
+)
+from qlam.rewrite_engine import bracket_abstract, cl_reduce
+from qlam.term_syntax import (
+    App,
+    ArrowSort,
+    Bottom,
+    Bound,
+    Const,
+    Lam,
+    STAR,
+    Signature,
+    StarSort,
+    Var,
+    arrow,
+    combinator_schema_matches,
+    parse_sort,
+    print_term,
+    render_sort,
+    substitute,
+    term_from_json,
+)
+
+from test_mutants import _node, _resides, all_mutants, paths, replace_at
+
+THEORIES = corpus_theories()
+CORPUS = [
+    (THEORIES[theory_name], name, d)
+    for theory_name, lst in corpus_derivations().items()
+    for name, d in lst
+]
+CL_SIG = Signature(untyped=True)
+CL_THEORY = builtin_theory("U_CL", CL_SIG)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: no table, no memo, no sharing
+
+
+def oracle_term_to_json(t):
+    if isinstance(t, Var):
+        return {"node": "var", "name": t.name, "sort": render_sort(t.sort)}
+    if isinstance(t, Bound):
+        return {"node": "bvar", "index": t.index, "sort": render_sort(t.sort)}
+    if isinstance(t, Const):
+        return {"node": "const", "name": t.name, "sort": render_sort(t.sort)}
+    if isinstance(t, Bottom):
+        return {"node": "bottom", "sort": render_sort(t.sort)}
+    if isinstance(t, App):
+        return {"node": "app", "fn": oracle_term_to_json(t.fn), "arg": oracle_term_to_json(t.arg)}
+    return {
+        "node": "lam",
+        "hint": t.hint,
+        "var_sort": render_sort(t.var_sort),
+        "body": oracle_term_to_json(t.body),
+    }
+
+
+def oracle_equation_to_json(eq):
+    return {
+        "left": oracle_term_to_json(eq.left),
+        "right": oracle_term_to_json(eq.right),
+        "eps": str(eq.eps),
+        "sort": render_sort(eq.sort),
+        "X": sorted(
+            ({"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified),
+            key=lambda d: d["name"],
+        ),
+    }
+
+
+def oracle_to_json(d):
+    hyps = sorted(
+        d.conclusion.hypotheses,
+        key=lambda e: (str(e.eps), print_term(e.left), print_term(e.right)),
+    )
+    params = dict(d.params)
+    if "env" in params:
+        params["env"] = {name: oracle_term_to_json(t) for name, t in params["env"].items()}
+    return {
+        "rule": d.rule,
+        "params": params,
+        "conclusion": {
+            "hyps": [oracle_equation_to_json(h) for h in hyps],
+            "eq": oracle_equation_to_json(d.conclusion.conclusion),
+        },
+        "premises": [oracle_to_json(p) for p in d.premises],
+    }
+
+
+def oracle_term_from_json(data):
+    node = data["node"]
+    if node == "var":
+        return Var(data["name"], parse_sort(data["sort"]))
+    if node == "bvar":
+        return Bound(data["index"], parse_sort(data["sort"]))
+    if node == "const":
+        return Const(data["name"], parse_sort(data["sort"]))
+    if node == "bottom":
+        return Bottom(parse_sort(data["sort"]))
+    if node == "app":
+        return App(oracle_term_from_json(data["fn"]), oracle_term_from_json(data["arg"]))
+    return Lam(data["hint"], parse_sort(data["var_sort"]), oracle_term_from_json(data["body"]))
+
+
+def oracle_equation_from_json(data):
+    return QuantEquation(
+        oracle_term_from_json(data["left"]),
+        oracle_term_from_json(data["right"]),
+        Fraction(data["eps"]),
+        parse_sort(data["sort"]),
+        frozenset(Var(v["name"], parse_sort(v["sort"])) for v in data["X"]),
+    )
+
+
+def oracle_from_json(data):
+    params = dict(data["params"])
+    if "env" in params:
+        params["env"] = {name: oracle_term_from_json(t) for name, t in params["env"].items()}
+    inf = Inference(
+        frozenset(oracle_equation_from_json(h) for h in data["conclusion"]["hyps"]),
+        oracle_equation_from_json(data["conclusion"]["eq"]),
+    )
+    return Derivation(
+        data["rule"], inf, tuple(oracle_from_json(p) for p in data["premises"]), params
+    )
+
+
+def oracle_typecheck(t, sig):
+    """The sort of t by the typing rules, recomputed at every node."""
+
+    def go(t):
+        if isinstance(t, (Var, Bound)):
+            return t.sort
+        if isinstance(t, Bottom):
+            if not sig.allow_bottom:
+                raise SortError("bottom is not part of this signature")
+            return t.sort
+        if isinstance(t, Const):
+            declared = sig.constants.get(t.name)
+            if declared is not None:
+                if declared != t.sort:
+                    raise SortError(
+                        f"constant {t.name} declared at "
+                        f"{render_sort(declared)}, used at {render_sort(t.sort)}"
+                    )
+            elif not (sig.combinators and combinator_schema_matches(t.name, t.sort)):
+                raise SortError(f"unknown constant {t.name}")
+            return t.sort
+        if isinstance(t, App):
+            fsort, asort = go(t.fn), go(t.arg)
+            if isinstance(fsort, StarSort):
+                return STAR
+            if not isinstance(fsort, ArrowSort):
+                raise SortError(f"application of non-arrow {render_sort(fsort)}")
+            if fsort.dom != asort:
+                raise SortError("argument sort mismatch")
+            return fsort.cod
+        if not sig.allow_lambda:
+            raise SortError("lambda is not part of this signature")
+        return arrow(t.var_sort, go(t.body))
+
+    result = go(t)
+    if sig.untyped and result is not STAR:
+        raise SortError("typed term used under an untyped signature")
+    if not sig.untyped and result is STAR:
+        raise SortError("untyped term used under a typed signature")
+    return result
+
+
+def oracle_check(d, th):
+    """Typecheck every equation side afresh at every node, then the node's
+    rule, depth first; the first failure wins."""
+
+    def walk(node, path):
+        for eq in list(node.conclusion.hypotheses) + [node.conclusion.conclusion]:
+            try:
+                oracle_typecheck(eq.left, th.signature)
+                oracle_typecheck(eq.right, th.signature)
+            except Exception as exc:
+                return CheckResult(False, path, f"ill-typed equation: {exc}")
+        reason = _check_node(node, th)
+        if reason is not None:
+            return CheckResult(False, path, reason)
+        for i, child in enumerate(node.premises):
+            bad = walk(child, path + (i,))
+            if bad is not None:
+                return bad
+        return None
+
+    return walk(d, ()) or CheckResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+
+
+def nodes(d):
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.premises)
+
+
+def roots(d):
+    """Every term a derivation mentions directly."""
+    for node in nodes(d):
+        inf = node.conclusion
+        for eq in [*inf.hypotheses, inf.conclusion]:
+            yield eq.left
+            yield eq.right
+            yield from eq.quantified
+        yield from node.params.get("env", {}).values()
+
+
+def hints(t):
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Lam):
+            out.append(s.hint)
+            stack.append(s.body)
+        elif isinstance(s, App):
+            stack += [s.arg, s.fn]
+    return tuple(out)
+
+
+def assert_equal_subterms_shared(d):
+    """Any two equal subterms with equal binder hints are one object."""
+    seen, owner = set(), {}
+    stack = list(roots(d))
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        first = owner.setdefault((t, hints(t)), t)
+        assert first is t, t
+        if isinstance(t, App):
+            stack += [t.fn, t.arg]
+        elif isinstance(t, Lam):
+            stack.append(t.body)
+
+
+def assert_replay_matches_oracles(d, th):
+    data = derivation_to_json(d)
+    text = json.dumps(data)
+    assert text == json.dumps(oracle_to_json(d))
+    copy = derivation_from_json(json.loads(text))
+    assert copy == d
+    assert copy == oracle_from_json(json.loads(text))
+    assert json.dumps(derivation_to_json(copy)) == text  # hints survive
+    assert_equal_subterms_shared(copy)
+    expected = oracle_check(d, th)
+    assert check_derivation(d, th) == expected
+    assert check_derivation(copy, th) == expected
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+@pytest.mark.parametrize("th,name,d", CORPUS, ids=[name for _, name, _ in CORPUS])
+def test_corpus_replay_matches_oracles(th, name, d):
+    assert_replay_matches_oracles(d, th)
+
+
+def test_checker_matches_oracle_on_every_mutant():
+    total = 0
+    for th, dname, opname, mutant in all_mutants():
+        expected = oracle_check(mutant, th)
+        assert not expected.ok, (dname, opname)
+        assert check_derivation(mutant, th) == expected, (dname, opname)
+        copy = derivation_from_json(json.loads(json.dumps(derivation_to_json(mutant))))
+        assert check_derivation(copy, th) == expected, (dname, opname)
+        total += 1
+    assert total >= 100
+
+
+def poison(t):
+    """t with its last constant in print order renamed to an undeclared
+    one, sharing every node off the path to it; None without constants."""
+    if isinstance(t, Const):
+        return Const("undeclared", t.sort)
+    if isinstance(t, App):
+        arg = poison(t.arg)
+        if arg is not None:
+            return App(t.fn, arg)
+        fn = poison(t.fn)
+        return None if fn is None else App(fn, t.arg)
+    if isinstance(t, Lam):
+        body = poison(t.body)
+        return None if body is None else Lam(t.hint, t.var_sort, body)
+    return None
+
+
+def ill_typed_variants(d):
+    """d with one equation side of one node poisoned, every way."""
+    for path, node in paths(d):
+        inf = node.conclusion
+        for eq in [*inf.hypotheses, inf.conclusion]:
+            for side in ("left", "right"):
+                bad = poison(getattr(eq, side))
+                if bad is None:
+                    continue
+                new = _resides(eq, bad, eq.right) if side == "left" else _resides(eq, eq.left, bad)
+                if eq is inf.conclusion:
+                    new_inf = Inference(inf.hypotheses, new)
+                else:
+                    new_inf = Inference(inf.hypotheses - {eq} | {new}, inf.conclusion)
+                yield replace_at(d, path, _node(node, new_inf))
+
+
+def test_checker_matches_oracle_on_ill_typed_sides():
+    """A side that differs from checked terms in one constant is still
+    rejected where the oracle rejects it, with the oracle's reason.  (An
+    ancestor may reject the changed node's conclusion first.)"""
+    ill_typed = 0
+    for th, name, d in CORPUS:
+        for variant in ill_typed_variants(d):
+            expected = oracle_check(variant, th)
+            assert not expected.ok, name
+            assert check_derivation(variant, th) == expected, name
+            ill_typed += expected.reason.startswith("ill-typed")
+    assert ill_typed >= 75, ill_typed
+
+
+def test_binder_hints_survive_shared_decoding():
+    """Alpha-equivalent abstractions with different hints stay distinct
+    objects through the codec, so printing keeps each binder's name."""
+    o = parse_sort("o")
+    lam_x, lam_y = Lam("x", o, Bound(0, o)), Lam("y", o, Bound(0, o))
+    assert lam_x == lam_y
+    eq = QuantEquation(lam_x, lam_y, Fraction(0), lam_x.sort)
+    d = Derivation("Alpha", Inference(frozenset(), eq))
+    text = json.dumps(derivation_to_json(d))
+    assert text == json.dumps(oracle_to_json(d))
+    copy = derivation_from_json(json.loads(text))
+    left, right = copy.conclusion.conclusion.left, copy.conclusion.conclusion.right
+    assert (print_term(left), print_term(right)) == ("\\x:o. x", "\\y:o. y")
+    assert left.body is right.body
+    assert json.dumps(derivation_to_json(copy)) == text
+    pair = App(App(Const("p", arrow(lam_x.sort, arrow(lam_x.sort, o))), lam_x), lam_y)
+    assert print_term(term_from_json(oracle_term_to_json(pair))) == print_term(pair)
+
+
+def cl_tree(names, depth):
+    leaf = st.sampled_from(names + ["I", "K", "S"])
+    if depth == 0:
+        return leaf
+    return st.one_of(leaf, st.tuples(cl_tree(names, depth - 1), cl_tree(names, depth - 1)))
+
+
+def cl_term(tree):
+    if isinstance(tree, tuple):
+        return App(cl_term(tree[0]), cl_term(tree[1]))
+    return Const(tree, STAR) if tree in ("I", "K", "S") else Var(tree, STAR)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cl_tree(["x", "y", "z"], 4), cl_tree(["y", "z"], 3))
+def test_bracket_simulation_replay_matches_oracles(t_tree, u_tree):
+    """Criterion-06 problems: derive that (\\x. t) u and t[x:=u] meet,
+    then replay the derivation through the codec and the checker."""
+    t, u = cl_term(t_tree), cl_term(u_tree)
+    lhs = cl_reduce(App(bracket_abstract(Var("x", STAR), t), u), fuel=2000)
+    rhs = cl_reduce(substitute(t, {"x": u}), fuel=2000)
+    assume(not lhs.out_of_fuel and not rhs.out_of_fuel)
+    assert_replay_matches_oracles(derive_equal_reducts(lhs, rhs, CL_THEORY), CL_THEORY)
+
+
+# ---------------------------------------------------------------------------
+# Malformed JSON is a StructuralError, never another exception
+
+
+def _valid():
+    th, name, d = CORPUS[0]
+    return json.loads(json.dumps(derivation_to_json(d)))
+
+
+def _set(path, value):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+MALFORMED_DERIVATIONS = {
+    "missing rule": lambda data: data.pop("rule"),
+    "rule not a string": _set(["rule"], ["Refl"]),
+    "params not an object": _set(["params"], 5),
+    "env not an object": _set(["params"], {"env": [1]}),
+    "env term not an object": _set(["params"], {"env": {"x": 3}}),
+    "premises not a list": _set(["premises"], "abc"),
+    "conclusion missing": lambda data: data.pop("conclusion"),
+    "hyps not a list": _set(["conclusion", "hyps"], {"a": 1}),
+    "X entry not an object": _set(["conclusion", "eq", "X"], ["x"]),
+    "X name not a string": _set(["conclusion", "eq", "X"], [{"name": 1, "sort": "*"}]),
+    "eps not a fraction": _set(["conclusion", "eq", "eps"], "abc"),
+    "eps divides by zero": _set(["conclusion", "eq", "eps"], "1/0"),
+    "eps a float": _set(["conclusion", "eq", "eps"], 0.5),
+    "sort not a string": _set(["conclusion", "eq", "sort"], 7),
+}
+
+STAR_BODY = {"node": "bvar", "index": 0, "sort": "*"}
+MALFORMED_TERMS = {
+    "bvar index a string": {"node": "bvar", "index": "x", "sort": "*"},
+    "bvar index negative": {"node": "bvar", "index": -1, "sort": "*"},
+    "bvar index a bool": {"node": "bvar", "index": True, "sort": "*"},
+    "var name unhashable": {"node": "var", "name": ["x"], "sort": "*"},
+    "var name a number": {"node": "var", "name": 1, "sort": "*"},
+    "const sort missing": {"node": "const", "name": "K"},
+    "sort not a string": {"node": "var", "name": "x", "sort": None},
+    "not an object": [1, 2],
+    "kind missing": {"name": "x"},
+    "kind unknown": {"node": "pair"},
+    "app missing arg": {"node": "app", "fn": {"node": "var", "name": "x", "sort": "*"}},
+    "app child not an object": {"node": "app", "fn": "x", "arg": "y"},
+    "lam hint a number": {"node": "lam", "hint": 3, "var_sort": "*", "body": STAR_BODY},
+    "lam sort missing": {"node": "lam", "hint": "x", "body": STAR_BODY},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DERIVATIONS))
+def test_malformed_derivation_json_is_structural_error(name):
+    data = _valid()
+    MALFORMED_DERIVATIONS[name](data)
+    with pytest.raises(StructuralError, match="bad (term )?JSON"):
+        derivation_from_json(data)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TERMS))
+def test_malformed_term_json_is_structural_error(name):
+    with pytest.raises(StructuralError):
+        term_from_json(MALFORMED_TERMS[name])
+
+
+@pytest.mark.parametrize("data", [[], "rule", 5, None])
+def test_non_object_derivation_is_structural_error(data):
+    with pytest.raises(StructuralError):
+        derivation_from_json(data)
