@@ -8,7 +8,6 @@ named scenario and diffs the result against the shipped golden file.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import re
 import sys
@@ -42,7 +41,6 @@ from .quant_deduction import (
 )
 from .rewrite_engine import bracket_abstract, cl_reduce, normalize
 from .term_metrics import (
-    check_approx_conditions,
     dnf_distance,
     e_distance,
     fth_distance,
@@ -95,7 +93,7 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except QlamError as exc:
             _fail(exc)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             click.echo(_dumps({"error": str(exc), "kind": type(exc).__name__}), err=True)
             sys.exit(1)
 
@@ -372,7 +370,10 @@ def build_grid_cmd(intervals, size_budget, human) -> None:
         parts = spec.split(":")
         if len(parts) != 3:
             raise click.UsageError(f"--interval needs LO:HI:STEP, got {spec!r}")
-        parsed.append(tuple(Fraction(p) for p in parts))
+        try:
+            parsed.append(tuple(Fraction(p) for p in parts))
+        except (ValueError, ZeroDivisionError):
+            raise click.UsageError(f"--interval needs rational LO:HI:STEP, got {spec!r}") from None
     alg = build_grid_algebra(parsed, {}, size_budget=size_budget)
     _emit(alg.to_json(), human)
 
@@ -475,24 +476,12 @@ def model_check_cmd(inference_file, algebra_name, mode, human) -> None:
     _emit(satisfies_inference(alg, inf, mode).to_json(), human)
 
 
-def _harness_block(block) -> list[dict]:
-    th, derivs, algs = block
-    return soundness_harness(th, derivs, algs)
-
-
 @main.command("harness")
-@click.option("--jobs", type=int, default=1, show_default=True)
-def harness_cmd(jobs) -> None:
+def harness_cmd() -> None:
     """Run the soundness harness over the shipped corpus (JSON lines)."""
-    blocks = _corpus.harness_corpus()
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_harness_block, blocks))
-    else:
-        results = [_harness_block(b) for b in blocks]
     violated = 0
-    for records in results:
-        for record in records:
+    for th, derivs, algs in _corpus.harness_corpus():
+        for record in soundness_harness(th, derivs, algs):
             click.echo(json.dumps(record, sort_keys=True))
             violated += record["status"] == "violated"
     if violated:

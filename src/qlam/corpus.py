@@ -8,9 +8,9 @@ Everything here is deterministic; builders return fresh values.
 from __future__ import annotations
 
 from fractions import Fraction as F
-from typing import Callable, Optional
+from typing import Callable
 
-from .metric_core import ExtReal, FiniteMetricSpace, PointMap, hom_distance
+from .metric_core import FiniteMetricSpace, PointMap
 from .finite_models import (
     FiniteQuantAlgebra,
     build_full_type_structure,
@@ -33,9 +33,7 @@ from .quant_deduction import (
 from .rewrite_engine import NormalForm, bracket_abstract, cl_reduce, normalize
 from .term_syntax import (
     App,
-    ArrowSort,
     BaseSort,
-    Bottom,
     Bound,
     Const,
     IntervalSort,
@@ -57,7 +55,6 @@ __all__ = [
     "remark25_terms",
     "remark27_terms",
     "church",
-    "line_grid_space",
     "theta_xi_maps",
     "shift_maps",
     "corpus_algebras",
@@ -116,18 +113,14 @@ def church(n: int) -> NormalForm:
 # Spaces and hom-distance pairs
 
 
-def line_grid_space(lo: F, hi: F, step: F) -> FiniteMetricSpace:
-    return FiniteMetricSpace.line_grid(lo, hi, step)
-
-
 def _grid_map(fn: Callable[[F], F]) -> Callable[[str], str]:
     return lambda name: str(fn(F(name)))
 
 
 def shift_maps(m: F, k: F, step: F) -> tuple[FiniteMetricSpace, FiniteMetricSpace, PointMap, PointMap]:
     """Identity vs shift-by-k from the [0,m] grid into the [0,m+k] grid."""
-    a = line_grid_space(F(0), F(m), step)
-    b = line_grid_space(F(0), F(m) + F(k), step)
+    a = FiniteMetricSpace.line_grid(F(0), F(m), step)
+    b = FiniteMetricSpace.line_grid(F(0), F(m) + F(k), step)
     f = PointMap.from_function(a, b, _grid_map(lambda p: p))
     g = PointMap.from_function(a, b, _grid_map(lambda p: p + F(k)))
     return a, b, f, g
@@ -135,8 +128,8 @@ def shift_maps(m: F, k: F, step: F) -> tuple[FiniteMetricSpace, FiniteMetricSpac
 
 def theta_xi_maps() -> tuple[FiniteMetricSpace, FiniteMetricSpace, PointMap, PointMap]:
     """f = id and g = x for x <= 0, x/2 for x > 0, on the [-1,1] grid."""
-    a = line_grid_space(F(-1), F(1), F(1, 8))
-    b = line_grid_space(F(-1), F(1), F(1, 16))
+    a = FiniteMetricSpace.line_grid(F(-1), F(1), F(1, 8))
+    b = FiniteMetricSpace.line_grid(F(-1), F(1), F(1, 16))
     f = PointMap.from_function(a, b, _grid_map(lambda p: p))
     g = PointMap.from_function(a, b, _grid_map(lambda p: p if p <= 0 else p / 2))
     return a, b, f, g
@@ -214,7 +207,7 @@ def corpus_algebras() -> dict[str, FiniteQuantAlgebra]:
     ]
     one = FiniteMetricSpace.from_matrix(["p"], [[0]])
     two = FiniteMetricSpace.from_matrix(["p", "q"], [[0, 1], [1, 0]])
-    three = line_grid_space(F(0), F(1), F(1, 2))
+    three = FiniteMetricSpace.line_grid(F(0), F(1), F(1, 2))
 
     cl_sig = Signature(untyped=False, combinator_sorts=CL_TRIPLES)
     a1 = build_full_type_structure(one, fts_sorts, signature=cl_sig, name="fts1")

@@ -13,7 +13,7 @@ work on any pair of tables over a full domain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -33,12 +33,10 @@ from .term_syntax import (
     Const,
     IntervalSort,
     Lam,
-    STAR,
     Signature,
     Sort,
     Term,
     Var,
-    arrow,
     free_vars,
     render_sort,
 )
@@ -51,23 +49,15 @@ __all__ = [
     "SatReport",
     "satisfies_inference",
     "soundness_harness",
-    "grid_points",
 ]
 
 
-def grid_points(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
-    pts = []
-    v = Fraction(lo)
-    while v <= hi:
-        pts.append(v)
-        v += step
-    if pts[-1] != hi:
-        raise StructuralError("step does not divide the interval")
-    return pts
-
-
 class FiniteQuantAlgebra:
-    """A finite applicative structure with sort-indexed exact distances."""
+    """A finite applicative structure with sort-indexed exact distances.
+
+    bottom, when given, is the base-carrier index that interprets bottom
+    at every base sort; without it bottom has no interpretation.
+    """
 
     def __init__(
         self,
@@ -75,11 +65,13 @@ class FiniteQuantAlgebra:
         signature: Signature,
         base_spaces: Mapping[Sort, FiniteMetricSpace],
         size_budget: int = 10**6,
+        bottom: Optional[int] = None,
     ):
         self.name = name
         self.signature = signature
         self.base_spaces = dict(base_spaces)
         self.size_budget = size_budget
+        self.bottom = bottom
         self._carriers: dict[Sort, list] = {}
         self._index: dict[Sort, dict] = {}
         self._sym: dict[tuple[str, Sort], object] = {}
@@ -118,11 +110,21 @@ class FiniteQuantAlgebra:
         cod = self.populate_arrow(sort.cod) if isinstance(sort.cod, ArrowSort) else self.carrier(sort.cod)
         if len(cod) ** len(dom) > self.size_budget:
             raise BudgetError(f"carrier at {render_sort(sort)} exceeds the size budget")
-        out = []
-        for table in itertools.product(range(len(cod)), repeat=len(dom)):
-            f = tuple(cod[i] for i in table)
-            if self._table_nonexpansive(sort, f):
-                out.append(f)
+        tables = itertools.product(cod, repeat=len(dom))
+        # every table is non-expansive when no two codomain elements are
+        # farther apart than the closest two domain elements (a discrete
+        # base, for one)
+        closest = min(
+            (self.dist(sort.dom, u, v) for u, v in itertools.combinations(dom, 2)),
+            default=None,
+        )
+        widest = max(
+            (self.dist(sort.cod, x, y) for x, y in itertools.combinations(cod, 2)),
+            default=ZERO,
+        )
+        if closest is not None and widest > closest:
+            tables = (f for f in tables if self._table_nonexpansive(sort, f))
+        out = list(tables)
         self._carriers[sort] = out
         self._index[sort] = {f: i for i, f in enumerate(out)}
         return out
@@ -261,17 +263,19 @@ def build_full_type_structure(
     base_sort: Optional[Sort] = None,
     signature: Optional[Signature] = None,
     name: str = "fts",
+    bottom: Optional[int] = None,
 ) -> FiniteQuantAlgebra:
     """Full type structure over a finite metric base.
 
     Every requested arrow sort gets the complete set of non-expansive
-    maps as its carrier, with the closed-form hom distance.
+    maps as its carrier, with the closed-form hom distance.  bottom is
+    the base element that interprets bottom, if any.
     """
     from .term_syntax import BaseSort
 
     base_sort = base_sort or BaseSort("o")
     alg = FiniteQuantAlgebra(
-        name, signature or Signature(), {base_sort: base}, size_budget
+        name, signature or Signature(), {base_sort: base}, size_budget, bottom
     )
     for sort in sorts:
         if isinstance(sort, ArrowSort):
@@ -300,12 +304,9 @@ def build_grid_algebra(
     grids: dict[Sort, list[Fraction]] = {}
     for lo, hi, step in intervals:
         sort = IntervalSort(Fraction(lo), Fraction(hi))
-        pts = grid_points(Fraction(lo), Fraction(hi), Fraction(step))
-        grids[sort] = pts
-        spaces[sort] = FiniteMetricSpace(
-            tuple(str(p) for p in pts),
-            tuple(tuple(ExtReal(abs(p - q)) for q in pts) for p in pts),
-        )
+        space = FiniteMetricSpace.line_grid(lo, hi, step)
+        grids[sort] = [Fraction(p) for p in space.points]
+        spaces[sort] = space
     sig = signature or Signature(combinators=False)
     alg = FiniteQuantAlgebra(name, sig, spaces, size_budget)
 
@@ -360,7 +361,12 @@ def interpret(t: Term, alg: FiniteQuantAlgebra, env: Optional[Mapping[str, objec
         if isinstance(t, Const):
             return alg.symbol(t.name, t.sort)
         if isinstance(t, Bottom):
-            raise InterpretationError("bottom has no interpretation in finite algebras")
+            if alg.bottom is None:
+                raise InterpretationError("bottom has no interpretation in finite algebras")
+            space = alg.base_spaces.get(t.sort)
+            if space is None or not 0 <= alg.bottom < space.size:
+                raise InterpretationError("bottom element outside the base carrier")
+            return alg.bottom
         if isinstance(t, App):
             return alg.apply(t.fn.sort, go(t.fn, stack), go(t.arg, stack))
         if isinstance(t, Lam):

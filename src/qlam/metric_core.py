@@ -177,14 +177,17 @@ class FiniteMetricSpace:
 
     @staticmethod
     def line_grid(lo: Fraction, hi: Fraction, step: Fraction) -> "FiniteMetricSpace":
-        """Rational grid points of [lo, hi] with Euclidean distances."""
+        """Rational grid points of [lo, hi] with Euclidean distances.
+
+        The step must divide the interval, so both ends are grid points.
+        """
+        lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
         if step <= 0 or hi < lo:
             raise StructuralError("bad grid bounds")
-        pts: list[Fraction] = []
-        x = Fraction(lo)
-        while x <= hi:
-            pts.append(x)
-            x += step
+        count = (hi - lo) / step
+        if count.denominator != 1:
+            raise StructuralError("step does not divide the interval")
+        pts = [lo + i * step for i in range(count.numerator + 1)]
         names = tuple(str(p) for p in pts)
         rows = tuple(
             tuple(ExtReal(abs(p - q)) for q in pts) for p in pts

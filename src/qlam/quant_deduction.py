@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, SortError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
 from .term_syntax import (
     _leaf_from_json,
@@ -24,10 +24,8 @@ from .term_syntax import (
     _term_to_json,
     _typecheck,
     App,
-    ArrowSort,
     Bound,
     Const,
-    IntervalSort,
     Lam,
     STAR,
     Signature,
@@ -36,6 +34,7 @@ from .term_syntax import (
     Var,
     app,
     arrow,
+    bind,
     bound_hints,
     free_vars,
     print_term,
@@ -362,9 +361,11 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "ξ requires x ∈ X"
         if h.eps != eq.eps or not _same_x(h, eq):
             return "Xi keeps epsilon and the quantified set"
-        want_left = _bind_var(h.left, var)
-        want_right = _bind_var(h.right, var)
-        if eq.left != want_left or eq.right != want_right:
+        try:
+            want = (bind(name, var.sort, h.left), bind(name, var.sort, h.right))
+        except SortError:  # a namesake of var at another sort
+            want = None
+        if want != (eq.left, eq.right):
             return "Xi conclusion must abstract the hypothesis sides"
         return None
 
@@ -477,19 +478,6 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
         return None
 
     return f"unknown rule {rule!r}"
-
-
-def _bind_var(t: Term, var: Var) -> Term:
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Var) and t.name == var.name and t.sort == var.sort:
-            return Bound(depth, var.sort)
-        if isinstance(t, App):
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if isinstance(t, Lam):
-            return Lam(t.hint, t.var_sort, go(t.body, depth + 1))
-        return t
-
-    return Lam(var.name, var.sort, go(t, 0))
 
 
 def check_derivation(d: Derivation, th: Theory) -> CheckResult:

@@ -9,14 +9,14 @@ via the QLAM_FUEL environment variable).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import OutOfFuelError, PreconditionError, SortError
 from .term_syntax import (
+    _spine,
     App,
     ArrowSort,
-    Bottom,
     Bound,
     Const,
     Lam,
@@ -27,6 +27,7 @@ from .term_syntax import (
     app,
     arrow,
     free_vars,
+    sort_spine,
     subterms,
 )
 
@@ -169,15 +170,6 @@ def beta_normalize(
 # Eta-long forms
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def is_eta_long(t: Term) -> bool:
     """Every subterm of arrow sort outside function position is a lambda."""
 
@@ -206,11 +198,7 @@ def eta_long(t: Term) -> Term:
             binders.append((t.hint, t.var_sort))
             t = t.body
         head, args = _spine(t)
-        extra: list[Sort] = []
-        s = t.sort
-        while isinstance(s, ArrowSort):
-            extra.append(s.dom)
-            s = s.cod
+        extra, _ = sort_spine(t.sort)
         m = len(extra)
         if m:
             head = shift(head, m)

@@ -16,28 +16,30 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
-    BudgetError,
     InterpretationError,
     PreconditionError,
     SortError,
     StructuralError,
 )
-from .metric_core import ExtReal
-from .rewrite_engine import NormalForm, normalize, shift
+from .finite_models import build_full_type_structure, interpret
+from .metric_core import ExtReal, FiniteMetricSpace
+from .rewrite_engine import NormalForm, normalize
 from .term_syntax import (
+    _spine,
     App,
     ArrowSort,
     Bottom,
-    Bound,
     Const,
     Lam,
     STAR,
+    Signature,
     Sort,
     Term,
     Var,
     app,
-    render_sort,
+    bind,
     print_term,
+    sort_spine,
     subterms,
 )
 
@@ -111,15 +113,6 @@ def _strip(t: Term) -> tuple[list[tuple[str, Sort]], Term]:
     return binders, t
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 def _rewrap(binders: Sequence[tuple[str, Sort]], body: Term) -> Term:
     for hint, sort in reversed(binders):
         body = Lam(hint, sort, body)
@@ -185,11 +178,7 @@ def e_distance(t: NormalForm, s: NormalForm) -> Dyadic:
 
 def _min_size(sort: Sort) -> int:
     # lambda x1..xm. bottom always exists
-    m = 0
-    while isinstance(sort, ArrowSort):
-        m += 1
-        sort = sort.cod
-    return m + 1
+    return len(sort_spine(sort)[0]) + 1
 
 
 class _Enumerator:
@@ -220,7 +209,7 @@ class _Enumerator:
             else:
                 name = f"w{next(self._fresh)}"
                 for body in self._gen(sort.cod, pool + ((name, sort.dom),), budget - 1):
-                    out.append(Lam(name, sort.dom, self._bind(body, name, 0)))
+                    out.append(bind(name, sort.dom, body))
         else:
             if budget >= 1:
                 out.append(Bottom(sort))
@@ -230,11 +219,7 @@ class _Enumerator:
             else:
                 self.truncated = True
             for name, psort in pool:
-                arg_sorts: list[Sort] = []
-                base = psort
-                while isinstance(base, ArrowSort):
-                    arg_sorts.append(base.dom)
-                    base = base.cod
+                arg_sorts, base = sort_spine(psort)
                 if base != sort:
                     continue
                 k = len(arg_sorts)
@@ -261,15 +246,6 @@ class _Enumerator:
             used = term_size(first)
             for rest in self._tuples(sorts[1:], pool, budget - used):
                 yield (first,) + rest
-
-    def _bind(self, t: Term, name: str, depth: int) -> Term:
-        if isinstance(t, Var) and t.name == name:
-            return Bound(depth, t.sort)
-        if isinstance(t, App):
-            return App(self._bind(t.fn, name, depth), self._bind(t.arg, name, depth))
-        if isinstance(t, Lam):
-            return Lam(t.hint, t.var_sort, self._bind(t.body, name, depth + 1))
-        return t
 
 
 def enumerate_closed_nfs(
@@ -491,60 +467,6 @@ def order_leq(t: NormalForm, s: NormalForm) -> bool:
 # Full type hierarchy distance
 
 
-class _TypeStructure:
-    """The full set-theoretic type hierarchy over an n-point base."""
-
-    def __init__(self, n: int, bottom_element: int, size_budget: int):
-        self.n = n
-        self.bottom = bottom_element
-        self.size_budget = size_budget
-        self._carriers: dict[Sort, list] = {}
-        self._index: dict[Sort, dict] = {}
-
-    def carrier(self, sort: Sort) -> list:
-        hit = self._carriers.get(sort)
-        if hit is not None:
-            return hit
-        if isinstance(sort, ArrowSort):
-            dom = self.carrier(sort.dom)
-            cod = self.carrier(sort.cod)
-            if len(cod) ** len(dom) > self.size_budget:
-                raise BudgetError(
-                    f"carrier for {render_sort(sort)} exceeds the size budget"
-                )
-            out = [tuple(combo) for combo in itertools.product(cod, repeat=len(dom))]
-        else:
-            out = list(range(self.n))
-        self._carriers[sort] = out
-        self._index[sort] = {v: i for i, v in enumerate(out)}
-        return out
-
-    def index(self, sort: Sort, value) -> int:
-        self.carrier(sort)
-        return self._index[sort][value]
-
-    def eval(self, t: Term, env: tuple = ()):  # env[i] = value of Bound(i)
-        if isinstance(t, Bound):
-            return env[t.index]
-        if isinstance(t, Bottom):
-            if self.bottom >= self.n:
-                raise InterpretationError("bottom element outside the base carrier")
-            return self.bottom
-        if isinstance(t, App):
-            fn = self.eval(t.fn, env)
-            arg = self.eval(t.arg, env)
-            return fn[self.index(t.arg.sort, arg)]
-        if isinstance(t, Lam):
-            return tuple(
-                self.eval(t.body, (v,) + env) for v in self.carrier(t.var_sort)
-            )
-        if isinstance(t, (Var, Const)):
-            raise InterpretationError(
-                "full-type-hierarchy evaluation needs closed pure terms"
-            )
-        raise StructuralError(f"unknown term node {t!r}")
-
-
 def fth_distance(
     t: NormalForm,
     s: NormalForm,
@@ -554,8 +476,11 @@ def fth_distance(
 ) -> tuple[ExtReal, str]:
     """1/N for the largest base size N at which the evaluations agree.
 
-    Status is "exact" once a distinguishing base size is found, and
-    "bound_exhausted" when the terms still agree at n_max.
+    The terms, closed, pure and over one base sort, are interpreted in
+    the full type structure over the N-point discrete base, with
+    bottom_element interpreting bottom.  Status is "exact" once a
+    distinguishing base size is found, and "bound_exhausted" when the
+    terms still agree at n_max.
     """
     if t.sort != s.sort:
         raise SortError("fth_distance requires equal sorts")
@@ -563,9 +488,34 @@ def fth_distance(
         raise PreconditionError("n_max must be at least 1")
     if t.term == s.term:
         return ExtReal(0), "exact"
+    nodes = [u for term in (t.term, s.term) for u in subterms(term)]
+    if any(isinstance(u, (Var, Const)) for u in nodes):
+        raise InterpretationError("full-type-hierarchy evaluation needs closed pure terms")
+    # the carriers interpret() reads: binder sorts and argument sorts
+    sorts = list(
+        dict.fromkeys(
+            u.var_sort if isinstance(u, Lam) else u.arg.sort
+            for u in nodes
+            if isinstance(u, (Lam, App))
+        )
+    )
+    base_sort = sort_spine(t.sort)[1]
     for n in range(1, n_max + 1):
-        structure = _TypeStructure(n, bottom_element, size_budget)
-        if structure.eval(t.term) != structure.eval(s.term):
+        # a discrete base makes every map non-expansive: the carriers are
+        # the full function spaces
+        base = FiniteMetricSpace.from_matrix(
+            [str(i) for i in range(n)],
+            [[int(i != j) for j in range(n)] for i in range(n)],
+        )
+        alg = build_full_type_structure(
+            base,
+            sorts,
+            size_budget,
+            base_sort,
+            Signature(combinators=False),
+            bottom=bottom_element,
+        )
+        if interpret(t.term, alg) != interpret(s.term, alg):
             if n == 1:
                 return ExtReal(1), "exact"
             return ExtReal(Fraction(1, n - 1)), "exact"

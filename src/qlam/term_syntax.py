@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .errors import ParseError, SortError, StructuralError
 
@@ -366,6 +366,16 @@ def app(fn: Term, *args: Term) -> Term:
     for a in args:
         fn = App(fn, a)
     return fn
+
+
+def _spine(t: Term) -> tuple[Term, list[Term]]:
+    """Decompose t as head t1 ... tm; the inverse of app."""
+    args: list[Term] = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return t, args
 
 
 def _bind_name(t: Term, name: str, sort: Sort, depth: int) -> Term:

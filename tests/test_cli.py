@@ -127,6 +127,50 @@ def test_check_proof_malformed_json_is_exit_1_without_traceback(tmp_path, corrup
     assert json.loads(res.stderr)["kind"] == "StructuralError"
 
 
+def _deep_app_json(depth: int) -> str:
+    # json.dumps itself overflows on a tree this deep, so build the text
+    leaf = '{"node": "var", "name": "x", "sort": "*"}'
+    arg = ', "arg": {"node": "var", "name": "y", "sort": "*"}}'
+    return '{"node": "app", "fn": ' * depth + leaf + arg * depth
+
+
+def test_deep_json_proof_is_exit_1_without_traceback(tmp_path):
+    side = _deep_app_json(5000)
+    eq = '{"left": %s, "right": %s, "eps": "0", "sort": "*", "X": []}' % (side, side)
+    text = '{"rule": "Refl", "params": {}, "conclusion": {"hyps": [], "eq": %s}, "premises": []}' % eq
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    res = run("check-proof", str(p), "--theory", "U_CL")
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    assert json.loads(res.stderr)["kind"] == "RecursionError"
+
+
+def test_deep_untyped_spine_is_exit_1_without_traceback():
+    res = run("parse", "--expr", "--untyped", " ".join(["x"] * 1201))
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    assert json.loads(res.stderr)["kind"] == "RecursionError"
+
+
+@pytest.mark.parametrize("interval", ["0:1:0", "0:1:-1/2", "0:1:2/3"])
+def test_build_grid_bad_step_is_exit_1(interval):
+    res = run("build-grid", "--interval", interval)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["kind"] == "StructuralError"
+
+
+@pytest.mark.parametrize("interval", ["0:1:abc", "0:1:1/0", "0:1"])
+def test_build_grid_malformed_interval_is_usage_error(interval):
+    res = run("build-grid", "--interval", interval)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+
+
+def test_harness_has_no_jobs_option():
+    assert run("harness", "--jobs", "4").exit_code == 2
+
+
 def test_harness_emits_json_lines():
     res = run("harness")
     assert res.exit_code == 0

@@ -14,21 +14,24 @@ from qlam.corpus import (
 )
 from qlam.errors import InterpretationError, StructuralError
 from qlam.finite_models import (
+    build_full_type_structure,
     interpret,
     satisfies_inference,
     soundness_harness,
 )
-from qlam.metric_core import ExtReal, ZERO
+from qlam.metric_core import ExtReal, FiniteMetricSpace, ZERO
 from qlam.quant_deduction import Inference, QuantEquation
 from qlam.rewrite_engine import beta_normalize
 from qlam.term_syntax import (
     App,
+    Bottom,
     Bound,
     Const,
     Lam,
     Var,
     arrow,
     parse_term,
+    render_sort,
 )
 
 ALGS = corpus_algebras()
@@ -124,6 +127,46 @@ def test_interpret_rejects_bottom():
 
     with pytest.raises(InterpretationError):
         interpret(Bottom(I01), alg, {})
+
+
+TWO = FiniteMetricSpace.from_matrix(["p", "q"], [[0, 1], [1, 0]])
+
+
+def test_full_type_structure_interprets_bottom_as_given_element():
+    for bottom in (0, 1):
+        alg = build_full_type_structure(TWO, [OO], bottom=bottom)
+        assert interpret(Bottom(O), alg) == bottom
+        assert interpret(Lam("x", O, Bottom(O)), alg) == (bottom, bottom)
+    with pytest.raises(InterpretationError, match="outside the base carrier"):
+        interpret(Bottom(O), build_full_type_structure(TWO, [OO], bottom=2))
+    with pytest.raises(InterpretationError, match="no interpretation"):
+        interpret(Bottom(O), build_full_type_structure(TWO, [OO]))
+
+
+def test_arrow_carriers_match_filtered_enumeration():
+    # populate_arrow skips the per-table check when every table passes it;
+    # the carriers must equal the filtered product either way
+    bases = [
+        (TWO, [OO, arrow(O, OO), arrow(OO, O), arrow(OO, OO)]),
+        (FiniteMetricSpace.line_grid(F(0), F(1), F(1, 2)), [OO, arrow(O, OO)]),
+        (
+            FiniteMetricSpace.from_matrix(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]),
+            [OO, arrow(O, OO)],
+        ),
+    ]
+    for base, sorts in bases:
+        alg = build_full_type_structure(base, sorts)
+        for sort in sorts:
+            dom, cod = alg.carrier(sort.dom), alg.carrier(sort.cod)
+            want = [
+                f
+                for f in itertools.product(cod, repeat=len(dom))
+                if all(
+                    alg.dist(sort.cod, f[i], f[j]) <= alg.dist(sort.dom, dom[i], dom[j])
+                    for i, j in itertools.combinations(range(len(dom)), 2)
+                )
+            ]
+            assert alg.carrier(sort) == want, render_sort(sort)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_extreal_arith_and_render():
         ExtReal(F(-1))
 
 
+def test_line_grid_keeps_both_ends():
+    assert grid(0, 1, "1/4").points == ("0", "1/4", "1/2", "3/4", "1")
+    assert grid(-1, -1, 1).points == ("-1",)
+
+
+@pytest.mark.parametrize("lo, hi, step", [(0, 1, "2/3"), (0, 1, 0), (0, 1, "-1/2"), (1, 0, 1)])
+def test_line_grid_rejects_bad_grids(lo, hi, step):
+    with pytest.raises(StructuralError):
+        grid(lo, hi, step)
+
+
 def test_space_json_roundtrip():
     s = grid(0, 1, "1/4")
     again = FiniteMetricSpace.from_json(s.to_json())

@@ -246,3 +246,21 @@ def test_every_mutant_is_rejected_with_a_named_reason():
 def test_mutant_count_reported():
     # keep an explicit floor so corpus shrinkage is caught loudly
     assert sum(1 for _ in all_mutants()) >= 100
+
+
+def test_xi_rejects_a_namesake_of_the_bound_variable_at_another_sort():
+    th = THEORIES["U_lambda_interval"]
+    (xi,) = [d for name, d in DERIVS["U_lambda_interval"] if name == "xi_half"]
+    (h,) = xi.conclusion.hypotheses
+    eq = xi.conclusion.conclusion
+    x = Var("x", eq.left.var_sort)
+    namesake = Var("x", eq.left.sort)
+    hyp = _resides(h, App(namesake, x), h.right)
+    # the conclusion is left as it was, and then with only the x of the
+    # bound sort abstracted: neither abstracts the hypothesis sides
+    partly_bound = Lam("x", x.sort, App(namesake, eq.left.body.arg))
+    for left in (eq.left, partly_bound):
+        node = _node(xi, Inference(frozenset({hyp}), _resides(eq, left, eq.right)))
+        result = check_derivation(node, th)
+        assert not result.ok
+        assert result.reason == "Xi conclusion must abstract the hypothesis sides"

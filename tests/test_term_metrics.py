@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from qlam.corpus import REMARK25_CONSTANTS, church, remark25_terms, remark27_terms
-from qlam.errors import SortError, StructuralError
+from qlam.errors import BudgetError, InterpretationError, SortError, StructuralError
 from qlam.metric_core import ExtReal
 from qlam.rewrite_engine import normalize
 from qlam.term_metrics import (
@@ -23,12 +24,16 @@ from qlam.term_metrics import (
 )
 from qlam.term_syntax import (
     App,
+    ArrowSort,
     BaseSort,
     Bottom,
+    Bound,
     Const,
+    Lam,
     Var,
     arrow,
     bind,
+    parse_sort,
     parse_term,
     print_term,
     Signature,
@@ -225,6 +230,97 @@ def test_fth_bound_exhausted():
     value, status = fth_distance(church(2), church(2), n_max=2)
     assert status in ("exact", "bound_exhausted")
     assert value == ExtReal(0) or status == "bound_exhausted"
+
+
+def _fth_by_definition(t, s, n_max, bottom=0):
+    """fth_distance from its definition: evaluate both terms in the full
+    set-theoretic hierarchy over range(N), whose arrow carriers are plain
+    itertools.product function spaces with no metric, for N = 1..n_max."""
+    carriers = {}
+
+    def carrier(sort, n):
+        key = (sort, n)
+        if key not in carriers:
+            if isinstance(sort, ArrowSort):
+                dom, cod = carrier(sort.dom, n), carrier(sort.cod, n)
+                carriers[key] = list(itertools.product(cod, repeat=len(dom)))
+            else:
+                carriers[key] = list(range(n))
+        return carriers[key]
+
+    def ev(u, env, n):
+        if isinstance(u, Bound):
+            return env[u.index]
+        if isinstance(u, Bottom):
+            if bottom >= n:
+                raise InterpretationError("bottom element outside the base carrier")
+            return bottom
+        if isinstance(u, App):
+            return ev(u.fn, env, n)[carrier(u.arg.sort, n).index(ev(u.arg, env, n))]
+        assert isinstance(u, Lam)
+        return tuple(ev(u.body, (v,) + env, n) for v in carrier(u.var_sort, n))
+
+    if t.term == s.term:
+        return ExtReal(0), "exact"
+    for n in range(1, n_max + 1):
+        if ev(t.term, (), n) != ev(s.term, (), n):
+            return ExtReal(F(1, max(n - 1, 1))), "exact"
+    return ExtReal(F(1, n_max)), "bound_exhausted"
+
+
+def _fth_pools():
+    for text, budget in (("o->o->o", 12), ("(o->o)->o", 10)):
+        yield enumerate_closed_nfs(parse_sort(text), budget)[0][:8]
+    yield [church(k) for k in range(5)]
+
+
+def test_fth_matches_definition_on_enumerated_pairs():
+    statuses = set()
+    for pool in _fth_pools():
+        for t, s in itertools.combinations_with_replacement(pool, 2):
+            for n_max in (2, 3):
+                got = fth_distance(t, s, n_max=n_max)
+                assert got == _fth_by_definition(t, s, n_max), (t, s, n_max)
+                statuses.add(got[1])
+    assert statuses == {"exact", "bound_exhausted"}
+
+
+def test_fth_matches_definition_on_bottom_headed_pair():
+    t = nf("\\f:o->o. \\x:o. bot:o")
+    s = nf("\\f:o->o. \\x:o. f x")
+    assert fth_distance(t, s, n_max=3) == _fth_by_definition(t, s, 3) == (ExtReal(1), "exact")
+    # the base sizes start at 1, so any other bottom element is out of range
+    for fth in (fth_distance, _fth_by_definition):
+        with pytest.raises(InterpretationError, match="outside the base carrier"):
+            fth(t, s, 3, 1)
+
+
+def test_fth_budget_error_stays_a_budget_error():
+    # church 2 and 4 first differ over 3 points, where o->o has 27 maps
+    with pytest.raises(BudgetError):
+        fth_distance(church(2), church(4), n_max=3, size_budget=20)
+    assert fth_distance(church(2), church(4), n_max=3) == _fth_by_definition(
+        church(2), church(4), 3
+    )
+
+
+def test_fth_rejects_free_variables_and_constants():
+    k = Const("K", arrow(O, arrow(O, O)))
+    for t, s in (
+        (nf("\\f:o->o. f c1"), nf("\\f:o->o. f c2")),
+        (normalize(k), nf("\\x:o. \\y:o. x")),
+        (nf("\\x:o. y:o"), nf("\\x:o. x")),
+    ):
+        with pytest.raises(InterpretationError, match="closed pure terms"):
+            fth_distance(t, s, n_max=3)
+
+
+def test_fth_needs_a_single_base_sort():
+    # the hierarchy is built over one base; a second base sort has no carrier
+    t = nf("\\g:o->o. \\f:p->o. \\x:p. g (f x)")
+    s = nf("\\g:o->o. \\f:p->o. \\x:p. f x")
+    with pytest.raises(StructuralError):
+        fth_distance(t, s, n_max=3)
 
 
 # ---------------------------------------------------------------------------
