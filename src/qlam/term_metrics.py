@@ -50,6 +50,7 @@ __all__ = [
     "project",
     "nf_depth",
     "term_size",
+    "agreement_level",
     "e_distance",
     "enumerate_closed_nfs",
     "DistCertificate",
@@ -154,22 +155,50 @@ def term_size(t: Term) -> int:
 # The exact tree ultrametric e
 
 
+def agreement_level(t: NormalForm, s: NormalForm) -> Optional[int]:
+    """The largest n with project(t, n) == project(s, n): -1 when even
+    level 0 differs, None when every level agrees (t == s).  One walk over
+    both trees, comparing binder sorts, heads and arities."""
+    if t.sort != s.sort:
+        raise SortError("agreement_level requires equal sorts")
+    best: Optional[int] = None
+    stack = [(t.term, s.term, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        # a pair at this depth cannot lower best below depth - 1
+        if a is b or (best is not None and depth > best):
+            continue
+        binders_a, core_a = _strip(a)
+        binders_b, core_b = _strip(b)
+        head_a, args_a = _spine(core_a)
+        head_b, args_b = _spine(core_b)
+        # level 0 cuts a body to bottom unless it is bottom- or constant-headed
+        fixed_a = isinstance(head_a, (Bottom, Const))
+        fixed_b = isinstance(head_b, (Bottom, Const))
+        cut_a = core_a if fixed_a else Bottom(core_a.sort)
+        cut_b = core_b if fixed_b else Bottom(core_b.sort)
+        if cut_a != cut_b or [v for _, v in binders_a] != [v for _, v in binders_b]:
+            level = -1
+        elif fixed_a and fixed_b:
+            continue  # equal
+        elif head_a != head_b or len(args_a) != len(args_b):
+            level = 0
+        else:
+            stack.extend((x, y, depth + 1) for x, y in zip(args_a, args_b))
+            continue
+        if best is None or depth + level < best:
+            best = depth + level
+    return best
+
+
 def e_distance(t: NormalForm, s: NormalForm) -> Dyadic:
     """1/2^m with m the largest level at which the projections agree."""
     if t.sort != s.sort:
         raise SortError("e_distance requires equal sorts")
-    if t.term == s.term:
+    level = agreement_level(t, s)
+    if level is None:
         return DYADIC_ZERO
-    bound = max(nf_depth(t.term), nf_depth(s.term))
-    best: Optional[int] = None
-    for n in range(bound + 1):
-        if _project(t.term, n) == _project(s.term, n):
-            best = n
-        else:
-            break
-    if best is None:
-        return DYADIC_ONE
-    return Dyadic.from_level(best)
+    return Dyadic.from_level(max(level, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +223,31 @@ class _Enumerator:
         self._memo: dict = {}
         self._fresh = itertools.count()
 
-    def generate(self, sort: Sort, budget: int) -> list[Term]:
+    def generate(self, sort: Sort, budget: int) -> list[tuple[Term, int, int]]:
+        """(term, size, bottom count) triples; size is term_size(term)."""
         return self._gen(sort, (), budget)
 
-    def _gen(self, sort: Sort, pool: tuple[tuple[str, Sort], ...], budget: int) -> list[Term]:
+    def _gen(
+        self, sort: Sort, pool: tuple[tuple[str, Sort], ...], budget: int
+    ) -> list[tuple[Term, int, int]]:
         key = (sort, pool, budget)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out: list[Term] = []
+        out: list[tuple[Term, int, int]] = []
         if isinstance(sort, ArrowSort):
             if budget < _min_size(sort):
                 self.truncated = True
             else:
                 name = f"w{next(self._fresh)}"
-                for body in self._gen(sort.cod, pool + ((name, sort.dom),), budget - 1):
-                    out.append(bind(name, sort.dom, body))
+                for body, size, bots in self._gen(sort.cod, pool + ((name, sort.dom),), budget - 1):
+                    out.append((bind(name, sort.dom, body), 1 + size, bots))
         else:
             if budget >= 1:
-                out.append(Bottom(sort))
+                out.append((Bottom(sort), 1, 1))
                 for cname, csort in self.constants.items():
                     if csort == sort:
-                        out.append(Const(cname, sort))
+                        out.append((Const(cname, sort), 1, 0))
             else:
                 self.truncated = True
             for name, psort in pool:
@@ -227,8 +259,8 @@ class _Enumerator:
                 if budget < head_cost + sum(_min_size(a) for a in arg_sorts):
                     self.truncated = True
                     continue
-                for args in self._tuples(arg_sorts, pool, budget - head_cost):
-                    out.append(app(Var(name, psort), *args))
+                for args, size, bots in self._tuples(arg_sorts, pool, budget - head_cost):
+                    out.append((app(Var(name, psort), *args), head_cost + size, bots))
         self._memo[key] = out
         return out
 
@@ -237,15 +269,15 @@ class _Enumerator:
         sorts: Sequence[Sort],
         pool: tuple[tuple[str, Sort], ...],
         budget: int,
-    ) -> Iterable[tuple[Term, ...]]:
+    ) -> Iterable[tuple[tuple[Term, ...], int, int]]:
+        """Argument tuples with their summed sizes and bottom counts."""
         if not sorts:
-            yield ()
+            yield (), 0, 0
             return
         rest_min = sum(_min_size(s) for s in sorts[1:])
-        for first in self._gen(sorts[0], pool, budget - rest_min):
-            used = term_size(first)
-            for rest in self._tuples(sorts[1:], pool, budget - used):
-                yield (first,) + rest
+        for first, size, bots in self._gen(sorts[0], pool, budget - rest_min):
+            for rest, rest_size, rest_bots in self._tuples(sorts[1:], pool, budget - size):
+                yield (first,) + rest, size + rest_size, bots + rest_bots
 
 
 def enumerate_closed_nfs(
@@ -262,14 +294,9 @@ def enumerate_closed_nfs(
     if isinstance(sort, type(STAR)):
         raise SortError("witness enumeration is typed-only")
     enum = _Enumerator(constants or {})
-    terms = enum.generate(sort, budget)
-
-    def key(t: Term) -> tuple:
-        bots = sum(1 for s in subterms(t) if isinstance(s, Bottom))
-        return (bots, term_size(t), print_term(t))
-
-    terms.sort(key=key)
-    return [NormalForm(t) for t in terms], not enum.truncated
+    entries = enum.generate(sort, budget)
+    entries.sort(key=lambda e: (e[2], e[1], print_term(e[0])))
+    return [NormalForm(t) for t, _, _ in entries], not enum.truncated
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +323,8 @@ class DistCertificate:
 
 
 class DnfContext:
-    """Shared memo table and witness cache for a batch of computations."""
+    """Shared memo tables (distances, witness applications) and witness
+    cache for a batch of computations."""
 
     def __init__(
         self,
@@ -309,6 +337,7 @@ class DnfContext:
         self.fuel = fuel
         self._memo: dict = {}
         self._witnesses: dict = {}
+        self._applied: dict = {}
 
     def witnesses(self, sort: Sort) -> tuple[list[NormalForm], bool]:
         hit = self._witnesses.get(sort)
@@ -330,7 +359,11 @@ class DnfContext:
         return cert
 
     def _apply(self, f: NormalForm, a: NormalForm) -> NormalForm:
-        return normalize(App(f.term, a.term), self.fuel)
+        key = (f.term, a.term)
+        hit = self._applied.get(key)
+        if hit is None:
+            hit = self._applied[key] = normalize(App(f.term, a.term), self.fuel)
+        return hit
 
     def _compute(self, t: NormalForm, s: NormalForm) -> DistCertificate:
         sort = t.sort
@@ -340,13 +373,14 @@ class DnfContext:
 
         witnesses, exhausted = self.witnesses(sort.dom)
         stabilize = max(nf_depth(t.term), nf_depth(s.term))
+        level = agreement_level(t, s)
         all_levels_certified = True
         best: Optional[int] = None
 
         n = 0
         while True:
             threshold = Fraction(1, 2**n)
-            if _project(t.term, n) != _project(s.term, n):
+            if level is not None and n > level:
                 return self._fail_cert(best, None, True, all_levels_certified)
             level_certified = exhausted or n == 0
             failing: Optional[tuple[Term, Term]] = None
@@ -471,14 +505,14 @@ def fth_distance(
     t: NormalForm,
     s: NormalForm,
     n_max: int,
-    bottom_element: int = 0,
+    *,
     size_budget: int = 10**6,
 ) -> tuple[ExtReal, str]:
     """1/N for the largest base size N at which the evaluations agree.
 
     The terms, closed, pure and over one base sort, are interpreted in
     the full type structure over the N-point discrete base, with
-    bottom_element interpreting bottom.  Status is "exact" once a
+    element 0 interpreting bottom.  Status is "exact" once a
     distinguishing base size is found, and "bound_exhausted" when the
     terms still agree at n_max.
     """
@@ -513,7 +547,7 @@ def fth_distance(
             size_budget,
             base_sort,
             Signature(combinators=False),
-            bottom=bottom_element,
+            bottom=0,
         )
         if interpret(t.term, alg) != interpret(s.term, alg):
             if n == 1:
@@ -546,14 +580,13 @@ def check_approx_conditions(
     if lo < 0 or hi < lo:
         raise PreconditionError("bad level range")
 
-    exact: list[NormalForm] = []
+    # approx[i][n - lo]: approximate application of pair i at level n
+    approx: list[list[NormalForm]] = []
     gaps: list[list[Fraction]] = []
     for t, s in corpus:
         full = normalize(App(t.term, s.term))
-        exact.append(full)
-        gaps.append(
-            [e_distance(approx_apply(t, s, n), full).value for n in range(lo, hi + 2)]
-        )
+        approx.append([approx_apply(t, s, n) for n in range(lo, hi + 2)])
+        gaps.append([e_distance(a, full).value for a in approx[-1]])
 
     monotone_violations = []
     for idx, row in enumerate(gaps):
@@ -594,10 +627,7 @@ def check_approx_conditions(
             bad = None
             for (i, j), (dt, ds) in pair_dists.items():
                 if dt <= eps and ds <= eps:
-                    out = e_distance(
-                        approx_apply(corpus[i][0], corpus[i][1], n),
-                        approx_apply(corpus[j][0], corpus[j][1], n),
-                    ).value
+                    out = e_distance(approx[i][n - lo], approx[j][n - lo]).value
                     if out > eps:
                         bad = {"pairs": [i, j], "output_gap": str(out)}
                         break

@@ -37,7 +37,6 @@ __all__ = [
     "bind",
     "free_vars",
     "bound_hints",
-    "all_var_names",
     "substitute",
     "alpha_eq",
     "typecheck",
@@ -398,12 +397,16 @@ def bind(name: str, sort: Sort, body: Term, hint: Optional[str] = None) -> Lam:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        yield from subterms(t.fn)
-        yield from subterms(t.arg)
-    elif isinstance(t, Lam):
-        yield from subterms(t.body)
+    """Every subterm of t in preorder (function before argument)."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack.append(t.arg)
+            stack.append(t.fn)
+        elif isinstance(t, Lam):
+            stack.append(t.body)
 
 
 def free_vars(t: Term) -> dict[str, Sort]:
@@ -416,10 +419,6 @@ def free_vars(t: Term) -> dict[str, Sort]:
 
 def bound_hints(t: Term) -> set[str]:
     return {s.hint for s in subterms(t) if isinstance(s, Lam)}
-
-
-def all_var_names(t: Term) -> set[str]:
-    return set(free_vars(t)) | bound_hints(t)
 
 
 def _locally_closed(t: Term, depth: int) -> bool:

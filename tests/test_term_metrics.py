@@ -1,7 +1,11 @@
+import functools
+import hashlib
 import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qlam.corpus import REMARK25_CONSTANTS, church, remark25_terms, remark27_terms
 from qlam.errors import BudgetError, InterpretationError, SortError, StructuralError
@@ -11,6 +15,9 @@ from qlam.term_metrics import (
     Dyadic,
     DYADIC_ONE,
     DYADIC_ZERO,
+    DnfContext,
+    _Enumerator,
+    agreement_level,
     approx_apply,
     check_approx_conditions,
     dnf_distance,
@@ -21,6 +28,7 @@ from qlam.term_metrics import (
     order_distance,
     order_leq,
     project,
+    term_size,
 )
 from qlam.term_syntax import (
     App,
@@ -37,6 +45,7 @@ from qlam.term_syntax import (
     parse_term,
     print_term,
     Signature,
+    subterms,
 )
 
 O = BaseSort("o")
@@ -232,7 +241,7 @@ def test_fth_bound_exhausted():
     assert value == ExtReal(0) or status == "bound_exhausted"
 
 
-def _fth_by_definition(t, s, n_max, bottom=0):
+def _fth_by_definition(t, s, n_max):
     """fth_distance from its definition: evaluate both terms in the full
     set-theoretic hierarchy over range(N), whose arrow carriers are plain
     itertools.product function spaces with no metric, for N = 1..n_max."""
@@ -252,9 +261,7 @@ def _fth_by_definition(t, s, n_max, bottom=0):
         if isinstance(u, Bound):
             return env[u.index]
         if isinstance(u, Bottom):
-            if bottom >= n:
-                raise InterpretationError("bottom element outside the base carrier")
-            return bottom
+            return 0
         if isinstance(u, App):
             return ev(u.fn, env, n)[carrier(u.arg.sort, n).index(ev(u.arg, env, n))]
         assert isinstance(u, Lam)
@@ -289,10 +296,10 @@ def test_fth_matches_definition_on_bottom_headed_pair():
     t = nf("\\f:o->o. \\x:o. bot:o")
     s = nf("\\f:o->o. \\x:o. f x")
     assert fth_distance(t, s, n_max=3) == _fth_by_definition(t, s, 3) == (ExtReal(1), "exact")
-    # the base sizes start at 1, so any other bottom element is out of range
-    for fth in (fth_distance, _fth_by_definition):
-        with pytest.raises(InterpretationError, match="outside the base carrier"):
-            fth(t, s, 3, 1)
+    # the base sizes start at 1, so element 0 is the only bottom there is;
+    # a fourth positional argument is not taken as the size budget
+    with pytest.raises(TypeError):
+        fth_distance(t, s, 3, 1)
 
 
 def test_fth_budget_error_stays_a_budget_error():
@@ -351,3 +358,229 @@ def test_approx_conditions_report():
         n = entry["n"]
         assert entry["first_violation"] is None
         assert F(entry["largest_eps"]) >= F(1, 2 ** (n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the fast paths: the agreement walk, the per-context
+# application memo, the size-carrying enumerator and the explicit-stack
+# subterms walk
+
+
+# the sorts of acceptance criterion 07
+C07_SORTS = (arrow(OO, O), arrow(OO, OO), arrow(O, arrow(OO, O)))
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_corpus(sort, budget=40):
+    return corpus_at(sort, budget)
+
+
+def _agreement_by_projection(t, s):
+    """The largest n with equal level-n projections, -1 if none, None if
+    all agree; past both depths projection is the identity."""
+    past = max(nf_depth(t.term), nf_depth(s.term)) + 1
+    agree = [n for n in range(past + 1) if project(t, n) == project(s, n)]
+    if past in agree:
+        return None
+    return max(agree, default=-1)
+
+
+def test_oracle_corpora_hold_fixed_points():
+    # bottom-bodied and constant-headed forms are projection fixed points;
+    # the agreement walk treats them apart, so the corpora must hold both
+    for sort in C07_SORTS:
+        heads = set()
+        for t in oracle_corpus(sort):
+            core = t.term
+            while isinstance(core, Lam):
+                core = core.body
+            while isinstance(core, App):
+                core = core.fn
+            heads.add(type(core))
+        assert {Bottom, Const, Bound} <= heads, sort
+
+
+@seed(20221)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(C07_SORTS), st.data())
+def test_agreement_level_matches_projection(sort, data):
+    terms = oracle_corpus(sort)
+    t = terms[data.draw(st.integers(0, len(terms) - 1))]
+    s = terms[data.draw(st.integers(0, len(terms) - 1))]
+    level = agreement_level(t, s)
+    assert level == _agreement_by_projection(t, s) == agreement_level(s, t)
+    assert e_distance(t, s) == (
+        DYADIC_ZERO if level is None else Dyadic.from_level(max(level, 0))
+    )
+
+
+def test_agreement_level_on_fixed_points_and_binders():
+    untyped = Signature(untyped=True)
+    pairs = [
+        # bottom body against a var-headed body: agree at level 0 only
+        (nf("\\f:o->o. bot:o"), nf("\\f:o->o. f c1")),
+        # constant body against a var-headed body: differ at level 0
+        (nf("\\f:o->o. c1"), nf("\\f:o->o. f c1")),
+        (nf("\\f:o->o. c1"), nf("\\f:o->o. bot:o")),
+        (nf("\\f:o->o. f (f c1)"), nf("\\f:o->o. f (f bot:o)")),
+        (nf("\\f:o->o. f (f c1)"), nf("\\f:o->o. f bot:o")),
+        # equal, but built apart: no shared subterm
+        (nf("\\f:o->o. f (f c1)"), nf("\\f:o->o. f (f c1)")),
+        # the last argument agrees to level 0, an earlier one not even there
+        (nf("\\f:o->o->o. f c1 bot:o"), nf("\\f:o->o->o. f c2 (f c1 c1)")),
+        # untyped: a different number of binders differs at level 0
+        (normalize(parse_term("\\x. x", untyped)), normalize(parse_term("\\x. \\y. x", untyped))),
+        (normalize(parse_term("\\x. x x", untyped)), normalize(parse_term("\\x. x bot", untyped))),
+    ]
+    got = [agreement_level(t, s) for t, s in pairs]
+    assert got == [_agreement_by_projection(t, s) for t, s in pairs]
+    assert got == [0, -1, -1, 1, 1, None, 0, -1, 1]
+    with pytest.raises(SortError):
+        agreement_level(nf("c1"), nf("\\f:o->o. c1"))
+
+
+@functools.lru_cache(maxsize=None)
+def _witnesses(sort, budget):
+    return enumerate_closed_nfs(sort, budget, REMARK25_CONSTANTS)
+
+
+def _dnf_by_definition(t, s, budget):
+    """d^NF from its definition, with no memo of distances or
+    applications: level n passes when the level-n projections agree and,
+    for every witness pair within 1/2^n, both sides map it to outputs
+    within 1/2^n.  Returns (value, status, failing witness)."""
+    if not isinstance(t.sort, ArrowSort):
+        return (DYADIC_ZERO if t == s else DYADIC_ONE), "exact", None
+    witnesses, exhausted = _witnesses(t.sort.dom, budget)
+    best, prior_certified = None, True
+
+    def fail(failing, fail_certified):
+        value = DYADIC_ONE if best is None else Dyadic.from_level(best)
+        exact = fail_certified and (best is None or prior_certified)
+        return value, "exact" if exact else "lower_bound", failing
+
+    for n in range(max(nf_depth(t.term), nf_depth(s.term)) + 1):
+        if project(t, n) != project(s, n):
+            return fail(None, True)
+        certified = exhausted or n == 0
+        # level 0 is vacuous: every distance is at most 1
+        for v, w in itertools.combinations_with_replacement(witnesses if n else [], 2):
+            pair_value, pair_status, _ = _dnf_by_definition(v, w, budget)
+            if pair_value.value > F(1, 2**n):
+                continue
+            for side in (t, s):
+                out_value, out_status, _ = _dnf_by_definition(
+                    normalize(App(side.term, v.term)), normalize(App(side.term, w.term)), budget
+                )
+                if out_value.value > F(1, 2**n):
+                    return fail((v.term, w.term), pair_status == "exact")
+                certified = certified and out_status == "exact"
+        best, prior_certified = n, prior_certified and certified
+    return DYADIC_ZERO, "exact" if prior_certified else "lower_bound", None
+
+
+DNF_SORTS = (arrow(OO, O), arrow(O, arrow(OO, O)), arrow(arrow(OO, O), O))
+DNF_BUDGET = 6
+DNF_CONTEXT = DnfContext(DNF_BUDGET, REMARK25_CONSTANTS)
+
+
+@seed(20222)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DNF_SORTS), st.data())
+def test_memoized_dnf_matches_definition(sort, data):
+    terms = oracle_corpus(sort, 16)
+    t = terms[data.draw(st.integers(0, len(terms) - 1))]
+    s = terms[data.draw(st.integers(0, len(terms) - 1))]
+    # one context for every example, so later draws hit earlier memo entries
+    cert = DNF_CONTEXT.distance(t, s)
+    expect = _dnf_by_definition(t, s, DNF_BUDGET)
+    assert (cert.value, cert.status, cert.failing_witness) == expect
+
+
+def test_memoized_dnf_matches_definition_on_uncertain_witness_pairs():
+    # at this sort the witness pairs' own distances are lower bounds, so a
+    # failure found through one of them is not certified
+    s4 = arrow(arrow(arrow(arrow(OO, O), O), O), O)
+    terms = oracle_corpus(s4, 14)
+    ctx = DnfContext(7, REMARK25_CONSTANTS)
+    for i, j in ((17, 72), (97, 8)):
+        cert = ctx.distance(terms[i], terms[j])
+        assert cert.failing_witness is not None
+        v, w = (normalize(u) for u in cert.failing_witness)
+        assert ctx.distance(v, w).status == "lower_bound"
+        expect = _dnf_by_definition(terms[i], terms[j], 7)
+        assert (cert.value, cert.status, cert.failing_witness) == expect
+        assert expect[1] == "lower_bound"
+
+
+def test_dnf_oracle_sees_both_statuses():
+    certs = [
+        _dnf_by_definition(t, s, DNF_BUDGET)
+        for t in oracle_corpus(arrow(arrow(OO, O), O), 16)[:12]
+        for s in oracle_corpus(arrow(arrow(OO, O), O), 16)[:12]
+    ]
+    assert {c[1] for c in certs} == {"exact", "lower_bound"}
+    assert any(c[2] is not None for c in certs)
+
+
+def _bottoms(t):
+    return sum(isinstance(u, Bottom) for u in subterms(t))
+
+
+@pytest.mark.parametrize("sort", C07_SORTS + (arrow(arrow(OO, O), O),))
+def test_enumerator_carries_sizes_and_bottoms(sort):
+    entries = _Enumerator(REMARK25_CONSTANTS).generate(sort, 30)
+    assert entries
+    for t, size, bots in entries:
+        assert (size, bots) == (term_size(t), _bottoms(t))
+
+
+# printed output of enumerate_closed_nfs at the criterion-07 sorts, frozen
+# before sizes were carried through the enumeration
+ENUMERATION_DIGESTS = {
+    "(o->o)->o": (60, 90, "25cff1e53b3c49b6ee06b141b2e653a50b5dd4e9b3e92a071147b9f7bdfe120d"),
+    "(o->o)->o->o": (50, 96, "d5f0376db15290788ee806adfb8592a4355055c61c51bd6c8629db6bc88a7ca4"),
+    "o->(o->o)->o": (60, 116, "0c3336a624b9f0eb74726eef2f5491f0315b898386dc2487209dd832ada0cd97"),
+}
+
+
+@pytest.mark.parametrize("sort_text", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_output_unchanged(sort_text):
+    budget, count, digest = ENUMERATION_DIGESTS[sort_text]
+    terms, exhaustive = enumerate_closed_nfs(parse_sort(sort_text), budget, REMARK25_CONSTANTS)
+    printed = [print_term(t.term) for t in terms]
+    assert (len(terms), exhaustive) == (count, False)
+    assert hashlib.sha256("\n".join(printed).encode()).hexdigest() == digest
+    # the order is the walking sort key the carried sizes replace
+    key = [(_bottoms(t.term), term_size(t.term), p) for t, p in zip(terms, printed)]
+    assert key == sorted(key)
+
+
+def _subterms_by_recursion(t):
+    yield t
+    if isinstance(t, App):
+        yield from _subterms_by_recursion(t.fn)
+        yield from _subterms_by_recursion(t.arg)
+    elif isinstance(t, Lam):
+        yield from _subterms_by_recursion(t.body)
+
+
+@seed(20223)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(C07_SORTS + (OO,)), st.data())
+def test_subterms_is_preorder(sort, data):
+    terms = oracle_corpus(sort)
+    t = terms[data.draw(st.integers(0, len(terms) - 1))].term
+    # applying a term to itself under a binder mixes App, Lam and Bound
+    for u in (t, Lam("x", sort, App(Var("g", arrow(sort, sort)), t))):
+        got, want = list(subterms(u)), list(_subterms_by_recursion(u))
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_subterms_walks_a_deep_spine():
+    untyped = Signature(untyped=True)
+    x = parse_term("x", untyped)
+    spine = x
+    for _ in range(10_000):
+        spine = App(spine, x)
+    assert term_size(spine) == 20_001
