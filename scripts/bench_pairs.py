@@ -1,16 +1,18 @@
 """Alternating base/tree pairs of perfbench runs.
 
     python3 scripts/bench_pairs.py BASE --workload nf-distances --pairs 10 \
-        --seed 1 --seconds 36 --workdir DIR
+        --seed 1 --workdir DIR
 
 Exports the git revision BASE with `git archive` into DIR, then runs
 `perfbench/run.py` on that export and on the working tree of this
 checkout, one after the other, PAIRS times, switching which side runs
-first from one pair to the next.  For every metric it prints each pair,
+first from one pair to the next.  Every run lasts BENCHMARK.json's
+`run_seconds`, the same on both sides.  For every metric it prints each pair,
 each side's median and quartiles, and how many pairs the tree won (ties
 count for neither side); a gain is marked where, over at least ten
-pairs, the tree won at least nine in ten and the medians differ by more
-than the distance between the base runs' quartiles.  Which way a metric
+pairs, the tree won at least nine in ten, the medians differ by more
+than the distance between the base runs' quartiles, every tree run was
+correct and no tree run failed more operations than its paired base run.  Which way a metric
 is better comes from BENCHMARK.json.  The last line of standard output
 is one JSON object holding every run.  Nothing under perfbench/ is
 changed.
@@ -37,12 +39,12 @@ def parse_args(argv):
     ap.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", type=Path, help="where the base export goes (default: a new temporary directory)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    args.seconds = bench["run_seconds"]
     args.better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     return args
 
@@ -91,6 +93,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     names = sorted(set(runs[0]["base"]["metrics"]) & set(runs[0]["tree"]["metrics"]))
+    outcomes_hold = all(
+        r["tree"]["correct"] and r["tree"]["failed"] <= r["base"]["failed"] for r in runs
+    )
     out = {}
     for name in names:
         base = [r["base"]["metrics"][name] for r in runs]
@@ -100,7 +105,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         losses = sum(sign * (t - b) > 0 for b, t in zip(base, tree))
         bq, tq = quartiles(base), quartiles(tree)
         gain = (
-            len(runs) >= 10
+            outcomes_hold
+            and len(runs) >= 10
             and wins >= 0.9 * len(runs)
             and sign * (bq[1] - tq[1]) > bq[2] - bq[0]
         )

@@ -193,8 +193,6 @@ def agreement_level(t: NormalForm, s: NormalForm) -> Optional[int]:
 
 def e_distance(t: NormalForm, s: NormalForm) -> Dyadic:
     """1/2^m with m the largest level at which the projections agree."""
-    if t.sort != s.sort:
-        raise SortError("e_distance requires equal sorts")
     level = agreement_level(t, s)
     if level is None:
         return DYADIC_ZERO

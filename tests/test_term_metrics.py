@@ -437,6 +437,8 @@ def test_agreement_level_on_fixed_points_and_binders():
     assert got == [0, -1, -1, 1, 1, None, 0, -1, 1]
     with pytest.raises(SortError):
         agreement_level(nf("c1"), nf("\\f:o->o. c1"))
+    with pytest.raises(SortError):
+        e_distance(nf("c1"), nf("\\f:o->o. c1"))
 
 
 @functools.lru_cache(maxsize=None)
