@@ -14,14 +14,18 @@ pairs, the tree won at least nine in ten, the medians differ by more
 than the distance between the base runs' quartiles, every tree run was
 correct and no tree run failed more operations than its paired base run.  Which way a metric
 is better comes from BENCHMARK.json.  The last line of standard output
-is one JSON object holding every run.  Nothing under perfbench/ is
-changed.
+is one JSON object holding every run; with --out PATH it is also
+written to PATH, together with the Python version, both commits (and
+whether the working tree differs from HEAD), `nproc` and the line
+count of the tree's src/.  Nothing under perfbench/ is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -41,6 +45,7 @@ def parse_args(argv):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", type=Path, help="where the base export goes (default: a new temporary directory)")
+    ap.add_argument("--out", type=Path, help="also write the final JSON, with the host and source metadata, here")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -49,12 +54,28 @@ def parse_args(argv):
     return args
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def metadata(base: str) -> dict:
+    """Where the pairs ran and what the tree side measured."""
+    return {
+        "python": platform.python_version(),
+        "base_commit": git("rev-parse", "--verify", base + "^{commit}"),
+        "tree_commit": git("rev-parse", "HEAD"),
+        "tree_differs_from_commit": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "nproc": len(os.sched_getaffinity(0)),
+        "src_lines": sum(
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in sorted((ROOT / "src").rglob("*.py"))
+        ),
+    }
+
+
 def export(base: str, workdir: Path) -> Path:
     """The files of revision base, unpacked under workdir."""
-    sha = subprocess.run(
-        ["git", "rev-parse", "--verify", base + "^{commit}"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout.strip()
+    sha = git("rev-parse", "--verify", base + "^{commit}")
     dest = workdir / f"base-{sha[:12]}"
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
@@ -151,10 +172,13 @@ def main(argv=None) -> int:
             f"  tree {tq[0]:.6g} / {tq[1]:.6g} / {tq[2]:.6g}"
             f"  tree wins {s['tree_wins']}/{len(runs)}{'  GAIN' if s['gain'] else ''}"
         )
-    print(json.dumps({
+    final = {
         "base": args.base, "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace, "runs": runs, "summary": summary,
-    }))
+    }
+    print(json.dumps(final))
+    if args.out:
+        args.out.write_text(json.dumps({"meta": metadata(args.base), **final}, indent=1) + "\n")
     return 0
 
 

@@ -137,7 +137,7 @@ def theta_xi_maps() -> tuple[FiniteMetricSpace, FiniteMetricSpace, PointMap, Poi
 
 def remark25_space() -> FiniteMetricSpace:
     """The 3-point space induced by the normal-form distances."""
-    return FiniteMetricSpace.from_matrix(
+    return FiniteMetricSpace(
         ["t", "s", "u"],
         [
             [0, F(1, 2), 1],
@@ -205,8 +205,8 @@ def corpus_algebras() -> dict[str, FiniteQuantAlgebra]:
         arrow(O, arrow(OO, O)),
         arrow(OO, OO),
     ]
-    one = FiniteMetricSpace.from_matrix(["p"], [[0]])
-    two = FiniteMetricSpace.from_matrix(["p", "q"], [[0, 1], [1, 0]])
+    one = FiniteMetricSpace(["p"], [[0]])
+    two = FiniteMetricSpace(["p", "q"], [[0, 1], [1, 0]])
     three = FiniteMetricSpace.line_grid(F(0), F(1), F(1, 2))
 
     cl_sig = Signature(untyped=False, combinator_sorts=CL_TRIPLES)

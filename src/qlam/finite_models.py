@@ -13,6 +13,7 @@ work on any pair of tables over a full domain.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,8 +24,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .metric_core import ExtReal, FiniteMetricSpace, SpaceClass, ZERO, classify_space
-from .quant_deduction import Derivation, Inference, Theory, check_derivation
+from .metric_core import ExtReal, FiniteMetricSpace, nonexpansive_tables
+from .quant_deduction import Derivation, Inference, QuantEquation, Theory, check_derivation
 from .term_syntax import (
     App,
     ArrowSort,
@@ -55,6 +56,8 @@ __all__ = [
 class FiniteQuantAlgebra:
     """A finite applicative structure with sort-indexed exact distances.
 
+    Distances are integers over one algebra-wide scale, the lcm of the
+    base spaces' scales (math.inf for infinity); dist() gives ExtReal.
     bottom, when given, is the base-carrier index that interprets bottom
     at every base sort; without it bottom has no interpretation.
     """
@@ -72,19 +75,19 @@ class FiniteQuantAlgebra:
         self.base_spaces = dict(base_spaces)
         self.size_budget = size_budget
         self.bottom = bottom
+        self.scale = math.lcm(*(space.scale for space in self.base_spaces.values()))
         self._carriers: dict[Sort, list] = {}
         self._index: dict[Sort, dict] = {}
         self._sym: dict[tuple[str, Sort], object] = {}
         self._dist_memo: dict = {}
-        self._class_memo: dict[Sort, SpaceClass] = {}
+        self._matrices: dict[Sort, list[list]] = {}
         for sort, space in self.base_spaces.items():
             self._carriers[sort] = list(range(space.size))
             self._index[sort] = {i: i for i in range(space.size)}
+            factor = self.scale // space.scale
+            self._matrices[sort] = [[v * factor for v in row] for row in space.m]
 
     # carriers -----------------------------------------------------------
-    def has_carrier(self, sort: Sort) -> bool:
-        return sort in self._carriers
-
     def carrier(self, sort: Sort) -> list:
         hit = self._carriers.get(sort)
         if hit is None:
@@ -92,10 +95,10 @@ class FiniteQuantAlgebra:
         return hit
 
     def index(self, sort: Sort, element) -> int:
-        self.carrier(sort)
         try:
             return self._index[sort][element]
         except KeyError:
+            self.carrier(sort)
             raise StructuralError(
                 f"element is not in the carrier at {render_sort(sort)}"
             ) from None
@@ -114,68 +117,55 @@ class FiniteQuantAlgebra:
         # every table is non-expansive when no two codomain elements are
         # farther apart than the closest two domain elements (a discrete
         # base, for one)
-        closest = min(
-            (self.dist(sort.dom, u, v) for u, v in itertools.combinations(dom, 2)),
-            default=None,
-        )
-        widest = max(
-            (self.dist(sort.cod, x, y) for x, y in itertools.combinations(cod, 2)),
-            default=ZERO,
-        )
-        if closest is not None and widest > closest:
-            tables = (f for f in tables if self._table_nonexpansive(sort, f))
+        if len(dom) > 1:
+            am, cm = self._matrix(sort.dom), self._matrix(sort.cod)
+            closest = min(am[i][j] for i, j in itertools.combinations(range(len(dom)), 2))
+            if any(cm[i][j] > closest for i, j in itertools.combinations(range(len(cod)), 2)):
+                tables = (tuple(cod[c] for c in t) for t in nonexpansive_tables(am, cm))
         out = list(tables)
         self._carriers[sort] = out
         self._index[sort] = {f: i for i, f in enumerate(out)}
         return out
 
     def _table_nonexpansive(self, sort: ArrowSort, f: tuple) -> bool:
-        dom = self.carrier(sort.dom)
-        for i, j in itertools.combinations(range(len(dom)), 2):
-            if self.dist(sort.cod, f[i], f[j]) > self.dist(sort.dom, dom[i], dom[j]):
+        am = self._matrix(sort.dom)
+        for i, j in itertools.combinations(range(len(am)), 2):
+            if self._idist(sort.cod, f[i], f[j]) > am[i][j]:
                 return False
         return True
 
     # distances ----------------------------------------------------------
     def dist(self, sort: Sort, x, y) -> ExtReal:
+        return ExtReal.scaled(self._idist(sort, x, y), self.scale)
+
+    def _matrix(self, sort: Sort) -> list[list]:
+        """Integer distances over the full carrier at a sort."""
+        hit = self._matrices.get(sort)
+        if hit is None:
+            elems = self.carrier(sort)
+            hit = [[self._idist(sort, x, y) for y in elems] for x in elems]
+            self._matrices[sort] = hit
+        return hit
+
+    def _idist(self, sort: Sort, x, y):
+        """dist at the algebra's scale, as an integer or math.inf."""
+        if not isinstance(sort, ArrowSort):
+            base = self._matrices.get(sort)
+            if base is None:
+                raise StructuralError(f"no base space at {render_sort(sort)}")
+            return base[x][y]
         key = (sort, x, y)
         hit = self._dist_memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(sort, ArrowSort):
-            dom = self.carrier(sort.dom)
-            best = ZERO
-            for i, u in enumerate(dom):
-                for j, v in enumerate(dom):
-                    a = self.dist(sort.dom, u, v)
-                    b = self.dist(sort.cod, x[i], y[j])
-                    if b > a and b > best:
-                        best = b
-            out = best
-        else:
-            space = self.base_spaces.get(sort)
-            if space is None:
-                raise StructuralError(f"no base space at {render_sort(sort)}")
-            out = space.d(x, y)
-        self._dist_memo[key] = out
-        self._dist_memo[(sort, y, x)] = out
-        return out
-
-    def space_at(self, sort: Sort) -> FiniteMetricSpace:
-        """The distance matrix over the full carrier at a sort."""
-        elems = self.carrier(sort)
-        names = tuple(self.render_element(sort, e) for e in elems)
-        matrix = tuple(
-            tuple(self.dist(sort, x, y) for y in elems) for x in elems
-        )
-        return FiniteMetricSpace(names, matrix)
-
-    def classify_at(self, sort: Sort) -> SpaceClass:
-        hit = self._class_memo.get(sort)
-        if hit is None:
-            hit = classify_space(self.space_at(sort))
-            self._class_memo[sort] = hit
-        return hit
+        best = 0
+        for xi, row in zip(x, self._matrix(sort.dom)):
+            for yj, a in zip(y, row):
+                b = self._idist(sort.cod, xi, yj)
+                if b > a and b > best:
+                    best = b
+        self._dist_memo[key] = best
+        return best
 
     # application and symbols --------------------------------------------
     def apply(self, fsort: Sort, f, a):
@@ -216,14 +206,11 @@ class FiniteQuantAlgebra:
             assert isinstance(sort, ArrowSort) and isinstance(sort.cod, ArrowSort)
             fs = self.populate_arrow(sort.dom)
             gs = self.populate_arrow(sort.cod.dom)
-            i = sort.cod.cod.dom
-            j = sort.cod.dom.cod
-            xs = self.carrier(i)
+            xs = range(len(self.carrier(sort.cod.cod.dom)))
+            # gs holds maps into the sort, so its carrier and index exist
+            jdx = self._index[sort.cod.dom.cod]
             return tuple(
-                tuple(
-                    tuple(f[ix][self.index(j, g[ix])] for ix in range(len(xs)))
-                    for g in gs
-                )
+                tuple(tuple(f[ix][jdx[g[ix]]] for ix in xs) for g in gs)
                 for f in fs
             )
         raise InterpretationError(f"unknown combinator {name}")
@@ -414,6 +401,14 @@ def _envs(alg: FiniteQuantAlgebra, var_sorts: Mapping[str, Sort]) -> Iterable[di
         yield dict(zip(names, combo))
 
 
+def _violates(alg: FiniteQuantAlgebra, eq: QuantEquation, left_env, right_env, delta=0) -> bool:
+    """Whether eq's sides, interpreted in left_env and right_env, lie
+    farther apart than max(delta, eps); delta is an integer at the
+    algebra's scale, and eps is compared exactly as d·den > num·scale."""
+    d = alg._idist(eq.sort, interpret(eq.left, alg, left_env), interpret(eq.right, alg, right_env))
+    return d > delta and d * eq.eps.denominator > eq.eps.numerator * alg.scale
+
+
 def satisfies_inference(
     alg: FiniteQuantAlgebra, inf: Inference, mode: str = "sat"
 ) -> SatReport:
@@ -435,17 +430,9 @@ def satisfies_inference(
             if eq.quantified:
                 raise StructuralError("sat mode needs empty quantified sets")
         for env in _envs(alg, var_sorts):
-            ok = True
-            for h in inf.hypotheses:
-                d = alg.dist(h.sort, interpret(h.left, alg, env), interpret(h.right, alg, env))
-                if d > ExtReal(h.eps):
-                    ok = False
-                    break
-            if not ok:
+            if any(_violates(alg, h, env, env) for h in inf.hypotheses):
                 continue
-            c = inf.conclusion
-            d = alg.dist(c.sort, interpret(c.left, alg, env), interpret(c.right, alg, env))
-            if d > ExtReal(c.eps):
+            if _violates(alg, inf.conclusion, env, env):
                 return SatReport(
                     False,
                     {n: alg.render_element(var_sorts[n], v) for n, v in env.items()},
@@ -467,34 +454,14 @@ def satisfies_inference(
     for env in _envs(alg, outer):
         for avec in itertools.product(*xcarriers):
             for bvec in itertools.product(*xcarriers):
-                delta = ZERO
-                for v, a, b in zip(xvars, avec, bvec):
-                    d = alg.dist(v.sort, a, b)
-                    if d > delta:
-                        delta = d
-                enva = dict(env)
-                envb = dict(env)
-                for v, a, b in zip(xvars, avec, bvec):
-                    enva[v.name] = a
-                    envb[v.name] = b
-                ok = True
-                for h in inf.hypotheses:
-                    bound = max(delta, ExtReal(h.eps))
-                    d = alg.dist(
-                        h.sort, interpret(h.left, alg, enva), interpret(h.right, alg, envb)
-                    )
-                    if d > bound:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                bound = max(delta, ExtReal(conc.eps))
-                d = alg.dist(
-                    conc.sort,
-                    interpret(conc.left, alg, enva),
-                    interpret(conc.right, alg, envb),
+                delta = max(
+                    (alg._idist(v.sort, a, b) for v, a, b in zip(xvars, avec, bvec)), default=0
                 )
-                if d > bound:
+                enva = {**env, **{v.name: a for v, a in zip(xvars, avec)}}
+                envb = {**env, **{v.name: b for v, b in zip(xvars, bvec)}}
+                if any(_violates(alg, h, enva, envb, delta) for h in inf.hypotheses):
+                    continue
+                if _violates(alg, conc, enva, envb, delta):
                     return SatReport(
                         False,
                         {n: alg.render_element(outer[n], v) for n, v in env.items()},
@@ -507,7 +474,7 @@ def satisfies_inference(
                                 alg.render_element(v.sort, b)
                                 for v, b in zip(xvars, bvec)
                             ],
-                            "delta": delta.render(),
+                            "delta": ExtReal.scaled(delta, alg.scale).render(),
                         },
                     )
     return SatReport(True)

@@ -1,7 +1,9 @@
 """Exact distances and finite metric spaces.
 
-Distances live in the non-negative rationals extended with infinity
-(ExtReal); all arithmetic is exact, there is no floating point anywhere.
+Distances live in the non-negative rationals extended with infinity.  A
+finite space holds them as one integer matrix over one scale (math.inf
+for infinity), and every check compares integers; ExtReal, an exact
+Fraction or infinity, is what results and JSON carry.
 On top of that the module provides finite point spaces with a taxonomy
 classifier (premetric / metric / ultrametric / partial ultrametric),
 star-completion, binary products, enumeration of non-expansive maps, the
@@ -11,12 +13,12 @@ four hom-distances phi / xi / xi' / theta between such maps, and the
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 from .errors import PreconditionError, StructuralError
 
@@ -30,6 +32,7 @@ __all__ = [
     "star_completion",
     "product_space",
     "enumerate_nonexpansive",
+    "nonexpansive_tables",
     "hom_distance",
     "ExpCheckResult",
     "check_exponentiable",
@@ -96,6 +99,11 @@ class ExtReal:
     def __hash__(self) -> int:
         return hash(self._frac)
 
+    @staticmethod
+    def scaled(value, scale: int) -> "ExtReal":
+        """The value of an integer distance (or math.inf) at scale."""
+        return INF if value == math.inf else ExtReal(Fraction(value, scale))
+
     def render(self) -> str:
         return "inf" if self._frac is None else str(self._frac)
 
@@ -105,33 +113,60 @@ class ExtReal:
 
 INF = ExtReal("inf")
 ZERO = ExtReal(0)
+inf = math.inf
 
 
-def _ext_max(values: Iterable[ExtReal]) -> ExtReal:
-    out = ZERO
-    for v in values:
-        if out < v:
-            out = v
-    return out
+def _factors(a: "FiniteMetricSpace", b: "FiniteMetricSpace") -> tuple[int, int]:
+    """Multipliers that bring a's and b's integers to the lcm of their scales."""
+    common = math.lcm(a.scale, b.scale)
+    return common // a.scale, common // b.scale
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite list of opaque points with a square ExtReal distance matrix.
+    """A finite list of opaque points with a square distance matrix.
 
-    No metric axiom is enforced at construction; classify_space reports
-    which taxonomy levels the matrix satisfies.
+    The matrix is held as integers m[i][j] over one scale, the lcm of
+    the reduced denominators, with math.inf for an infinite distance, so
+    equal spaces have equal representations.  The constructor takes
+    ExtReal-convertible rows; d(), dist and values() give ExtReal.  No
+    metric axiom is enforced; classify_space reports which taxonomy
+    levels the matrix satisfies.
     """
 
-    points: tuple[str, ...]
-    dist: tuple[tuple[ExtReal, ...], ...]
+    __slots__ = ("points", "m", "scale", "_index")
 
-    def __post_init__(self) -> None:
-        n = len(self.points)
-        if len(set(self.points)) != n:
+    def __init__(self, points: Sequence[str], rows: Sequence[Sequence], scale: Optional[int] = None):
+        """rows hold ExtReal-convertible values or, when scale is given,
+        integers (and math.inf) at that scale."""
+        if scale is None:
+            fracs = [[ExtReal(v)._frac for v in row] for row in rows]
+            scale = math.lcm(*(f.denominator for row in fracs for f in row if f is not None))
+            rows = [[inf if f is None else f.numerator * scale // f.denominator for f in row]
+                    for row in fracs]
+        self.points = tuple(points)
+        self._index = {p: i for i, p in enumerate(self.points)}
+        if len(self._index) != len(self.points):
             raise StructuralError("duplicate point identifiers")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+        if len(rows) != self.size or any(len(row) != self.size for row in rows):
             raise StructuralError("distance matrix is not square on the point list")
+        g = math.gcd(scale, *(v for row in rows for v in row if v != inf))
+        if g != 1:
+            rows = [[v if v == inf else v // g for v in row] for row in rows]
+        self.scale = scale // g
+        self.m = tuple(map(tuple, rows))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteMetricSpace):
+            return NotImplemented
+        return self is other or (
+            self.points == other.points and self.scale == other.scale and self.m == other.m
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.scale, self.m))
+
+    def __repr__(self) -> str:
+        return f"FiniteMetricSpace({self.points!r}, {self.to_json()['dist']!r})"
 
     @property
     def size(self) -> int:
@@ -139,41 +174,46 @@ class FiniteMetricSpace:
 
     def index(self, point: str) -> int:
         try:
-            return self.points.index(point)
-        except ValueError:
+            return self._index[point]
+        except (KeyError, TypeError):
             raise StructuralError(f"unknown point {point!r}") from None
 
     def d(self, i: int, j: int) -> ExtReal:
-        return self.dist[i][j]
+        return ExtReal.scaled(self.m[i][j], self.scale)
+
+    @property
+    def dist(self) -> tuple[tuple[ExtReal, ...], ...]:
+        return tuple(tuple(ExtReal.scaled(v, self.scale) for v in row) for row in self.m)
 
     def d_name(self, p: str, q: str) -> ExtReal:
-        return self.dist[self.index(p)][self.index(q)]
+        return self.d(self.index(p), self.index(q))
 
     def values(self) -> set[ExtReal]:
-        return {v for row in self.dist for v in row}
+        return {ExtReal.scaled(v, self.scale) for row in self.m for v in set(row)}
 
     def to_json(self) -> dict:
         return {
             "points": list(self.points),
-            "dist": [[v.render() for v in row] for row in self.dist],
+            "dist": [[ExtReal.scaled(v, self.scale).render() for v in row] for row in self.m],
         }
 
     @staticmethod
     def from_json(data: dict) -> "FiniteMetricSpace":
+        """points: a list of strings; dist: rows of Fraction strings,
+        "inf" or integers (no float, bool or null)."""
+        if not isinstance(data, dict):
+            raise StructuralError("bad FiniteMetricSpace JSON: not an object")
+        points, rows = data.get("points"), data.get("dist")
+        if not (isinstance(points, list) and all(isinstance(p, str) for p in points)):
+            raise StructuralError("bad FiniteMetricSpace JSON: points must be a list of strings")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)) or any(
+            isinstance(v, bool) or not isinstance(v, (str, int)) for row in rows for v in row
+        ):
+            raise StructuralError("bad FiniteMetricSpace JSON: dist must be rows of strings or integers")
         try:
-            points = tuple(str(p) for p in data["points"])
-            dist = tuple(
-                tuple(ExtReal(v) for v in row) for row in data["dist"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return FiniteMetricSpace(points, rows)
+        except (ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"bad FiniteMetricSpace JSON: {exc}") from exc
-        return FiniteMetricSpace(points, dist)
-
-    @staticmethod
-    def from_matrix(points: Sequence[str], rows: Sequence[Sequence]) -> "FiniteMetricSpace":
-        return FiniteMetricSpace(
-            tuple(points), tuple(tuple(ExtReal(v) for v in row) for row in rows)
-        )
 
     @staticmethod
     def line_grid(lo: Fraction, hi: Fraction, step: Fraction) -> "FiniteMetricSpace":
@@ -187,12 +227,10 @@ class FiniteMetricSpace:
         count = (hi - lo) / step
         if count.denominator != 1:
             raise StructuralError("step does not divide the interval")
-        pts = [lo + i * step for i in range(count.numerator + 1)]
-        names = tuple(str(p) for p in pts)
-        rows = tuple(
-            tuple(ExtReal(abs(p - q)) for q in pts) for p in pts
-        )
-        return FiniteMetricSpace(names, rows)
+        n = count.numerator + 1
+        names = tuple(str(lo + i * step) for i in range(n))
+        m = tuple(tuple(abs(i - j) * step.numerator for j in range(n)) for i in range(n))
+        return FiniteMetricSpace(names, m, step.denominator)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -220,31 +258,21 @@ def classify_space(space: FiniteMetricSpace) -> SpaceClass:
     premetric = (refl) + (symm); metric adds (trans); ultrametric adds
     (trans*); partial ultrametric = (symm) + (trans*) + (refl*).
     """
-    n = space.size
-    d = space.d
-    refl = all(d(i, i) == ZERO for i in range(n))
-    symm = all(d(i, j) == d(j, i) for i in range(n) for j in range(n))
-    trans = all(
-        d(i, j) <= d(i, k) + d(k, j)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
-    trans_star = all(
-        d(i, j) <= _ext_max([d(i, k), d(k, j)])
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
-    refl_star = all(
-        d(i, i) <= d(i, j) and d(j, j) <= d(i, j)
-        for i in range(n)
-        for j in range(n)
-    )
+    m = space.m
+    diag = [row[i] for i, row in enumerate(m)]
+    refl = all(v == 0 for v in diag)
+    symm = all(row == col for row, col in zip(m, zip(*m)))
+    refl_star = all(di <= v and dj <= v for di, row in zip(diag, m) for dj, v in zip(diag, row))
     premetric = refl and symm
+    trans = premetric and all(
+        dij <= dik + dkj for ri in m for dik, rk in zip(ri, m) for dij, dkj in zip(ri, rk)
+    )
+    trans_star = (premetric or (symm and refl_star)) and all(
+        dij <= dik or dij <= dkj for ri in m for dik, rk in zip(ri, m) for dij, dkj in zip(ri, rk)
+    )
     return SpaceClass(
         premetric=premetric,
-        metric=premetric and trans,
+        metric=trans,
         ultrametric=premetric and trans_star,
         partial_ultrametric=symm and trans_star and refl_star,
     )
@@ -254,22 +282,16 @@ def star_completion(space: FiniteMetricSpace) -> FiniteMetricSpace:
     """Zero out the diagonal of a partial ultrametric space."""
     if not classify_space(space).partial_ultrametric:
         raise PreconditionError("star_completion requires a partial ultrametric space")
-    rows = tuple(
-        tuple(ZERO if i == j else space.d(i, j) for j in range(space.size))
-        for i in range(space.size)
-    )
-    return FiniteMetricSpace(space.points, rows)
+    m = [[0 if i == j else v for j, v in enumerate(row)] for i, row in enumerate(space.m)]
+    return FiniteMetricSpace(space.points, m, space.scale)
 
 
 def product_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
     """Cartesian product with the pointwise max distance."""
+    fa, fb = _factors(a, b)
     points = tuple(f"({p},{q})" for p in a.points for q in b.points)
-    pairs = [(i, j) for i in range(a.size) for j in range(b.size)]
-    rows = tuple(
-        tuple(_ext_max([a.d(i1, i2), b.d(j1, j2)]) for (i2, j2) in pairs)
-        for (i1, j1) in pairs
-    )
-    return FiniteMetricSpace(points, rows)
+    m = [[max(u * fa, v * fb) for u in ra for v in rb] for ra in a.m for rb in b.m]
+    return FiniteMetricSpace(points, m, a.scale * fa)
 
 
 @dataclass(frozen=True)
@@ -290,15 +312,17 @@ class PointMap:
         return self.table[self.domain.index(point)]
 
     def _indices(self) -> tuple[int, ...]:
-        return tuple(self.codomain.index(p) for p in self.table)
+        index = self.codomain._index
+        return tuple(index[p] for p in self.table)
 
     def is_nonexpansive(self) -> bool:
         idx = self._indices()
-        n = self.domain.size
+        fd, fc = _factors(self.domain, self.codomain)
+        cm = self.codomain.m
         return all(
-            self.codomain.d(idx[i], idx[j]) <= self.domain.d(i, j)
-            for i in range(n)
-            for j in range(n)
+            cm[idx[i]][idx[j]] * fc <= v * fd
+            for i, row in enumerate(self.domain.m)
+            for j, v in enumerate(row)
         )
 
     @staticmethod
@@ -306,20 +330,48 @@ class PointMap:
         return PointMap(domain, codomain, tuple(fn(p) for p in domain.points))
 
 
+def nonexpansive_tables(am: Sequence[Sequence], bm: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """Index tables c with bm[c[i]][c[j]] <= am[i][j] for all i < j.
+
+    am and bm are distance matrices at one scale.  Position j takes
+    index c when the test holds against every earlier position; the
+    search extends prefixes in order, so the tables come out as
+    itertools.product(range(len(bm)), repeat=len(am)) would list them.
+    One candidate iterator per position stands in for recursion.
+    """
+    if not am:
+        return [()]
+    tables: list[tuple[int, ...]] = []
+    combo: list[int] = []
+    stack = [iter(range(len(bm)))]
+    while stack:
+        j = len(combo)
+        for c in stack[-1]:
+            if all(bm[ci][c] <= am[i][j] for i, ci in enumerate(combo)):
+                if j + 1 == len(am):
+                    tables.append((*combo, c))
+                else:
+                    combo.append(c)
+                    stack.append(iter(range(len(bm))))
+                    break
+        else:
+            stack.pop()
+            if combo:
+                combo.pop()
+    return tables
+
+
 def enumerate_nonexpansive(
     a: FiniteMetricSpace, b: FiniteMetricSpace
 ) -> list[PointMap]:
     """All non-expansive total maps a -> b, lexicographic in point orders."""
-    maps: list[PointMap] = []
-    for combo in itertools.product(range(b.size), repeat=a.size):
-        ok = all(
-            b.d(combo[i], combo[j]) <= a.d(i, j)
-            for i in range(a.size)
-            for j in range(i + 1, a.size)
-        )
-        if ok:
-            maps.append(PointMap(a, b, tuple(b.points[k] for k in combo)))
-    return maps
+    fa, fb = _factors(a, b)
+    am = [[v * fa for v in row] for row in a.m]
+    bm = [[v * fb for v in row] for row in b.m]
+    return [
+        PointMap(a, b, tuple(b.points[c] for c in table))
+        for table in nonexpansive_tables(am, bm)
+    ]
 
 
 HomKind = Literal["phi", "xi", "xi_prime", "theta"]
@@ -339,44 +391,43 @@ def hom_distance(
                or 0 when no such pair exists (finite closed form of the
                defining infimum, which is attained at a b-value);
     xi_prime = least delta in {0} ∪ {b-values} such that a(x,y) <= delta
-               implies b(f(x), g(y)) <= delta for all pairs;
+               implies b(f(x), g(y)) <= delta for all pairs, that is,
+               outside every interval a(x,y) <= delta < b(f(x), g(y));
     theta    = 0 when the tables coincide, else max over all pairs of
                b(f(x), g(y)).
+    a- and b-values are compared over the lcm of the two scales.
     """
     for h in (f, g):
         if h.domain != a or h.codomain != b:
             raise PreconditionError("map endpoints do not match the given spaces")
         if not h.is_nonexpansive():
             raise PreconditionError("hom_distance requires non-expansive maps")
-    fi = f._indices()
+    fa, fb = _factors(a, b)
     gi = g._indices()
-    n = a.size
+    # bf[x][y] = b(f(x), g(y)) at b's scale
+    bf = [[row[j] for j in gi] for row in (b.m[i] for i in f._indices())]
     if kind == "phi":
-        return _ext_max(b.d(fi[x], gi[x]) for x in range(n))
-    if kind == "xi":
-        return _ext_max(
-            b.d(fi[x], gi[y])
-            for x in range(n)
-            for y in range(n)
-            if a.d(x, y) < b.d(fi[x], gi[y])
-        )
-    if kind == "xi_prime":
-        candidates = sorted({ZERO} | b.values())
-        for delta in candidates:
-            if all(
-                b.d(fi[x], gi[y]) <= delta
-                for x in range(n)
-                for y in range(n)
-                if a.d(x, y) <= delta
-            ):
-                return delta
-        return INF
+        return ExtReal.scaled(max((row[x] for x, row in enumerate(bf)), default=0), b.scale)
     if kind == "theta":
         if f.table == g.table:
             return ZERO
-        return _ext_max(
-            b.d(fi[x], gi[y]) for x in range(n) for y in range(n)
-        )
+        return ExtReal.scaled(max((v for row in bf for v in row), default=0), b.scale)
+    # the pairs with a(x, y) < b(f(x), g(y)), as (a, b) at the common scale
+    over = [
+        (u * fa, v * fb) for ra, rb in zip(a.m, bf) for u, v in zip(ra, rb) if u * fa < v * fb
+    ]
+    if kind == "xi":
+        return ExtReal.scaled(max((v for _, v in over), default=0), b.scale * fb)
+    if kind == "xi_prime":
+        over.sort()
+        reach, k = -1, 0
+        for delta in sorted({0} | {v for row in b.m for v in row}):
+            while k < len(over) and over[k][0] <= delta * fb:
+                reach = max(reach, over[k][1])
+                k += 1
+            if reach <= delta * fb:
+                return ExtReal.scaled(delta, b.scale)
+        return INF
     raise StructuralError(f"unknown hom-distance kind {kind!r}")
 
 
@@ -400,19 +451,6 @@ class ExpCheckResult:
         }
 
 
-def _breakpoints(space: FiniteMetricSpace, total: ExtReal) -> list[ExtReal]:
-    finite_values = sorted(
-        {v for v in space.values() if not v.is_infinite}, key=lambda v: v.fraction
-    )
-    t = total.fraction
-    cands: set[Fraction] = {Fraction(0), t / 2}
-    for v in finite_values:
-        cands.add(v.fraction)
-        if t - v.fraction >= 0:
-            cands.add(t - v.fraction)
-    return [ExtReal(c) for c in sorted(c for c in cands if 0 <= c <= t)]
-
-
 def check_exponentiable(
     space: FiniteMetricSpace, mode: Literal["full", "image_restricted"]
 ) -> ExpCheckResult:
@@ -422,42 +460,39 @@ def check_exponentiable(
     d(x0, x2) the check demands some x1 with d(x0, x1) <= alpha and
     d(x1, x2) <= beta.  On finite spaces this is exactly the closure of the
     strict epsilon-relaxed condition.  full mode draws alpha from
-    {0} ∪ {matrix values} ∪ {d(x0,x2) − matrix values} ∪ {d(x0,x2)/2};
+    {0} ∪ {matrix values} ∪ {d(x0,x2) − matrix values} ∪ {d(x0,x2)/2},
+    at twice the scale so that d/2 is an integer;
     image_restricted mode requires alpha and beta both to be matrix values.
-    Decompositions of infinite distances are skipped.
+    Decompositions of infinite distances are skipped.  Candidates are
+    tried in increasing order against the points sorted by d(x0, x1),
+    keeping the least d(x1, x2) among those within alpha.
     """
     if mode not in ("full", "image_restricted"):
         raise StructuralError(f"unknown mode {mode!r}")
     if not classify_space(space).metric:
         raise PreconditionError("check_exponentiable requires a metric space")
-    n = space.size
-    image = space.values()
-    for x0 in range(n):
-        for x2 in range(n):
-            total = space.d(x0, x2)
-            if total.is_infinite:
+    m = space.m
+    image = {v for row in m for v in row}
+    finite = sorted(image - {inf})
+    mult = 2 if mode == "full" else 1
+    for x0, row0 in enumerate(m):
+        order = sorted(range(space.size), key=row0.__getitem__)
+        for x2, total in enumerate(row0):
+            if total == inf:
                 continue
+            reachable = [v for v in finite if v <= total]
             if mode == "full":
-                alphas = _breakpoints(space, total)
+                doubled = [2 * v for v in reachable]
+                alphas = sorted({0, total, *doubled, *(2 * total - v for v in doubled)})
             else:
-                alphas = sorted(
-                    (
-                        v
-                        for v in image
-                        if not v.is_infinite and v.fraction <= total.fraction
-                        and ExtReal(total.fraction - v.fraction) in image
-                    ),
-                    key=lambda v: v.fraction,
-                )
+                alphas = [v for v in reachable if total - v in image]
+            t, k, best = total * mult, 0, inf
             for alpha in alphas:
-                beta = ExtReal(total.fraction - alpha.fraction)
-                found = any(
-                    space.d(x0, x1) <= alpha and space.d(x1, x2) <= beta
-                    for x1 in range(n)
-                )
-                if not found:
-                    return ExpCheckResult(
-                        ok=False,
-                        witness=(space.points[x0], space.points[x2], alpha, beta),
-                    )
+                while k < len(order) and row0[order[k]] * mult <= alpha:
+                    best = min(best, m[order[k]][x2])
+                    k += 1
+                if best * mult > t - alpha:
+                    s = space.scale * mult
+                    alpha_beta = ExtReal.scaled(alpha, s), ExtReal.scaled(t - alpha, s)
+                    return ExpCheckResult(False, (space.points[x0], space.points[x2], *alpha_beta))
     return ExpCheckResult(ok=True)

@@ -87,9 +87,6 @@ class Dyadic:
     def from_level(cls, m: int) -> "Dyadic":
         return cls(Fraction(1, 2**m))
 
-    def to_ext(self) -> ExtReal:
-        return ExtReal(self.value)
-
     def render(self) -> str:
         if not self.value:
             return "0"
@@ -535,7 +532,7 @@ def fth_distance(
     for n in range(1, n_max + 1):
         # a discrete base makes every map non-expansive: the carriers are
         # the full function spaces
-        base = FiniteMetricSpace.from_matrix(
+        base = FiniteMetricSpace(
             [str(i) for i in range(n)],
             [[int(i != j) for j in range(n)] for i in range(n)],
         )

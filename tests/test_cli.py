@@ -191,3 +191,56 @@ def test_repro_scenarios_deterministic(name):
     assert run("repro", name, "--update").output == run(
         "repro", name, "--update"
     ).output
+
+
+# Space files: entries are Fraction strings, "inf" or integers, points a
+# list of strings.  Written as text so that 1e400 stays a bare JSON number.
+GOOD_POINTS = '["a", "b"]'
+BAD_SPACES = {
+    "zero-denominator": '{"points": %s, "dist": [["0", "1/0"], ["1/0", "0"]]}' % GOOD_POINTS,
+    "bare-1e400": '{"points": %s, "dist": [[0, 1e400], [1e400, 0]]}' % GOOD_POINTS,
+    "float": '{"points": %s, "dist": [[0, 0.1], [0.1, 0]]}' % GOOD_POINTS,
+    "true": '{"points": %s, "dist": [[0, true], [true, 0]]}' % GOOD_POINTS,
+    "null": '{"points": %s, "dist": [[0, null], [null, 0]]}' % GOOD_POINTS,
+    "points-string": '{"points": "ab", "dist": [["0", "1"], ["1", "0"]]}',
+    "points-ints": '{"points": [0, 1], "dist": [["0", "1"], ["1", "0"]]}',
+    "negative": '{"points": %s, "dist": [["0", "-1/2"], ["-1/2", "0"]]}' % GOOD_POINTS,
+    "not-a-number": '{"points": %s, "dist": [["0", "abc"], ["abc", "0"]]}' % GOOD_POINTS,
+    "row-not-list": '{"points": %s, "dist": ["01", "10"]}' % GOOD_POINTS,
+    "top-level-list": "[]",
+    "missing-dist": '{"points": %s}' % GOOD_POINTS,
+}
+
+
+def _space_verbs(tmp_path, text):
+    space = tmp_path / "space.json"
+    space.write_text(text)
+    good = tmp_path / "good.json"
+    good.write_text('{"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}')
+    table = tmp_path / "f.json"
+    table.write_text('["a", "b"]')
+    return [
+        ["classify", str(space)],
+        ["exp-check", str(space)],
+        ["hom-dist", "--kind", "xi", str(space), str(good), str(table), str(table)],
+        ["hom-dist", "--kind", "xi", str(good), str(space), str(table), str(table)],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPACES))
+def test_bad_space_json_is_exit_1_with_json(tmp_path, name):
+    for args in _space_verbs(tmp_path, BAD_SPACES[name]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, (args, res.output)
+        assert "Traceback" not in res.output
+        assert json.loads(res.stderr)["kind"] == "StructuralError"
+
+
+def test_space_json_accepts_fraction_strings_inf_and_integers(tmp_path):
+    text = '{"points": ["a", "b", "c"], "dist": [[0, "1/2", "inf"], ["0.5", 0, "inf"], ["inf", "inf", "0"]]}'
+    (args, *_) = _space_verbs(tmp_path, text)
+    res = run(*args)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["metric"]
+    res = run("exp-check", args[1], "--mode", "image_restricted")
+    assert json.loads(res.output) == {"ok": True}

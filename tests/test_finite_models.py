@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qlam.corpus import (
     FG,
@@ -15,11 +17,12 @@ from qlam.corpus import (
 from qlam.errors import InterpretationError, StructuralError
 from qlam.finite_models import (
     build_full_type_structure,
+    build_grid_algebra,
     interpret,
     satisfies_inference,
     soundness_harness,
 )
-from qlam.metric_core import ExtReal, FiniteMetricSpace, ZERO
+from qlam.metric_core import INF, ExtReal, FiniteMetricSpace, ZERO
 from qlam.quant_deduction import Inference, QuantEquation
 from qlam.rewrite_engine import beta_normalize
 from qlam.term_syntax import (
@@ -27,6 +30,7 @@ from qlam.term_syntax import (
     Bottom,
     Bound,
     Const,
+    IntervalSort,
     Lam,
     Var,
     arrow,
@@ -129,7 +133,7 @@ def test_interpret_rejects_bottom():
         interpret(Bottom(I01), alg, {})
 
 
-TWO = FiniteMetricSpace.from_matrix(["p", "q"], [[0, 1], [1, 0]])
+TWO = FiniteMetricSpace(["p", "q"], [[0, 1], [1, 0]])
 
 
 def test_full_type_structure_interprets_bottom_as_given_element():
@@ -150,7 +154,7 @@ def test_arrow_carriers_match_filtered_enumeration():
         (TWO, [OO, arrow(O, OO), arrow(OO, O), arrow(OO, OO)]),
         (FiniteMetricSpace.line_grid(F(0), F(1), F(1, 2)), [OO, arrow(O, OO)]),
         (
-            FiniteMetricSpace.from_matrix(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]),
+            FiniteMetricSpace(["a", "b", "c"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]),
             [OO, arrow(O, OO)],
         ),
     ]
@@ -167,6 +171,97 @@ def test_arrow_carriers_match_filtered_enumeration():
                 )
             ]
             assert alg.carrier(sort) == want, render_sort(sort)
+
+
+UNITS = (F(1, 3), F(1, 4), F(2, 5), F(1, 7))
+
+
+def dist_oracle(alg, base, sort, x, y, memo):
+    """The closed-form arrow distance by definition, on base.d ExtReals:
+    the largest b(f(u), g(v)) above a(u, v) over the domain carrier."""
+    key = (sort, x, y)
+    if key not in memo:
+        if sort == O:
+            memo[key] = base.d(x, y)
+        else:
+            dom = alg.carrier(sort.dom)
+            best = ZERO
+            for i, u in enumerate(dom):
+                for j, v in enumerate(dom):
+                    b = dist_oracle(alg, base, sort.cod, x[i], y[j], memo)
+                    if b > dist_oracle(alg, base, sort.dom, u, v, memo) and b > best:
+                        best = b
+            memo[key] = best
+    return memo[key]
+
+
+@st.composite
+def random_base(draw):
+    """1-3 points, mixed denominators, inf entries; asymmetric at times."""
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(
+        st.just(INF),
+        st.builds(lambda k, unit: ExtReal(k * unit), st.integers(0, 6), st.sampled_from(UNITS)),
+    )
+    rows = [[ZERO if i == j else draw(entry) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace(tuple(f"b{i}" for i in range(n)), tuple(map(tuple, rows)))
+
+
+@seed(20241)
+@settings(max_examples=30, deadline=None)
+@given(random_base(), st.data())
+def test_algebra_carriers_and_arrow_distances_match_extreal_oracle(base, data):
+    o_oo = arrow(O, OO)
+    alg = build_full_type_structure(base, [OO, o_oo])
+    memo: dict = {}
+    for sort in (OO, o_oo):
+        dom, cod = alg.carrier(sort.dom), alg.carrier(sort.cod)
+        want = [
+            f
+            for f in itertools.product(cod, repeat=len(dom))
+            if all(
+                dist_oracle(alg, base, sort.cod, f[i], f[j], memo)
+                <= dist_oracle(alg, base, sort.dom, dom[i], dom[j], memo)
+                for i, j in itertools.combinations(range(len(dom)), 2)
+            )
+        ]
+        assert alg.carrier(sort) == want, render_sort(sort)
+    for f in alg.carrier(OO):
+        for g in alg.carrier(OO):
+            assert alg.dist(OO, f, g) == dist_oracle(alg, base, OO, f, g, memo)
+    tables = alg.carrier(o_oo)
+    for _ in range(10):
+        f, g = data.draw(st.sampled_from(tables)), data.draw(st.sampled_from(tables))
+        assert alg.dist(o_oo, f, g) == dist_oracle(alg, base, o_oo, f, g, memo)
+
+
+def test_algebra_scale_is_the_lcm_of_the_base_scales():
+    thirds, quarters = IntervalSort(F(0), F(1)), IntervalSort(F(0), F(2))
+    alg = build_grid_algebra([(F(0), F(1), F(1, 3)), (F(0), F(2), F(1, 4))])
+    assert alg.scale == 12
+    for sort in (thirds, quarters):
+        pts = [F(p) for p in alg.base_spaces[sort].points]
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                assert alg.dist(sort, i, j) == ExtReal(abs(p - q))
+
+
+def test_epsilon_bounds_compare_exactly_at_the_algebra_scale():
+    # d = 1/3 at scale 3 against bounds with other denominators
+    thirds = FiniteMetricSpace(["p", "q"], [[0, F(1, 3)], [F(1, 3), 0]])
+    alg = build_full_type_structure(thirds, [OO])
+    assert alg.scale == 3
+    x, y = Var("x", O), Var("y", O)
+    for eps, ok in ((F(1, 3), True), (F(33333, 100000), False), (F(1, 2), True), (0, False)):
+        assert satisfies_inference(alg, Inference(frozenset(), eq(x, y, eps))).satisfied == ok
+    f, g = Var("f", OO), Var("g", OO)
+    for eps, ok in ((F(1, 3), True), (F(1, 4), False)):
+        app = QuantEquation(App(f, x), App(g, x), eps, O, frozenset({x}))
+        report = satisfies_inference(alg, Inference(frozenset(), app), "sat_star")
+        assert report.satisfied == ok
+    assert report.counter_tuples["delta"] == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
+import itertools
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qlam.errors import PreconditionError, StructuralError
 from qlam.metric_core import (
+    ExpCheckResult,
     ExtReal,
     FiniteMetricSpace,
     INF,
     PointMap,
+    SpaceClass,
     ZERO,
     check_exponentiable,
     classify_space,
@@ -100,12 +105,12 @@ def brute_classify(space):
 
 SPACES = {
     "grid": grid(0, 1, "1/2"),
-    "discrete": FiniteMetricSpace.from_matrix(["a", "b"], [[0, 1], [1, 0]]),
-    "partial": FiniteMetricSpace.from_matrix(
+    "discrete": FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]]),
+    "partial": FiniteMetricSpace(
         ["t", "s", "u"],
         [[0, F(1, 2), 1], [F(1, 2), 0, 1], [1, 1, 1]],
     ),
-    "asym": FiniteMetricSpace.from_matrix(["a", "b"], [[0, 1], [F(1, 2), 0]]),
+    "asym": FiniteMetricSpace(["a", "b"], [[0, 1], [F(1, 2), 0]]),
 }
 
 
@@ -253,7 +258,7 @@ def test_theta_geq_xi_geq_phi(a, data):
 @settings(max_examples=40, deadline=None)
 @given(ultrametric_space(), st.data())
 def test_ultrametric_codomain_collapses_xi_to_phi(b, data):
-    a = FiniteMetricSpace.from_matrix(["x", "y"], [[0, 1], [1, 0]])
+    a = FiniteMetricSpace(["x", "y"], [[0, 1], [1, 0]])
     maps = enumerate_nonexpansive(a, b)
     f = data.draw(st.sampled_from(maps))
     g = data.draw(st.sampled_from(maps))
@@ -292,7 +297,7 @@ def brute_exp_full(space):
         (grid(0, 1, "1/4"), False),
         (grid(0, 1, 1), False),
         (grid(0, 4, 1), False),
-        (FiniteMetricSpace.from_matrix(["a"], [[0]]), True),
+        (FiniteMetricSpace(["a"], [[0]]), True),
     ],
 )
 def test_exp_check_full_matches_brute_midpoints(space, ok):
@@ -317,3 +322,254 @@ def test_exp_check_two_point_witness():
 def test_exp_check_requires_metric():
     with pytest.raises(PreconditionError):
         check_exponentiable(SPACES["partial"], "full")
+
+
+# ---------------------------------------------------------------------------
+# By-definition ExtReal oracles.  These are the ExtReal implementations
+# that the integer kernel replaced, read through the public d(), values()
+# and points; the kernel must agree with them on random spaces with
+# mixed denominators and infinite entries.
+
+UNITS = (F(1, 3), F(1, 4), F(2, 5), F(1, 7))
+
+
+def _ext_max(values):
+    out = ZERO
+    for v in values:
+        if out < v:
+            out = v
+    return out
+
+
+def classify_oracle(space):
+    n, d = space.size, space.d
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    refl = all(d(i, i) == ZERO for i in range(n))
+    symm = all(d(i, j) == d(j, i) for i in range(n) for j in range(n))
+    trans = all(d(i, j) <= d(i, k) + d(k, j) for i, j, k in triples)
+    trans_star = all(d(i, j) <= _ext_max([d(i, k), d(k, j)]) for i, j, k in triples)
+    refl_star = all(
+        d(i, i) <= d(i, j) and d(j, j) <= d(i, j) for i in range(n) for j in range(n)
+    )
+    premetric = refl and symm
+    return SpaceClass(
+        premetric=premetric,
+        metric=premetric and trans,
+        ultrametric=premetric and trans_star,
+        partial_ultrametric=symm and trans_star and refl_star,
+    )
+
+
+def nonexpansive_oracle(a, b):
+    return [
+        tuple(b.points[k] for k in combo)
+        for combo in itertools.product(range(b.size), repeat=a.size)
+        if all(
+            b.d(combo[i], combo[j]) <= a.d(i, j)
+            for i in range(a.size)
+            for j in range(i + 1, a.size)
+        )
+    ]
+
+
+def hom_oracle(kind, a, b, f, g):
+    fi, gi = f._indices(), g._indices()
+    n = a.size
+    pairs = [(a.d(x, y), b.d(fi[x], gi[y])) for x in range(n) for y in range(n)]
+    if kind == "phi":
+        return _ext_max(b.d(fi[x], gi[x]) for x in range(n))
+    if kind == "xi":
+        return _ext_max(bv for av, bv in pairs if av < bv)
+    if kind == "xi_prime":
+        for delta in sorted({ZERO} | b.values()):
+            if all(bv <= delta for av, bv in pairs if av <= delta):
+                return delta
+        return INF
+    return ZERO if f.table == g.table else _ext_max(bv for _, bv in pairs)
+
+
+def _breakpoints_oracle(space, total):
+    finite = sorted({v for v in space.values() if not v.is_infinite}, key=lambda v: v.fraction)
+    t = total.fraction
+    cands = {F(0), t / 2}
+    for v in finite:
+        cands.add(v.fraction)
+        if t - v.fraction >= 0:
+            cands.add(t - v.fraction)
+    return [ExtReal(c) for c in sorted(c for c in cands if 0 <= c <= t)]
+
+
+def exp_oracle(space, mode):
+    if not classify_oracle(space).metric:
+        raise PreconditionError("check_exponentiable requires a metric space")
+    n = space.size
+    image = space.values()
+    for x0 in range(n):
+        for x2 in range(n):
+            total = space.d(x0, x2)
+            if total.is_infinite:
+                continue
+            if mode == "full":
+                alphas = _breakpoints_oracle(space, total)
+            else:
+                alphas = sorted(
+                    (
+                        v
+                        for v in image
+                        if not v.is_infinite
+                        and v.fraction <= total.fraction
+                        and ExtReal(total.fraction - v.fraction) in image
+                    ),
+                    key=lambda v: v.fraction,
+                )
+            for alpha in alphas:
+                beta = ExtReal(total.fraction - alpha.fraction)
+                if not any(
+                    space.d(x0, x1) <= alpha and space.d(x1, x2) <= beta for x1 in range(n)
+                ):
+                    return ExpCheckResult(False, (space.points[x0], space.points[x2], alpha, beta))
+    return ExpCheckResult(True)
+
+
+_entry = st.one_of(
+    st.just(INF),
+    st.builds(lambda k, unit: ExtReal(k * unit), st.integers(0, 6), st.sampled_from(UNITS)),
+)
+
+
+@st.composite
+def random_space(draw, max_points=6):
+    """Any square matrix: asymmetric, non-zero diagonals and inf allowed."""
+    n = draw(st.integers(1, max_points))
+    rows = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = ZERO
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, rows)))
+
+
+@st.composite
+def random_metric(draw, max_points=6):
+    """The shortest-path closure of random symmetric weights (inf allowed)."""
+    n = draw(st.integers(1, max_points))
+    d = [[None if i == j else draw(_entry) for j in range(n)] for i in range(n)]
+    d = [[ZERO if i == j else d[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return FiniteMetricSpace(tuple(f"q{i}" for i in range(n)), tuple(map(tuple, d)))
+
+
+@seed(20231)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_space(), random_metric()))
+def test_classify_matches_extreal_oracle(space):
+    assert classify_space(space) == classify_oracle(space)
+
+
+@seed(20232)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(random_space(4), random_metric(4)), st.one_of(random_space(), random_metric()))
+def test_enumerate_nonexpansive_matches_product_oracle(a, b):
+    maps = enumerate_nonexpansive(a, b)
+    assert [h.table for h in maps] == nonexpansive_oracle(a, b)
+    # enumeration tests pairs i < j; is_nonexpansive tests every pair
+    for table in itertools.islice(itertools.product(b.points, repeat=a.size), 50):
+        h = PointMap(a, b, table)
+        idx = h._indices()
+        want = all(
+            b.d(idx[i], idx[j]) <= a.d(i, j) for i in range(a.size) for j in range(a.size)
+        )
+        assert h.is_nonexpansive() == want
+
+
+@seed(20233)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_space(4), random_metric(4)), st.one_of(random_space(), random_metric()), st.data())
+def test_hom_distances_match_extreal_oracles(a, b, data):
+    maps = [h for h in enumerate_nonexpansive(a, b) if h.is_nonexpansive()]
+    assume(maps)
+    f = data.draw(st.sampled_from(maps))
+    g = data.draw(st.sampled_from(maps))
+    for kind in ("phi", "xi", "xi_prime", "theta"):
+        assert hom_distance(kind, a, b, f, g) == hom_oracle(kind, a, b, f, g), kind
+    assert hom_distance("xi", a, b, f, g) == xi_oracle(a, b, f, g)
+
+
+@seed(20234)
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_metric(), random_space()))
+def test_exp_check_matches_extreal_oracle_and_brute_witness(space):
+    for mode in ("full", "image_restricted"):
+        try:
+            want = exp_oracle(space, mode)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                check_exponentiable(space, mode)
+            continue
+        got = check_exponentiable(space, mode)
+        assert got == want
+        if not got.ok:
+            x0, x2, alpha, beta = got.witness
+            i, j = space.index(x0), space.index(x2)
+            assert alpha + beta == space.d(i, j)
+            assert not any(
+                space.d(i, k) <= alpha and space.d(k, j) <= beta for k in range(space.size)
+            )
+            if mode == "image_restricted":
+                assert {alpha, beta} <= space.values()
+
+
+@seed(20235)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-3, 3),
+    st.sampled_from(UNITS + (F(1), F(3, 2))),
+    st.integers(0, 12),
+)
+def test_line_grid_integers_are_absolute_differences(lo, step, count):
+    space = grid(lo, lo + count * step, step)
+    pts = [F(p) for p in space.points]
+    assert pts == [lo + i * step for i in range(count + 1)]
+    dens = [abs(p - q).denominator for p in pts for q in pts]
+    assert space.scale == math.lcm(*dens)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert F(space.m[i][j], space.scale) == abs(p - q)
+
+
+@seed(20236)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(random_space(), random_metric()))
+def test_space_keeps_extreal_rows_and_json_round_trip(space):
+    rows = space.dist
+    assert FiniteMetricSpace(space.points, rows) == space
+    assert space.values() == {v for row in rows for v in row}
+    assert all(space.d(i, j) == v for i, row in enumerate(rows) for j, v in enumerate(row))
+    data = space.to_json()
+    assert data["dist"] == [[v.render() for v in row] for row in rows]
+    again = FiniteMetricSpace.from_json(json.loads(json.dumps(data)))
+    assert again == space and hash(again) == hash(space)
+    finite = [v.fraction for row in rows for v in row if not v.is_infinite]
+    assert space.scale == math.lcm(*(v.denominator for v in finite))
+
+
+def test_scale_is_canonical_across_constructions():
+    halves = FiniteMetricSpace(("a", "b"), ((ZERO, ExtReal(F(2, 4))), (ExtReal(F(1, 2)), ZERO)))
+    assert halves.scale == 2 and halves.m == ((0, 1), (1, 0))
+    assert halves == FiniteMetricSpace(("a", "b"), ((0, 2), (2, 0)), 4)
+    assert star_completion(SPACES["partial"]).scale == 2
+    assert FiniteMetricSpace(("a",), ((INF,),)).m == ((math.inf,),)
+    assert grid(0, 0, F(1, 3)).scale == 1
+
+
+def test_enumerate_nonexpansive_is_not_bounded_by_the_recursion_limit():
+    a = grid(0, 1100, 1)
+    one = FiniteMetricSpace(["p"], [[0]])
+    (only,) = enumerate_nonexpansive(a, one)
+    assert only.table == ("p",) * a.size
+    assert [h.table for h in enumerate_nonexpansive(one, a)] == [(p,) for p in a.points]
