@@ -2,13 +2,12 @@
 """Regenerate the golden files for the repro scenarios.
 
 Run after an intentional behavior change, then review the diff; the
-repro command compares byte-for-byte.
+repro command compares each file with the same serializer.
 """
 
-import json
 import pathlib
 
-from qlam.cli import SCENARIOS
+from qlam.cli import SCENARIOS, _dumps
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "src" / "qlam" / "golden"
 
@@ -17,9 +16,7 @@ def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, builder in sorted(SCENARIOS.items()):
         path = GOLDEN / f"{name}.json"
-        path.write_text(
-            json.dumps(builder(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        path.write_text(_dumps(builder()) + "\n", encoding="utf-8")
         print(f"wrote {path}")
 
 

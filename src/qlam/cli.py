@@ -9,7 +9,7 @@ named scenario and diffs the result against the shipped golden file.
 from __future__ import annotations
 
 import json
-import re
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -32,10 +32,8 @@ from .finite_models import (
     soundness_harness,
 )
 from .quant_deduction import (
-    Derivation,
     Inference,
     Theory,
-    builtin_theory,
     check_derivation,
     derivation_from_json,
 )
@@ -48,7 +46,6 @@ from .term_metrics import (
     order_distance,
 )
 from .term_syntax import (
-    ArrowSort,
     Const,
     Signature,
     Sort,
@@ -60,8 +57,6 @@ from .term_syntax import (
     parse_term,
     print_term,
     render_sort,
-    sort_spine,
-    subterms,
     term_from_json,
     term_to_json,
     typecheck,
@@ -378,75 +373,35 @@ def build_grid_cmd(intervals, size_budget, human) -> None:
     _emit(alg.to_json(), human)
 
 
-_INTERVAL_NAME = re.compile(r"^k(\d+)(?:_(\d+))?$")
-
-
-def _infer_theory(name: str, d: Derivation) -> Theory:
-    """Rebuild a builtin theory from the symbols a derivation mentions."""
-    terms: list[Term] = []
-
-    def walk(node: Derivation) -> None:
-        for eq in list(node.conclusion.hypotheses) + [node.conclusion.conclusion]:
-            terms.extend((eq.left, eq.right))
-        env = node.params.get("env")
-        if isinstance(env, dict):
-            terms.extend(v for v in env.values() if isinstance(v, Term))
-        for p in node.premises:
-            walk(p)
-
-    walk(d)
-    untyped = any(sub.sort is STAR for t in terms for sub in subterms(t))
-    constants: dict[str, Sort] = {}
-    triples: list[tuple[Sort, Sort, Sort]] = []
-    interval_values: dict[str, Fraction] = {}
-    for t in terms:
-        for sub in subterms(t):
-            if not isinstance(sub, Const) or sub.sort is STAR:
-                continue
-            args, base = sort_spine(sub.sort)
-            if sub.name == "I" and len(args) >= 1:
-                triples.append((args[0], args[0], args[0]))
-            elif sub.name == "K" and len(args) >= 2:
-                triples.append((args[0], args[1], args[0]))
-            elif sub.name == "S" and len(args) >= 3 and isinstance(args[0], ArrowSort):
-                inner, _ = sort_spine(args[0])
-                if len(inner) >= 2:
-                    triples.append((inner[0], inner[1], sort_spine(args[0])[1]))
-            else:
-                constants[sub.name] = sub.sort
-                m = _INTERVAL_NAME.match(sub.name)
-                if m and sub.sort.is_base():
-                    num, den = int(m.group(1)), int(m.group(2) or 1)
-                    interval_values[sub.name] = Fraction(num, den)
-    sig = Signature(
-        untyped=untyped,
-        constants=constants,
-        combinator_sorts=tuple(dict.fromkeys(triples)),
-    )
-    return builtin_theory(name, sig, interval_values=interval_values or None)
+def _load_theory(spec: str) -> Theory:
+    """A corpus theory by name, else the theory JSON file at spec."""
+    theories = _corpus.corpus_theories()
+    if spec in theories:
+        return theories[spec]
+    if not os.path.isfile(spec):
+        raise click.UsageError(
+            f"--theory takes a corpus theory ({', '.join(theories)}) "
+            f"or a theory JSON file, got {spec!r}"
+        )
+    with open(spec, encoding="utf-8") as handle:
+        return Theory.from_json(json.load(handle))
 
 
 @main.command("check-proof")
 @click.argument("proof_file")
-@click.option("--theory", "theory_name", required=True, metavar="NAME")
 @click.option(
-    "--corpus",
-    "use_corpus",
-    is_flag=True,
-    help="Resolve NAME against the shipped corpus theories instead of inferring a signature.",
+    "--theory",
+    "theory_spec",
+    required=True,
+    metavar="NAME|FILE",
+    help="A corpus theory name, or else a theory JSON file.",
 )
 @_with([_human])
-def check_proof_cmd(proof_file, theory_name, use_corpus, human) -> None:
-    """Validate a derivation tree against a theory."""
+def check_proof_cmd(proof_file, theory_spec, human) -> None:
+    """Validate a derivation tree against a corpus theory or a theory file."""
+    th = _load_theory(theory_spec)
     with open(proof_file, encoding="utf-8") as handle:
         d = derivation_from_json(json.load(handle))
-    if use_corpus:
-        theories = _corpus.corpus_theories()
-        if theory_name not in theories:
-            raise click.UsageError(f"unknown corpus theory {theory_name!r}")
-        th = theories[theory_name]
-    else:
-        th = _infer_theory(theory_name, d)
     result = check_derivation(d, th)
     _emit(result.to_json(), human)
     if not result.ok:
@@ -596,13 +551,9 @@ def _golden_text(name: str) -> Optional[str]:
 
 @main.command("repro")
 @click.argument("name", type=click.Choice(sorted(SCENARIOS)))
-@click.option("--update", is_flag=True, hidden=True, help="Print payload only.")
-def repro_cmd(name, update) -> None:
+def repro_cmd(name) -> None:
     """Run a named scenario and diff against its golden file."""
     payload = _dumps(SCENARIOS[name]())
-    if update:
-        click.echo(payload)
-        return
     golden = _golden_text(name)
     if golden is not None and golden.strip() == payload.strip():
         click.echo(_dumps({"scenario": name, "status": "PASS"}))

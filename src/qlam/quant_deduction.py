@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SortError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
 from .term_syntax import (
     _leaf_from_json,
     _sort_from_json,
+    _spine,
     _term_from_json,
     _term_to_json,
     _typecheck,
@@ -118,21 +119,88 @@ def _sorted_eqs(eqs: Iterable[QuantEquation]) -> list[QuantEquation]:
 
 @dataclass
 class Theory:
-    """A quantitative theory: axioms plus regime flags.
+    """A quantitative theory as plain data: a stock theory name over a
+    signature, the values of its interval constants, the graphs of its
+    table constants and the partiality flag.  builtin_theory builds one
+    and derives the axioms and regime flags once; to_json/from_json write
+    and read exactly the data.
 
-    schemas hold predicates for axiom families with infinitely many
-    instances (the interval closeness axioms); an Axiom node is accepted
-    when it matches a listed axiom up to variable renaming or satisfies a
-    schema.
+    An Axiom node is accepted when it matches a listed axiom up to
+    variable renaming, or, in an interval theory, when it is an interval
+    closeness axiom c ~eps c' with eps >= |value(c) - value(c')|.
     """
 
     name: str
     signature: Signature
-    axioms: tuple = ()
-    schemas: tuple = ()  # callables Inference -> bool
+    interval_values: dict = field(default_factory=dict)  # constant name -> Fraction
+    tables: dict = field(default_factory=dict)  # constant name -> {argument values: result}
+    partial: bool = False
+    axioms: tuple = field(default=(), repr=False)
     is_lambda: bool = False
     has_eta: bool = False
-    partial: bool = False
+
+    def to_json(self) -> dict:
+        sig = self.signature
+        return {
+            "name": self.name,
+            "signature": {
+                "untyped": sig.untyped,
+                "combinators": sig.combinators,
+                "constants": {n: render_sort(s) for n, s in sig.constants.items()},
+                "combinator_sorts": [
+                    [render_sort(s) for s in triple] for triple in sig.combinator_sorts
+                ],
+            },
+            "interval_values": {n: str(v) for n, v in self.interval_values.items()},
+            "tables": {
+                fname: [[[str(a) for a in args], str(result)] for args, result in graph.items()]
+                for fname, graph in self.tables.items()
+            },
+            "partial": self.partial,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Theory":
+        """Read what to_json writes; fields other than name and signature
+        may be left out for their defaults.  Every malformed shape is a
+        StructuralError; the content is validated by builtin_theory."""
+        sig = _json_field(data, "signature", dict)
+        table: dict = {}
+        triples = []
+        for triple in _json_field(sig, "combinator_sorts", list, []):
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise StructuralError("bad JSON: a combinator sort entry must list three sorts")
+            triples.append(tuple(_sort_from_json(s, table) for s in triple))
+        signature = Signature(
+            untyped=_json_field(sig, "untyped", bool, False),
+            constants={
+                n: _sort_from_json(s, table)
+                for n, s in _json_field(sig, "constants", dict, {}).items()
+            },
+            combinators=_json_field(sig, "combinators", bool, True),
+            combinator_sorts=tuple(triples),
+        )
+        tables: dict = {}
+        for fname, rows in _json_field(data, "tables", dict, {}).items():
+            shape = f"bad JSON: table {fname!r} must be a list of [[arguments...], result] rows"
+            if not isinstance(rows, list):
+                raise StructuralError(shape)
+            graph = tables[fname] = {}
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)):
+                    raise StructuralError(shape)
+                args = tuple(_fraction_from_json(a, "table value") for a in row[0])
+                graph[args] = _fraction_from_json(row[1], "table value")
+        return builtin_theory(
+            _json_field(data, "name"),
+            signature,
+            interval_values={
+                n: _fraction_from_json(v, "interval value")
+                for n, v in _json_field(data, "interval_values", dict, {}).items()
+            },
+            tables=tables,
+            partial=_json_field(data, "partial", bool, False),
+        )
 
 
 @dataclass(frozen=True)
@@ -427,9 +495,19 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
         for ax in th.axioms:
             if _is_axiom_instance(ax, inf):
                 return None
-        for schema in th.schemas:
-            if schema(inf):
-                return None
+        # an interval closeness axiom; both sides live at eq.sort
+        l, r = eq.left, eq.right
+        values = th.interval_values
+        if (
+            not hyps
+            and not eq.quantified
+            and isinstance(l, Const)
+            and isinstance(r, Const)
+            and l.name in values
+            and r.name in values
+            and eq.eps >= abs(values[l.name] - values[r.name])
+        ):
+            return None
         return "Axiom node matches no theory axiom or schema"
 
     if rule == "Cut":
@@ -572,21 +650,14 @@ def _cl_axioms_untyped() -> list[Inference]:
     return [Inference(frozenset(), eq) for eq in (i_eq, k_eq, s_eq)]
 
 
-def _interval_schema(values: Mapping[str, Fraction]) -> Callable[[Inference], bool]:
-    def schema(inf: Inference) -> bool:
-        if inf.hypotheses:
-            return False
-        eq = inf.conclusion
-        if eq.quantified:
-            return False
-        l, r = eq.left, eq.right
-        if not (isinstance(l, Const) and isinstance(r, Const)):
-            return False
-        if l.name not in values or r.name not in values or l.sort != r.sort:
-            return False
-        return eq.eps >= abs(values[l.name] - values[r.name])
-
-    return schema
+_THEORY_NAMES = (
+    "U_CL",
+    "U_CL_interval",
+    "U_lambda",
+    "U_lambda_eta",
+    "U_lambda_interval",
+    "U_lambda_eta_interval",
+)
 
 
 def builtin_theory(
@@ -601,63 +672,52 @@ def builtin_theory(
     interval_values maps declared interval constants to their numeric
     values; tables maps a function constant to its graph, each entry
     sending a tuple of argument values to the result value (all values
-    must have declared constants).
+    must have declared constants).  Only the interval theories take
+    either.  The CL axioms come from sig.combinator_sorts (typed) or the
+    single sort (untyped), one table axiom from each graph entry.
     """
+    if name not in _THEORY_NAMES:
+        raise PreconditionError(f"unknown builtin theory {name}")
+    values = {n: Fraction(v) for n, v in (interval_values or {}).items()}
+    graphs = {
+        fname: {tuple(Fraction(a) for a in args): Fraction(r) for args, r in graph.items()}
+        for fname, graph in (tables or {}).items()
+    }
+    if not name.endswith("_interval") and (values or graphs):
+        raise PreconditionError(f"{name} takes no interval values or tables")
+    for cname in values:
+        if cname not in sig.constants:
+            raise PreconditionError(f"interval value for undeclared constant {cname}")
     axioms: list[Inference] = []
-    schemas: list = []
     if name in ("U_CL", "U_CL_interval"):
         if sig.untyped:
             axioms += _cl_axioms_untyped()
         else:
             axioms += _cl_axioms_typed(sig.combinator_sorts)
-    if name in ("U_CL_interval", "U_lambda_interval", "U_lambda_eta_interval"):
-        values = dict(interval_values or {})
-        by_value = {v: k for k, v in values.items()}
-        schemas.append(_interval_schema(values))
-        for fname, graph in (tables or {}).items():
-            fsort = sig.constants.get(fname)
-            if fsort is None:
-                raise PreconditionError(f"table for undeclared constant {fname}")
-            for args, result in graph.items():
-                term = Const(fname, fsort)
-                for a in args:
-                    cname = by_value.get(Fraction(a))
-                    if cname is None:
-                        raise PreconditionError(f"no constant for grid value {a}")
-                    term = App(term, Const(cname, sig.constants[cname]))
-                rname = by_value.get(Fraction(result))
-                if rname is None:
-                    raise PreconditionError(f"no constant for grid value {result}")
-                axioms.append(
-                    Inference(
-                        frozenset(),
-                        QuantEquation(
-                            term,
-                            Const(rname, sig.constants[rname]),
-                            Fraction(0),
-                            term.sort,
-                        ),
-                    )
-                )
-    is_lambda = name.startswith("U_lambda")
-    has_eta = "eta" in name
-    if name not in (
-        "U_CL",
-        "U_CL_interval",
-        "U_lambda",
-        "U_lambda_eta",
-        "U_lambda_interval",
-        "U_lambda_eta_interval",
-    ):
-        raise PreconditionError(f"unknown builtin theory {name}")
+    by_value = {v: Const(k, sig.constants[k]) for k, v in values.items()}
+
+    def grid_const(value: Fraction) -> Const:
+        if value not in by_value:
+            raise PreconditionError(f"no constant for grid value {value}")
+        return by_value[value]
+
+    for fname, graph in graphs.items():
+        fsort = sig.constants.get(fname)
+        if fsort is None:
+            raise PreconditionError(f"table for undeclared constant {fname}")
+        for args, result in graph.items():
+            term = app(Const(fname, fsort), *map(grid_const, args))
+            eq = QuantEquation(term, grid_const(result), Fraction(0), term.sort)
+            axioms.append(Inference(frozenset(), eq))
     return Theory(
         name=name,
         signature=sig,
-        axioms=tuple(axioms),
-        schemas=tuple(schemas),
-        is_lambda=is_lambda,
-        has_eta=has_eta,
+        interval_values=values,
+        tables=graphs,
         partial=partial,
+        axioms=tuple(axioms),
+        is_lambda=name.startswith("U_lambda"),
+        has_eta="eta" in name,
     )
 
 
@@ -716,20 +776,10 @@ def _d_app(p_fn: Derivation, p_arg: Derivation) -> Derivation:
 
 def _axiom_for_step(rule: str, redex: Term, th: Theory) -> Derivation:
     """Derivation of redex ~ contractum from the matching CL axiom."""
-    head = redex
-    args: list[Term] = []
-    while isinstance(head, App):
-        args.insert(0, head.arg)
-        head = head.fn
+    head, args = _spine(redex)
     assert isinstance(head, Const) and head.name == rule
     for ax in th.axioms:
-        mapping: dict[str, Var] = {}
-        l = ax.conclusion.left
-        ax_head = l
-        ax_args: list[Term] = []
-        while isinstance(ax_head, App):
-            ax_args.insert(0, ax_head.arg)
-            ax_head = ax_head.fn
+        ax_head, ax_args = _spine(ax.conclusion.left)
         if ax_head != head or len(ax_args) != len(args):
             continue
         env = {v.name: arg for v, arg in zip(ax_args, args) if isinstance(v, Var)}
@@ -837,25 +887,33 @@ _REQUIRED = object()
 
 def _json_field(data, key: str, kind=str, default=_REQUIRED):
     """data[key], which must be an instance of kind (a type or a tuple of
-    types, never bool); every other shape of data is a StructuralError."""
+    types; a bool only when kind is bool); every other shape of data is a
+    StructuralError."""
     if not isinstance(data, dict):
         raise StructuralError(f"bad JSON: expected an object, found {type(data).__name__}")
     value = data.get(key, default)
     if value is _REQUIRED:
         raise StructuralError(f"bad JSON: missing field {key!r}")
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise StructuralError(f"bad JSON: field {key!r} has type {type(value).__name__}")
     return value
+
+
+def _fraction_from_json(value, what: str) -> Fraction:
+    """A Fraction string or an integer (never a float or a bool)."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise StructuralError(f"bad JSON: {what} {value!r} is not a fraction")
 
 
 def _eps_from_json(value, table: dict) -> Fraction:
     key = ("eps", value)
     eps = table.get(key)
     if eps is None:
-        try:
-            eps = table[key] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructuralError(f"bad JSON: epsilon {value!r} is not a fraction") from exc
+        eps = table[key] = _fraction_from_json(value, "epsilon")
     return eps
 
 

@@ -2,13 +2,11 @@
 abstraction.
 
 Typed terms are strongly normalizing, so no budget is needed there; the
-untyped regime takes a mandatory step budget (default 10000, overridable
-via the QLAM_FUEL environment variable).
+untyped regime takes a mandatory step budget (default 10000).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +31,6 @@ from .term_syntax import (
 
 __all__ = [
     "DEFAULT_FUEL",
-    "default_fuel",
     "shift",
     "open_bound",
     "is_beta_normal",
@@ -49,10 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_FUEL = 10000
-
-
-def default_fuel() -> int:
-    return int(os.environ.get("QLAM_FUEL", DEFAULT_FUEL))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +150,7 @@ def beta_normalize(
     terms run unbounded unless one is given.
     """
     if t.sort is STAR and fuel is None:
-        fuel = default_fuel()
+        fuel = DEFAULT_FUEL
     budget = _Budget(fuel)
     if strategy == "normal":
         return _nf_normal(t, budget)
@@ -306,7 +299,7 @@ def cl_reduce(t: Term, fuel: Optional[int] = None) -> CLReduction:
     if any(isinstance(s, (Lam, Bound)) for s in subterms(t)):
         raise PreconditionError("cl_reduce takes pure combinatory terms")
     if fuel is None:
-        fuel = default_fuel()
+        fuel = DEFAULT_FUEL
     steps: list[CLStep] = []
     current = t
     out_of_fuel = False

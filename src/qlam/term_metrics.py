@@ -29,6 +29,7 @@ from .term_syntax import (
     App,
     ArrowSort,
     Bottom,
+    Bound,
     Const,
     Lam,
     STAR,
@@ -37,7 +38,6 @@ from .term_syntax import (
     Term,
     Var,
     app,
-    bind,
     print_term,
     sort_spine,
     subterms,
@@ -236,7 +236,7 @@ class _Enumerator:
             else:
                 name = f"w{next(self._fresh)}"
                 for body, size, bots in self._gen(sort.cod, pool + ((name, sort.dom),), budget - 1):
-                    out.append((bind(name, sort.dom, body), 1 + size, bots))
+                    out.append((Lam(name, sort.dom, body), 1 + size, bots))
         else:
             if budget >= 1:
                 out.append((Bottom(sort), 1, 1))
@@ -245,7 +245,8 @@ class _Enumerator:
                         out.append((Const(cname, sort), 1, 0))
             else:
                 self.truncated = True
-            for name, psort in pool:
+            # pool lists the enclosing binders, outermost first
+            for p, (_, psort) in enumerate(pool):
                 arg_sorts, base = sort_spine(psort)
                 if base != sort:
                     continue
@@ -255,7 +256,8 @@ class _Enumerator:
                     self.truncated = True
                     continue
                 for args, size, bots in self._tuples(arg_sorts, pool, budget - head_cost):
-                    out.append((app(Var(name, psort), *args), head_cost + size, bots))
+                    head = Bound(len(pool) - 1 - p, psort)
+                    out.append((app(head, *args), head_cost + size, bots))
         self._memo[key] = out
         return out
 

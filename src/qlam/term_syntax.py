@@ -172,8 +172,6 @@ class Signature:
     untyped: bool = False
     constants: dict[str, Sort] = field(default_factory=dict)
     combinators: bool = True
-    allow_lambda: bool = True
-    allow_bottom: bool = True
     combinator_sorts: tuple[tuple[Sort, Sort, Sort], ...] = ()
 
 
@@ -484,10 +482,7 @@ def _typecheck(t: Term, sig: Optional[Signature], checked: set) -> Sort:
     def go(t: Term) -> Sort:
         if t in checked:
             return t.sort
-        if isinstance(t, Bottom):
-            if sig is not None and not sig.allow_bottom:
-                raise SortError("bottom is not part of this signature")
-        elif isinstance(t, Const):
+        if isinstance(t, Const):
             if sig is not None:
                 declared = sig.constants.get(t.name)
                 if declared is not None:
@@ -506,10 +501,8 @@ def _typecheck(t: Term, sig: Optional[Signature], checked: set) -> Sort:
             if isinstance(fsort, ArrowSort) and fsort.dom != asort:
                 raise SortError("argument sort mismatch")
         elif isinstance(t, Lam):
-            if sig is not None and not sig.allow_lambda:
-                raise SortError("lambda is not part of this signature")
             go(t.body)
-        elif not isinstance(t, (Var, Bound)):
+        elif not isinstance(t, (Var, Bound, Bottom)):
             raise StructuralError(f"unknown term node {t!r}")
         # a node that passes has the sort its constructor computed
         checked.add(t)

@@ -3,8 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qlam.cli import SCENARIOS, main
-from qlam.corpus import corpus_derivations, theta_xi_maps
+from qlam.cli import SCENARIOS, _dumps, main
+from qlam.corpus import corpus_derivations, corpus_theories, theta_xi_maps
 from qlam.quant_deduction import derivation_to_json
 
 runner = CliRunner()
@@ -81,15 +81,72 @@ def test_check_proof_valid_and_invalid(tmp_path):
     res = run("check-proof", str(p), "--theory", "U_CL")
     assert res.exit_code == 0 and json.loads(res.output)["ok"]
 
-    res = run("check-proof", str(p), "--theory", "U_CL", "--corpus")
-    assert res.exit_code == 0
-
     bad = derivation_to_json(d)
     bad["rule"] = "Nonsense"
     p.write_text(json.dumps(bad))
     res = run("check-proof", str(p), "--theory", "U_CL")
     assert res.exit_code == 1
     assert not json.loads(res.output)["ok"]
+
+
+@pytest.mark.parametrize("key", sorted(corpus_derivations()))
+def test_check_proof_corpus_derivations_by_key_and_by_file(tmp_path, key):
+    theory_file = tmp_path / "theory.json"
+    theory_file.write_text(json.dumps(corpus_theories()[key].to_json()))
+    p = tmp_path / "d.json"
+    for name, d in corpus_derivations()[key]:
+        p.write_text(json.dumps(derivation_to_json(d)))
+        for spec in (key, str(theory_file)):
+            res = run("check-proof", str(p), "--theory", spec)
+            assert res.exit_code == 0, (name, spec, res.output)
+            assert json.loads(res.output)["ok"]
+
+
+def _theory_without_name(data):
+    del data["name"]
+
+
+def _non_string_sort(data):
+    data["signature"]["constants"]["k0"] = 5
+
+
+def _float_interval_value(data):
+    data["interval_values"]["k1_2"] = 0.5
+
+
+def _short_table_row(data):
+    data["tables"]["m"][0] = ["0"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_theory_without_name, _non_string_sort, _float_interval_value, _short_table_row],
+    ids=["missing-name", "non-string-sort", "float-interval-value", "short-table-row"],
+)
+def test_check_proof_malformed_theory_file_is_exit_1(tmp_path, corrupt):
+    name, d = corpus_derivations()["U_CL_interval"][0]
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(derivation_to_json(d)))
+    data = corpus_theories()["U_CL_interval"].to_json()
+    corrupt(data)
+    theory_file = tmp_path / "theory.json"
+    theory_file.write_text(json.dumps(data))
+    res = runner.invoke(main, ["check-proof", str(p), "--theory", str(theory_file)])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    assert set(json.loads(res.stderr)) == {"error", "kind"}
+    assert json.loads(res.stderr)["kind"] == "StructuralError"
+
+
+def test_check_proof_unknown_theory_and_corpus_flag_are_usage_errors(tmp_path):
+    name, d = corpus_derivations()["U_CL"][0]
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(derivation_to_json(d)))
+    res = runner.invoke(main, ["check-proof", str(p), "--theory", str(tmp_path / "nope.json")])
+    assert res.exit_code == 2
+    assert all(key in res.output for key in corpus_theories())
+    res = runner.invoke(main, ["check-proof", str(p), "--theory", "U_CL", "--corpus"])
+    assert res.exit_code == 2
 
 
 def _drop_rule(data):
@@ -188,9 +245,7 @@ def test_repro_scenarios_match_goldens(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_repro_scenarios_deterministic(name):
-    assert run("repro", name, "--update").output == run(
-        "repro", name, "--update"
-    ).output
+    assert _dumps(SCENARIOS[name]()) == _dumps(SCENARIOS[name]())
 
 
 # Space files: entries are Fraction strings, "inf" or integers, points a

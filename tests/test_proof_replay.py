@@ -158,11 +158,7 @@ def oracle_typecheck(t, sig):
     """The sort of t by the typing rules, recomputed at every node."""
 
     def go(t):
-        if isinstance(t, (Var, Bound)):
-            return t.sort
-        if isinstance(t, Bottom):
-            if not sig.allow_bottom:
-                raise SortError("bottom is not part of this signature")
+        if isinstance(t, (Var, Bound, Bottom)):
             return t.sort
         if isinstance(t, Const):
             declared = sig.constants.get(t.name)
@@ -184,8 +180,6 @@ def oracle_typecheck(t, sig):
             if fsort.dom != asort:
                 raise SortError("argument sort mismatch")
             return fsort.cod
-        if not sig.allow_lambda:
-            raise SortError("lambda is not part of this signature")
         return arrow(t.var_sort, go(t.body))
 
     result = go(t)

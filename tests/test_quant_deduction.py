@@ -1,13 +1,15 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from qlam.corpus import CL_TRIPLES, corpus_derivations, corpus_theories
-from qlam.errors import StructuralError
+from qlam.errors import PreconditionError, StructuralError
 from qlam.quant_deduction import (
     Derivation,
     Inference,
     QuantEquation,
+    Theory,
     builtin_theory,
     check_derivation,
     d_axiom,
@@ -66,6 +68,43 @@ def test_interval_constant_names():
     assert interval_constant_name(F(0)) == "k0"
     assert interval_constant_name(F(1, 2)) == "k1_2"
     assert interval_constant_name(F(3, 8)) == "k3_8"
+
+
+@pytest.mark.parametrize("key", sorted(THEORIES))
+def test_theory_json_roundtrip(key):
+    th = THEORIES[key]
+    text = json.dumps(th.to_json())
+    again = Theory.from_json(json.loads(text))
+    assert again == th  # the derived axioms and flags too
+
+
+def test_theory_file_defaults_and_stock_names():
+    th = Theory.from_json({"name": "U_CL", "signature": {"untyped": True}})
+    assert th == THEORIES["U_CL_untyped"]
+    with pytest.raises(PreconditionError):
+        Theory.from_json({"name": "U_nonsense", "signature": {}})
+    # only the interval theories carry interval values and tables
+    from qlam.corpus import I01
+
+    with pytest.raises(PreconditionError, match="takes no interval values"):
+        builtin_theory("U_CL", Signature(constants={"k0": I01}), interval_values={"k0": F(0)})
+    with pytest.raises(PreconditionError):
+        builtin_theory("U_CL_interval", Signature(), interval_values={"k0": F(0)})
+
+
+def test_interval_axiom_needs_the_value_gap():
+    from qlam.corpus import I01
+
+    th = THEORIES["U_CL_interval"]
+    k0, k12 = Const("k0", I01), Const("k1_2", I01)
+
+    def axiom(eps, hyps=frozenset()):
+        return Derivation("Axiom", Inference(hyps, QuantEquation(k0, k12, eps, I01)))
+
+    assert check_derivation(axiom(F(1, 2)), th).ok
+    assert not check_derivation(axiom(F(3, 8)), th).ok
+    hyp = QuantEquation(k0, k0, F(0), I01)
+    assert not check_derivation(axiom(F(1, 2), frozenset({hyp})), th).ok
 
 
 # ---------------------------------------------------------------------------
