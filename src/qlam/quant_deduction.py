@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SortError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
@@ -21,8 +21,11 @@ from .term_syntax import (
     _leaf_from_json,
     _sort_from_json,
     _spine,
-    _term_from_json,
-    _term_to_json,
+    _term_at,
+    _TermTable,
+    _terms_from_json,
+    _tree_decoder,
+    _tree_encoder,
     _typecheck,
     App,
     Bound,
@@ -93,11 +96,12 @@ class QuantEquation:
         return {v.name for v in self.quantified}
 
     def to_json(self) -> dict:
-        return _equation_to_json(self, {})
+        return _equation_to_json(self, _tree_encoder())
 
     @classmethod
     def from_json(cls, data: dict) -> "QuantEquation":
-        return _equation_from_json(data, {})
+        table: dict = {}
+        return _equation_from_json(data, _tree_sides(table), table)
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,12 @@ class Inference:
     conclusion: QuantEquation
 
     def to_json(self) -> dict:
-        return _inference_to_json(self, {})
+        return _inference_to_json(self, _tree_encoder())
 
     @classmethod
     def from_json(cls, data: dict) -> "Inference":
-        return _inference_from_json(data, {})
+        table: dict = {}
+        return _inference_from_json(data, _tree_sides(table), table)
 
 
 def _sorted_eqs(eqs: Iterable[QuantEquation]) -> list[QuantEquation]:
@@ -832,25 +837,43 @@ def derive_equal_reducts(r1: CLReduction, r2: CLReduction, th: Theory) -> Deriva
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """The JSON tree of d.  Each term object is encoded once per call and
-    shared subterms share their dicts, so the result is read-only."""
-    return _derivation_to_json(d, {})
+    """The derivation document {"terms": [...], "proof": {...}}.
+
+    terms lists each structurally distinct term node once, children before
+    parents; a child (fn, arg, body) is the index of an earlier entry.
+    proof is the tree of rule nodes, in which each equation side and each
+    env value is an index into terms.  The text depends only on d's value,
+    binder hints included.
+    """
+    table = _TermTable()
+    proof = _derivation_to_json(d, table.index)
+    return {"terms": table.records, "proof": proof}
 
 
 def derivation_from_json(data: dict) -> Derivation:
-    """Decode a derivation; every malformed shape is a StructuralError.
+    """Decode a derivation document; every malformed shape is a
+    StructuralError.
 
-    All terms go through one table for the call, so equal subterms with
-    equal binder hints come back as one object and each sort text is
-    parsed once.
+    The term table is decoded in one forward pass, and equal subterms with
+    equal binder hints come back as one object.
     """
-    return _derivation_from_json(data, {})
+    table: dict = {}
+    terms = _terms_from_json(_json_field(data, "terms", list), table)
+
+    def side(obj, key: str) -> Term:
+        return _term_at(terms, _json_field(obj, key, object))
+
+    return _derivation_from_json(_json_field(data, "proof", dict), side, table)
 
 
-def _equation_to_json(eq: QuantEquation, memo: dict) -> dict:
+# An encoder side maps a term to its JSON (a tree or a table index); a
+# decoder side maps (object, key) to the term in that field.
+
+
+def _equation_to_json(eq: QuantEquation, side: Callable[[Term], object]) -> dict:
     return {
-        "left": _term_to_json(eq.left, memo),
-        "right": _term_to_json(eq.right, memo),
+        "left": side(eq.left),
+        "right": side(eq.right),
         "eps": str(eq.eps),
         "sort": render_sort(eq.sort),
         "X": sorted(
@@ -860,25 +883,25 @@ def _equation_to_json(eq: QuantEquation, memo: dict) -> dict:
     }
 
 
-def _inference_to_json(inf: Inference, memo: dict) -> dict:
+def _inference_to_json(inf: Inference, side: Callable[[Term], object]) -> dict:
     return {
-        "hyps": [_equation_to_json(h, memo) for h in _sorted_eqs(inf.hypotheses)],
-        "eq": _equation_to_json(inf.conclusion, memo),
+        "hyps": [_equation_to_json(h, side) for h in _sorted_eqs(inf.hypotheses)],
+        "eq": _equation_to_json(inf.conclusion, side),
     }
 
 
-def _derivation_to_json(d: Derivation, memo: dict) -> dict:
+def _derivation_to_json(d: Derivation, side: Callable[[Term], object]) -> dict:
     params = dict(d.params)
     if "env" in params:
         params["env"] = {
-            name: _term_to_json(t, memo) if isinstance(t, Term) else t
+            name: side(t if isinstance(t, Term) else term_from_json(t))
             for name, t in params["env"].items()
         }
     return {
         "rule": d.rule,
         "params": params,
-        "conclusion": _inference_to_json(d.conclusion, memo),
-        "premises": [_derivation_to_json(p, memo) for p in d.premises],
+        "conclusion": _inference_to_json(d.conclusion, side),
+        "premises": [_derivation_to_json(p, side) for p in d.premises],
     }
 
 
@@ -917,9 +940,16 @@ def _eps_from_json(value, table: dict) -> Fraction:
     return eps
 
 
-def _equation_from_json(data: dict, table: dict) -> QuantEquation:
-    left = _term_from_json(_json_field(data, "left", dict), table)
-    right = _term_from_json(_json_field(data, "right", dict), table)
+def _tree_sides(table: dict) -> Callable[[dict, str], Term]:
+    decode = _tree_decoder(table)
+    return lambda obj, key: decode(_json_field(obj, key, dict))
+
+
+def _equation_from_json(
+    data: dict, side: Callable[[dict, str], Term], table: dict
+) -> QuantEquation:
+    left = side(data, "left")
+    right = side(data, "right")
     xs = frozenset(
         _leaf_from_json("var", _json_field(v, "name"), _json_field(v, "sort"), table)
         for v in _json_field(data, "X", list, [])
@@ -928,23 +958,26 @@ def _equation_from_json(data: dict, table: dict) -> QuantEquation:
     return QuantEquation(left, right, eps, _sort_from_json(_json_field(data, "sort"), table), xs)
 
 
-def _inference_from_json(data: dict, table: dict) -> Inference:
+def _inference_from_json(data: dict, side: Callable[[dict, str], Term], table: dict) -> Inference:
     return Inference(
-        frozenset(_equation_from_json(h, table) for h in _json_field(data, "hyps", list, [])),
-        _equation_from_json(_json_field(data, "eq", dict), table),
+        frozenset(
+            _equation_from_json(h, side, table) for h in _json_field(data, "hyps", list, [])
+        ),
+        _equation_from_json(_json_field(data, "eq", dict), side, table),
     )
 
 
-def _derivation_from_json(data: dict, table: dict) -> Derivation:
+def _derivation_from_json(data: dict, side: Callable[[dict, str], Term], table: dict) -> Derivation:
     params = dict(_json_field(data, "params", dict, {}))
     if "env" in params:
-        params["env"] = {
-            name: _term_from_json(t, table)
-            for name, t in _json_field(params, "env", dict).items()
-        }
+        env = _json_field(params, "env", dict)
+        params["env"] = {name: side(env, name) for name in env}
     return Derivation(
         _json_field(data, "rule"),
-        _inference_from_json(_json_field(data, "conclusion", dict), table),
-        tuple(_derivation_from_json(p, table) for p in _json_field(data, "premises", list, [])),
+        _inference_from_json(_json_field(data, "conclusion", dict), side, table),
+        tuple(
+            _derivation_from_json(p, side, table)
+            for p in _json_field(data, "premises", list, [])
+        ),
         params,
     )

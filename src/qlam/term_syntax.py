@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ParseError, SortError, StructuralError
 
@@ -774,54 +774,143 @@ def print_term(t: Term, untyped: Optional[bool] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON trees
+# JSON
 #
-# One encoder and one decoder.  Each threads a table that lives for one
-# top-level call: one term here, a whole derivation in quant_deduction.
-# The encoder maps id(term) to the term's dict, so a subterm object met
-# twice is encoded once and its dict is shared.  The decoder keys a leaf
-# by (kind, name or index, sort text), an application by the ids of its
-# decoded children and an abstraction by (hint, sort text, id(body)), so
-# equal subtrees with equal hints come back as one object.  The table
-# holds every decoded object, which keeps those ids valid for the call.
+# One node codec: _node_to_json writes the record of one node given the
+# encodings of its children, and _node_from_json builds one node through
+# the validating constructors given a way to decode its children.  Two
+# wire forms use it, and both walk explicit stacks, so neither recurses
+# on term depth:
+# - the tree (term_to_json, the sides of equation and inference JSON): a
+#   child is the child's own record, nested;
+# - the table (the "terms" of a derivation document): a list of records,
+#   children before parents, where a child is the integer index of an
+#   earlier entry.  _TermTable keys each node by (kind, fields, child
+#   indices), so every structurally distinct node, hints included, is
+#   written once and the table depends only on the terms' values.
+# The encoders remember each term object by id, so a subterm object met
+# twice is encoded once (tree dicts are then shared, so read-only).  The
+# decoder table lives for one top-level call and keys a leaf by (kind,
+# name or index, sort text), an application by the ids of its decoded
+# children and an abstraction by (hint, sort text, id(body)), so equal
+# subtrees with equal hints come back as one object.  It holds every
+# decoded object, which keeps those ids valid for the call.
+
+
+_CHILDREN_DONE = object()  # marks the parent below it as ready on the stack
+
+
+def _postorder(root, children: Callable, done: Mapping[int, object]) -> Iterator:
+    """The nodes under root whose ids are not in done, each once, children
+    (in the order children(node) lists them) before parents.  The caller
+    enters each yielded node in done before taking the next."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is _CHILDREN_DONE:
+            yield stack.pop()
+        elif id(node) not in done:
+            kids = children(node)
+            if kids:
+                stack += (node, _CHILDREN_DONE, *reversed(kids))
+            else:
+                yield node
+
+
+def _term_children(t: Term) -> tuple:
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    return (t.body,) if isinstance(t, Lam) else ()
+
+
+def _record_children(data) -> Sequence:
+    """The child records of a tree record; a malformed child is left for
+    _node_from_json to reject."""
+    kind = data.get("node") if isinstance(data, dict) else None
+    if kind == "app":
+        kids = (data.get("fn"), data.get("arg"))
+    elif kind == "lam":
+        kids = (data.get("body"),)
+    else:
+        return ()
+    return [c for c in kids if isinstance(c, dict)]
+
+
+def _node_to_json(t: Term, child: Callable[[Term], object]) -> dict:
+    """The record of the node t; child(c) encodes a direct subterm c."""
+    if isinstance(t, App):
+        return {"node": "app", "fn": child(t.fn), "arg": child(t.arg)}
+    if isinstance(t, Var):
+        return {"node": "var", "name": t.name, "sort": render_sort(t.sort)}
+    if isinstance(t, Bound):
+        return {"node": "bvar", "index": t.index, "sort": render_sort(t.sort)}
+    if isinstance(t, Const):
+        return {"node": "const", "name": t.name, "sort": render_sort(t.sort)}
+    if isinstance(t, Bottom):
+        return {"node": "bottom", "sort": render_sort(t.sort)}
+    if isinstance(t, Lam):
+        return {
+            "node": "lam",
+            "hint": t.hint,
+            "var_sort": render_sort(t.var_sort),
+            "body": child(t.body),
+        }
+    raise StructuralError(f"unknown term node {t!r}")
+
+
+def _tree_encoder() -> Callable[[Term], dict]:
+    """A term -> JSON tree function whose memo lives as long as it does."""
+    memo: dict[int, dict] = {}
+
+    def child(c: Term) -> dict:
+        return memo[id(c)]
+
+    def encode(t: Term) -> dict:
+        for s in _postorder(t, _term_children, memo):
+            memo[id(s)] = _node_to_json(s, child)
+        return memo[id(t)]
+
+    return encode
+
+
+class _TermTable:
+    """The term table of one document: records in first-seen postorder,
+    one per (kind, fields, child indices)."""
+
+    def __init__(self) -> None:
+        self.records: list[dict] = []
+        self._keys: dict[tuple, int] = {}
+        self._ids: dict[int, int] = {}
+        self._roots: list[Term] = []  # keeps every id in _ids valid
+
+    def index(self, t: Term) -> int:
+        """The index of t's record, adding t's new nodes."""
+        ids, keys, records = self._ids, self._keys, self.records
+        self._roots.append(t)
+
+        def child(c: Term) -> int:
+            return ids[id(c)]
+
+        for s in _postorder(t, _term_children, ids):
+            rec = _node_to_json(s, child)
+            key = tuple(rec.values())
+            i = keys.get(key)
+            if i is None:
+                i = keys[key] = len(records)
+                records.append(rec)
+            ids[id(s)] = i
+        return ids[id(t)]
 
 
 def term_to_json(t: Term) -> dict:
     """The JSON tree of t.  Shared subterms share their dicts, so the
     result is read-only."""
-    return _term_to_json(t, {})
-
-
-def _term_to_json(t: Term, memo: dict[int, dict]) -> dict:
-    out = memo.get(id(t))
-    if out is not None:
-        return out
-    if isinstance(t, Var):
-        out = {"node": "var", "name": t.name, "sort": render_sort(t.sort)}
-    elif isinstance(t, Bound):
-        out = {"node": "bvar", "index": t.index, "sort": render_sort(t.sort)}
-    elif isinstance(t, Const):
-        out = {"node": "const", "name": t.name, "sort": render_sort(t.sort)}
-    elif isinstance(t, Bottom):
-        out = {"node": "bottom", "sort": render_sort(t.sort)}
-    elif isinstance(t, App):
-        out = {"node": "app", "fn": _term_to_json(t.fn, memo), "arg": _term_to_json(t.arg, memo)}
-    elif isinstance(t, Lam):
-        out = {
-            "node": "lam",
-            "hint": t.hint,
-            "var_sort": render_sort(t.var_sort),
-            "body": _term_to_json(t.body, memo),
-        }
-    else:
-        raise StructuralError(f"unknown term node {t!r}")
-    memo[id(t)] = out
-    return out
+    return _tree_encoder()(t)
 
 
 def term_from_json(data: dict) -> Term:
     """Decode a JSON tree; equal subtrees come back as one object."""
-    return _term_from_json(data, {})
+    return _tree_decoder({})(data)
 
 
 def _sort_from_json(text: str, table: dict) -> Sort:
@@ -855,7 +944,8 @@ def _leaf_from_json(kind: str, name, text: str, table: dict) -> Term:
     return t
 
 
-def _term_from_json(data: dict, table: dict) -> Term:
+def _node_from_json(data, child: Callable[[object], Term], table: dict) -> Term:
+    """The node whose record is data; child(v) decodes a child field."""
     try:
         kind = data["node"]
         if kind in ("var", "const"):
@@ -865,18 +955,18 @@ def _term_from_json(data: dict, table: dict) -> Term:
         if kind == "bottom":
             return _leaf_from_json(kind, None, data["sort"], table)
         if kind == "app":
-            fn = _term_from_json(data["fn"], table)
-            arg = _term_from_json(data["arg"], table)
+            fn = child(data["fn"])
+            arg = child(data["arg"])
             key = ("app", id(fn), id(arg))
         elif kind == "lam":
             hint, text = data["hint"], data["var_sort"]
-            body = _term_from_json(data["body"], table)
+            body = child(data["body"])
             key = ("lam", hint, text, id(body))
         else:
             raise StructuralError(f"unknown term node kind {kind!r}")
         t = table.get(key)
     except (KeyError, TypeError) as exc:
-        # a missing field, a node that is not an object, an unhashable value
+        # a missing field, a record that is not an object, an unhashable value
         raise StructuralError(f"bad term JSON: {exc}") from exc
     if t is None:
         if kind == "app":
@@ -887,3 +977,42 @@ def _term_from_json(data: dict, table: dict) -> Term:
             t = Lam(hint, _sort_from_json(text, table), body)
         table[key] = t
     return t
+
+
+def _tree_decoder(table: dict) -> Callable[[object], Term]:
+    """A JSON tree -> term function over the decoder table."""
+    done: dict[int, Term] = {}
+
+    def child(data) -> Term:
+        t = done.get(id(data)) if isinstance(data, dict) else None
+        if t is None:
+            raise StructuralError(f"bad term JSON: a child of type {type(data).__name__}")
+        return t
+
+    def decode(data) -> Term:
+        for d in _postorder(data, _record_children, done):
+            done[id(d)] = _node_from_json(d, child, table)
+        return done[id(data)]
+
+    return decode
+
+
+def _term_at(terms: list[Term], i) -> Term:
+    if type(i) is not int:  # a bool is not an index
+        raise StructuralError(f"bad JSON: term index has type {type(i).__name__}")
+    if not 0 <= i < len(terms):
+        raise StructuralError(f"bad JSON: term index {i} is not an earlier table entry")
+    return terms[i]
+
+
+def _terms_from_json(entries: list, table: dict) -> list[Term]:
+    """Decode a term table in one forward pass: a child index must name an
+    earlier entry."""
+    terms: list[Term] = []
+
+    def child(i) -> Term:
+        return _term_at(terms, i)
+
+    for data in entries:
+        terms.append(_node_from_json(data, child, table))
+    return terms

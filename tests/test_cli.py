@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from qlam.cli import SCENARIOS, _dumps, main
 from qlam.corpus import corpus_derivations, corpus_theories, theta_xi_maps
 from qlam.quant_deduction import derivation_to_json
+from qlam.term_syntax import term_to_json
 
 runner = CliRunner()
 
@@ -82,7 +83,7 @@ def test_check_proof_valid_and_invalid(tmp_path):
     assert res.exit_code == 0 and json.loads(res.output)["ok"]
 
     bad = derivation_to_json(d)
-    bad["rule"] = "Nonsense"
+    bad["proof"]["rule"] = "Nonsense"
     p.write_text(json.dumps(bad))
     res = run("check-proof", str(p), "--theory", "U_CL")
     assert res.exit_code == 1
@@ -150,22 +151,22 @@ def test_check_proof_unknown_theory_and_corpus_flag_are_usage_errors(tmp_path):
 
 
 def _drop_rule(data):
-    del data["rule"]
+    del data["proof"]["rule"]
     return data
 
 
 def _bvar_index_x(data):
-    data["conclusion"]["eq"]["left"] = {"node": "bvar", "index": "x", "sort": "*"}
+    data["terms"][0] = {"node": "bvar", "index": "x", "sort": "*"}
     return data
 
 
 def _eps_abc(data):
-    data["conclusion"]["eq"]["eps"] = "abc"
+    data["proof"]["conclusion"]["eq"]["eps"] = "abc"
     return data
 
 
 def _params_5(data):
-    data["params"] = 5
+    data["proof"]["params"] = 5
     return data
 
 
@@ -181,6 +182,32 @@ def test_check_proof_malformed_json_is_exit_1_without_traceback(tmp_path, corrup
     res = run("check-proof", str(p), "--theory", "U_CL")
     assert res.exit_code == 1
     assert "Traceback" not in res.output
+    assert json.loads(res.stderr)["kind"] == "StructuralError"
+
+
+def _nested_form(d) -> dict:
+    """d in the nested form that preceded the term table: the proof tree
+    with every equation side and env value written out as a JSON term
+    tree."""
+    params = dict(d.params)
+    if "env" in params:
+        params["env"] = {name: term_to_json(t) for name, t in params["env"].items()}
+    return {
+        "rule": d.rule,
+        "params": params,
+        "conclusion": d.conclusion.to_json(),
+        "premises": [_nested_form(p) for p in d.premises],
+    }
+
+
+def test_check_proof_rejects_the_nested_form(tmp_path):
+    name, d = corpus_derivations()["U_CL"][0]
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(_nested_form(d)))
+    res = runner.invoke(main, ["check-proof", str(p), "--theory", "U_CL"])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    assert set(json.loads(res.stderr)) == {"error", "kind"}
     assert json.loads(res.stderr)["kind"] == "StructuralError"
 
 

@@ -1,10 +1,12 @@
 """Proof replay against by-definition oracles.
 
-The derivation JSON codec shares structure (one encoding per term object,
-one decoded object per distinct subtree) and check_derivation typechecks
-each distinct term once.  The oracles below do neither: they are plain
-recursions that rebuild and re-check everything, and every fast path must
-agree with them exactly.
+The derivation JSON codec writes each distinct term node once into a
+table and decodes it in one forward pass (one decoded object per distinct
+subtree), and check_derivation typechecks each distinct term once.  The
+oracles below do none of that: they are plain recursions over nested JSON
+trees that rebuild and re-check everything, with separate plain
+converters between the nested tree and the table document, and every
+fast path must agree with them exactly.
 """
 
 import json
@@ -24,6 +26,7 @@ from qlam.quant_deduction import (
     _check_node,
     builtin_theory,
     check_derivation,
+    d_refl,
     derivation_from_json,
     derivation_to_json,
     derive_equal_reducts,
@@ -40,6 +43,7 @@ from qlam.term_syntax import (
     Signature,
     StarSort,
     Var,
+    app,
     arrow,
     combinator_schema_matches,
     parse_sort,
@@ -47,6 +51,7 @@ from qlam.term_syntax import (
     render_sort,
     substitute,
     term_from_json,
+    term_to_json,
 )
 
 from test_mutants import _node, _resides, all_mutants, paths, replace_at
@@ -152,6 +157,58 @@ def oracle_from_json(data):
     return Derivation(
         data["rule"], inf, tuple(oracle_from_json(p) for p in data["premises"]), params
     )
+
+
+TERM_CHILDREN = ("fn", "arg", "body")
+
+
+def map_sides(node, f):
+    """The proof tree node with every equation side and env value mapped
+    through f, in the order the document mentions them."""
+
+    def equation(eq):
+        return {**eq, "left": f(eq["left"]), "right": f(eq["right"])}
+
+    params = dict(node["params"])
+    if "env" in params:
+        params["env"] = {name: f(t) for name, t in params["env"].items()}
+    return {
+        "rule": node["rule"],
+        "params": params,
+        "conclusion": {
+            "hyps": [equation(h) for h in node["conclusion"]["hyps"]],
+            "eq": equation(node["conclusion"]["eq"]),
+        },
+        "premises": [map_sides(p, f) for p in node["premises"]],
+    }
+
+
+def tree_to_table(tree):
+    """The derivation document of a nested oracle tree: every term dict is
+    hash-consed by its JSON text, in postorder, in the order the proof
+    tree mentions it."""
+    terms, index = [], {}
+
+    def term(t):
+        key = json.dumps(t)
+        if key not in index:
+            record = {k: term(v) if k in TERM_CHILDREN else v for k, v in t.items()}
+            index[key] = len(terms)
+            terms.append(record)
+        return index[key]
+
+    proof = map_sides(tree, term)
+    return {"terms": terms, "proof": proof}
+
+
+def table_to_tree(doc):
+    """The nested oracle tree of a derivation document."""
+    terms = doc["terms"]
+
+    def term(i):
+        return {k: term(v) if k in TERM_CHILDREN else v for k, v in terms[i].items()}
+
+    return map_sides(doc["proof"], term)
 
 
 def oracle_typecheck(t, sig):
@@ -268,10 +325,10 @@ def assert_equal_subterms_shared(d):
 def assert_replay_matches_oracles(d, th):
     data = derivation_to_json(d)
     text = json.dumps(data)
-    assert text == json.dumps(oracle_to_json(d))
+    assert text == json.dumps(tree_to_table(oracle_to_json(d)))
     copy = derivation_from_json(json.loads(text))
     assert copy == d
-    assert copy == oracle_from_json(json.loads(text))
+    assert copy == oracle_from_json(table_to_tree(json.loads(text)))
     assert json.dumps(derivation_to_json(copy)) == text  # hints survive
     assert_equal_subterms_shared(copy)
     expected = oracle_check(d, th)
@@ -357,7 +414,7 @@ def test_binder_hints_survive_shared_decoding():
     eq = QuantEquation(lam_x, lam_y, Fraction(0), lam_x.sort)
     d = Derivation("Alpha", Inference(frozenset(), eq))
     text = json.dumps(derivation_to_json(d))
-    assert text == json.dumps(oracle_to_json(d))
+    assert text == json.dumps(tree_to_table(oracle_to_json(d)))
     copy = derivation_from_json(json.loads(text))
     left, right = copy.conclusion.conclusion.left, copy.conclusion.conclusion.right
     assert (print_term(left), print_term(right)) == ("\\x:o. x", "\\y:o. y")
@@ -392,13 +449,38 @@ def test_bracket_simulation_replay_matches_oracles(t_tree, u_tree):
     assert_replay_matches_oracles(derive_equal_reducts(lhs, rhs, CL_THEORY), CL_THEORY)
 
 
+def test_deep_terms_round_trip_without_recursion():
+    """A 10,000-argument spine applied to 10,000 nested binders goes
+    through the table codec, json.dumps and json.loads, and through the
+    tree codec in memory.  Term == still recurses, so copies are compared
+    by their re-encoded text."""
+    x = Var("x", STAR)
+    nest = x
+    for _ in range(10_000):
+        nest = Lam("y", STAR, nest)
+    t = App(nest, app(x, *[x] * 10_000))
+    text = json.dumps(derivation_to_json(d_refl(t)))
+    data = json.loads(text)
+    assert len(data["terms"]) == 1 + 10_000 + 10_000 + 1
+    copy = derivation_from_json(data)
+    assert json.dumps(derivation_to_json(copy)) == text
+    tree_copy = term_from_json(term_to_json(t))
+    assert json.dumps(derivation_to_json(d_refl(tree_copy))) == text
+
+
 # ---------------------------------------------------------------------------
 # Malformed JSON is a StructuralError, never another exception
 
 
 def _valid():
     th, name, d = CORPUS[0]
-    return json.loads(json.dumps(derivation_to_json(d)))
+    data = json.loads(json.dumps(derivation_to_json(d)))
+    assert len(data["terms"]) == 1  # the cases below rely on one entry
+    return data
+
+
+STAR_VAR = {"node": "var", "name": "x", "sort": "*"}
+STAR_BODY = {"node": "bvar", "index": 0, "sort": "*"}
 
 
 def _set(path, value):
@@ -410,24 +492,68 @@ def _set(path, value):
     return edit
 
 
+def _with_entry(**fields):
+    """Append two leaves and then an app record with the given fields."""
+    def edit(data):
+        data["terms"] += [STAR_VAR, STAR_VAR]
+        data["terms"].append({"node": "app", "fn": 0, "arg": 0, **fields})
+    return edit
+
+
+def _at_own_position(field):
+    def edit(data):
+        data["terms"].append({"node": "app", "fn": 0, "arg": 0, field: len(data["terms"])})
+    return edit
+
+
+def _forward(data):
+    n = len(data["terms"])
+    data["terms"] += [{"node": "app", "fn": n + 1, "arg": 0}, STAR_VAR]
+
+
 MALFORMED_DERIVATIONS = {
-    "missing rule": lambda data: data.pop("rule"),
-    "rule not a string": _set(["rule"], ["Refl"]),
-    "params not an object": _set(["params"], 5),
-    "env not an object": _set(["params"], {"env": [1]}),
-    "env term not an object": _set(["params"], {"env": {"x": 3}}),
-    "premises not a list": _set(["premises"], "abc"),
-    "conclusion missing": lambda data: data.pop("conclusion"),
-    "hyps not a list": _set(["conclusion", "hyps"], {"a": 1}),
-    "X entry not an object": _set(["conclusion", "eq", "X"], ["x"]),
-    "X name not a string": _set(["conclusion", "eq", "X"], [{"name": 1, "sort": "*"}]),
-    "eps not a fraction": _set(["conclusion", "eq", "eps"], "abc"),
-    "eps divides by zero": _set(["conclusion", "eq", "eps"], "1/0"),
-    "eps a float": _set(["conclusion", "eq", "eps"], 0.5),
-    "sort not a string": _set(["conclusion", "eq", "sort"], 7),
+    "missing rule": lambda data: data["proof"].pop("rule"),
+    "rule not a string": _set(["proof", "rule"], ["Refl"]),
+    "params not an object": _set(["proof", "params"], 5),
+    "env not an object": _set(["proof", "params"], {"env": [1]}),
+    "env term not an object": _set(["proof", "params"], {"env": {"x": 3}}),
+    "env value a nested dict": _set(["proof", "params"], {"env": {"x": STAR_VAR}}),
+    "premises not a list": _set(["proof", "premises"], "abc"),
+    "conclusion missing": lambda data: data["proof"].pop("conclusion"),
+    "hyps not a list": _set(["proof", "conclusion", "hyps"], {"a": 1}),
+    "X entry not an object": _set(["proof", "conclusion", "eq", "X"], ["x"]),
+    "X name not a string": _set(["proof", "conclusion", "eq", "X"], [{"name": 1, "sort": "*"}]),
+    "eps not a fraction": _set(["proof", "conclusion", "eq", "eps"], "abc"),
+    "eps divides by zero": _set(["proof", "conclusion", "eq", "eps"], "1/0"),
+    "eps a float": _set(["proof", "conclusion", "eq", "eps"], 0.5),
+    "sort not a string": _set(["proof", "conclusion", "eq", "sort"], 7),
+    "terms missing": lambda data: data.pop("terms"),
+    "proof missing": lambda data: data.pop("proof"),
+    "proof not an object": _set(["proof"], []),
+    "terms not a list": _set(["terms"], {"0": STAR_VAR}),
+    "terms entry not an object": lambda data: data["terms"].append([0, 1]),
+    "terms entry a string": lambda data: data["terms"].append("app"),
+    "child index out of range": _with_entry(fn=99),
+    "child index forward": _forward,
+    "child index self-referential": _at_own_position("fn"),
+    "arg index self-referential": _at_own_position("arg"),
+    "child index negative": _with_entry(fn=-1),
+    "child index a bool": _with_entry(fn=True),
+    "child index a float": _with_entry(fn=1.0),
+    "child index a string": _with_entry(arg="1"),
+    "child a nested dict": _with_entry(fn=STAR_VAR),
+    "lam body forward": lambda data: data["terms"].append(
+        {"node": "lam", "hint": "x", "var_sort": "*", "body": len(data["terms"])}
+    ),
+    "side index out of range": _set(["proof", "conclusion", "eq", "left"], 1),
+    "side index negative": _set(["proof", "conclusion", "eq", "right"], -1),
+    "side index a bool": _set(["proof", "conclusion", "eq", "left"], False),
+    "side index a float": _set(["proof", "conclusion", "eq", "left"], 0.0),
+    "side index a string": _set(["proof", "conclusion", "eq", "left"], "0"),
+    "side a nested dict": _set(["proof", "conclusion", "eq", "left"], STAR_VAR),
+    "side missing": lambda data: data["proof"]["conclusion"]["eq"].pop("right"),
 }
 
-STAR_BODY = {"node": "bvar", "index": 0, "sort": "*"}
 MALFORMED_TERMS = {
     "bvar index a string": {"node": "bvar", "index": "x", "sort": "*"},
     "bvar index negative": {"node": "bvar", "index": -1, "sort": "*"},
@@ -437,6 +563,8 @@ MALFORMED_TERMS = {
     "const sort missing": {"node": "const", "name": "K"},
     "sort not a string": {"node": "var", "name": "x", "sort": None},
     "not an object": [1, 2],
+    "null": None,
+    "child null": {"node": "lam", "hint": "x", "var_sort": "*", "body": None},
     "kind missing": {"name": "x"},
     "kind unknown": {"node": "pair"},
     "app missing arg": {"node": "app", "fn": {"node": "var", "name": "x", "sort": "*"}},
