@@ -414,7 +414,7 @@ def check_proof_cmd(proof_file, theory_spec, human) -> None:
     "--algebra",
     "algebra_name",
     required=True,
-    type=click.Choice(sorted(["fts1", "fts2", "fts3", "grid8", "ex15", "partial3"])),
+    type=click.Choice(sorted(_corpus.ALGEBRAS)),
 )
 @click.option(
     "--mode",
@@ -427,7 +427,7 @@ def model_check_cmd(inference_file, algebra_name, mode, human) -> None:
     """Check an inference in one of the shipped finite algebras."""
     with open(inference_file, encoding="utf-8") as handle:
         inf = Inference.from_json(json.load(handle))
-    alg = _corpus.corpus_algebras()[algebra_name]
+    alg = _corpus.ALGEBRAS[algebra_name]()
     _emit(satisfies_inference(alg, inf, mode).to_json(), human)
 
 
@@ -481,7 +481,7 @@ def _example15_payload() -> dict:
     from .quant_deduction import QuantEquation
     from .term_syntax import App as _App, Bound, Lam
 
-    alg = _corpus.corpus_algebras()["ex15"]
+    alg = _corpus.ALGEBRAS["ex15"]()
     f = Const("f", _corpus.FG)
     g = Const("g", _corpus.FG)
     x = Var("x", _corpus.I01)

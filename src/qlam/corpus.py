@@ -57,6 +57,7 @@ __all__ = [
     "church",
     "theta_xi_maps",
     "shift_maps",
+    "ALGEBRAS",
     "corpus_algebras",
     "corpus_theories",
     "corpus_derivations",
@@ -197,47 +198,51 @@ def corpus_theories() -> dict[str, Theory]:
 # Algebras
 
 
-def corpus_algebras() -> dict[str, FiniteQuantAlgebra]:
-    fts_sorts = [
-        OO,
-        arrow(O, OO),
-        arrow(OO, O),
-        arrow(O, arrow(OO, O)),
-        arrow(OO, OO),
-    ]
-    one = FiniteMetricSpace(["p"], [[0]])
-    two = FiniteMetricSpace(["p", "q"], [[0, 1], [1, 0]])
-    three = FiniteMetricSpace.line_grid(F(0), F(1), F(1, 2))
+_FTS_SORTS = (OO, arrow(O, OO), arrow(OO, O), arrow(O, arrow(OO, O)), arrow(OO, OO))
 
+
+def _fts(name: str, base: FiniteMetricSpace, sorts=_FTS_SORTS) -> FiniteQuantAlgebra:
     cl_sig = Signature(untyped=False, combinator_sorts=CL_TRIPLES)
-    a1 = build_full_type_structure(one, fts_sorts, signature=cl_sig, name="fts1")
-    a2 = build_full_type_structure(two, fts_sorts, signature=cl_sig, name="fts2")
-    a3 = build_full_type_structure(
-        three, [OO, arrow(O, OO)], signature=cl_sig, name="fts3"
-    )
+    return build_full_type_structure(base, sorts, signature=cl_sig, name=name)
 
+
+def _grid8() -> FiniteQuantAlgebra:
     grid_constants: dict[str, tuple[Sort, object]] = {
         "idf": (FF, lambda p: p),
         "m": (FF, lambda p: min(p, F(1, 2))),
     }
     for name, value in _interval_constants().items():
         grid_constants[name] = (I01, value)
-    a4 = build_grid_algebra(
+    return build_grid_algebra(
         [(F(0), F(1), F(1, 8))], grid_constants, signature=_grid_signature(), name="grid8"
     )
 
-    a5 = build_grid_algebra(
+
+def _ex15() -> FiniteQuantAlgebra:
+    return build_grid_algebra(
         [(F(0), F(1), F(1, 8)), (F(0), F(5, 4), F(1, 8))],
         {"f": (FG, lambda p: p), "g": (FG, lambda p: p + F(1, 4))},
         name="ex15",
     )
 
-    a6 = FiniteQuantAlgebra(
-        "partial3",
-        Signature(untyped=False, combinators=False),
-        {O: remark25_space()},
-    )
-    return {"fts1": a1, "fts2": a2, "fts3": a3, "grid8": a4, "ex15": a5, "partial3": a6}
+
+# The shipped finite algebras by name; each call builds a fresh one.
+ALGEBRAS: dict[str, Callable[[], FiniteQuantAlgebra]] = {
+    "fts1": lambda: _fts("fts1", FiniteMetricSpace(["p"], [[0]])),
+    "fts2": lambda: _fts("fts2", FiniteMetricSpace(["p", "q"], [[0, 1], [1, 0]])),
+    "fts3": lambda: _fts(
+        "fts3", FiniteMetricSpace.line_grid(F(0), F(1), F(1, 2)), _FTS_SORTS[:2]
+    ),
+    "grid8": _grid8,
+    "ex15": _ex15,
+    "partial3": lambda: FiniteQuantAlgebra(
+        "partial3", Signature(untyped=False, combinators=False), {O: remark25_space()}
+    ),
+}
+
+
+def corpus_algebras() -> dict[str, FiniteQuantAlgebra]:
+    return {name: build() for name, build in ALGEBRAS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ codomain elements indexed by the (fully enumerated) domain carrier.
 Carriers are enumerated in full only for the sorts that need it (bases,
 explicitly requested arrow sorts, quantified-variable sorts); arrow
 distances use the finite closed form of the sup-style hom distance and
-work on any pair of tables over a full domain.
+work on any pair of tables over a full domain.  A term is compiled once
+into closures, which satisfaction then runs for every environment.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BudgetError,
@@ -79,7 +81,6 @@ class FiniteQuantAlgebra:
         self._carriers: dict[Sort, list] = {}
         self._index: dict[Sort, dict] = {}
         self._sym: dict[tuple[str, Sort], object] = {}
-        self._dist_memo: dict = {}
         self._matrices: dict[Sort, list[list]] = {}
         for sort, space in self.base_spaces.items():
             self._carriers[sort] = list(range(space.size))
@@ -139,33 +140,63 @@ class FiniteQuantAlgebra:
         return ExtReal.scaled(self._idist(sort, x, y), self.scale)
 
     def _matrix(self, sort: Sort) -> list[list]:
-        """Integer distances over the full carrier at a sort."""
+        """Integer distances over the full carrier at a sort.  At an
+        arrow sort every map is read as its table of codomain indices,
+        and d(f, g) is the largest cm[f_i][g_j] above am[i][j], or 0."""
         hit = self._matrices.get(sort)
         if hit is None:
             elems = self.carrier(sort)
-            hit = [[self._idist(sort, x, y) for y in elems] for x in elems]
+            am, cm = self._matrix(sort.dom), self._matrix(sort.cod)
+            cdx = self._index[sort.cod]
+            tables = [[cdx[c] for c in f] for f in elems]
+            hit = []
+            for f in tables:
+                pairs = [(cm[c], arow) for c, arow in zip(f, am)]
+                row = []
+                for g in tables:
+                    best = 0
+                    for crow, arow in pairs:
+                        for j, a in zip(g, arow):
+                            b = crow[j]
+                            if b > a and b > best:
+                                best = b
+                    row.append(best)
+                hit.append(row)
             self._matrices[sort] = hit
         return hit
 
     def _idist(self, sort: Sort, x, y):
-        """dist at the algebra's scale, as an integer or math.inf."""
+        """dist at the algebra's scale, as an integer or math.inf.  It
+        reads the sort's matrix when there is one; otherwise, at an arrow
+        sort, it takes the same sup over the domain matrix for x and y
+        alone (a sort without a full carrier, or one whose matrix nothing
+        has asked for: fts3 has 1,361 maps at o->o->o)."""
+        m = self._matrices.get(sort)
         if not isinstance(sort, ArrowSort):
-            base = self._matrices.get(sort)
-            if base is None:
+            if m is None:
                 raise StructuralError(f"no base space at {render_sort(sort)}")
-            return base[x][y]
-        key = (sort, x, y)
-        hit = self._dist_memo.get(key)
-        if hit is not None:
-            return hit
+            return m[x][y]
+        if m is not None:
+            idx = self._index[sort]
+            i, j = idx.get(x), idx.get(y)
+            if i is not None and j is not None:
+                return m[i][j]
+        am = self._matrix(sort.dom)
+        cod_dist = self._reader(sort.cod)
         best = 0
-        for xi, row in zip(x, self._matrix(sort.dom)):
+        for xi, row in zip(x, am):
             for yj, a in zip(y, row):
-                b = self._idist(sort.cod, xi, yj)
+                b = cod_dist(xi, yj)
                 if b > a and b > best:
                     best = b
-        self._dist_memo[key] = best
         return best
+
+    def _reader(self, sort: Sort) -> Callable[[object, object], object]:
+        """_idist at one sort, with the base-sort lookup done once."""
+        m = self._matrices.get(sort)
+        if m is None or isinstance(sort, ArrowSort):
+            return functools.partial(self._idist, sort)
+        return lambda x, y: m[x][y]
 
     # application and symbols --------------------------------------------
     def apply(self, fsort: Sort, f, a):
@@ -206,11 +237,11 @@ class FiniteQuantAlgebra:
             assert isinstance(sort, ArrowSort) and isinstance(sort.cod, ArrowSort)
             fs = self.populate_arrow(sort.dom)
             gs = self.populate_arrow(sort.cod.dom)
-            xs = range(len(self.carrier(sort.cod.cod.dom)))
             # gs holds maps into the sort, so its carrier and index exist
             jdx = self._index[sort.cod.dom.cod]
+            g_indices = [[jdx[b] for b in g] for g in gs]
             return tuple(
-                tuple(tuple(f[ix][jdx[g[ix]]] for ix in xs) for g in gs)
+                tuple([tuple([fx[j] for fx, j in zip(f, gi)]) for gi in g_indices])
                 for f in fs
             )
         raise InterpretationError(f"unknown combinator {name}")
@@ -336,33 +367,94 @@ def interpret(t: Term, alg: FiniteQuantAlgebra, env: Optional[Mapping[str, objec
     Variables come from env, application from the tables, lambdas by
     table formation over the (full) carrier of the bound sort.
     """
-    env = env or {}
+    return _compile(t, alg)(env or {}, ())
 
-    def go(t: Term, stack: tuple):
-        if isinstance(t, Var):
-            if t.name not in env:
-                raise InterpretationError(f"no value for variable {t.name}")
-            return env[t.name]
-        if isinstance(t, Bound):
-            return stack[t.index]
-        if isinstance(t, Const):
-            return alg.symbol(t.name, t.sort)
-        if isinstance(t, Bottom):
-            if alg.bottom is None:
-                raise InterpretationError("bottom has no interpretation in finite algebras")
-            space = alg.base_spaces.get(t.sort)
-            if space is None or not 0 <= alg.bottom < space.size:
-                raise InterpretationError("bottom element outside the base carrier")
-            return alg.bottom
-        if isinstance(t, App):
-            return alg.apply(t.fn.sort, go(t.fn, stack), go(t.arg, stack))
-        if isinstance(t, Lam):
-            return tuple(
-                go(t.body, (v,) + stack) for v in alg.carrier(t.var_sort)
-            )
+
+_UNSET = object()
+
+
+def _compile(t: Term, alg: FiniteQuantAlgebra) -> Callable[[Mapping, tuple], object]:
+    """t as nested closures run(env, stack), stack holding the values of
+    the enclosing binders, innermost first.
+
+    Each node looks up what it needs from the algebra (a constant's
+    element, an application's domain index, a binder's carrier) the
+    first time it is evaluated and keeps it, so every error is raised
+    where and as a by-node evaluation raises it, function before
+    argument.
+    """
+    if isinstance(t, Var):
+        name = t.name
+
+        def run(env, stack):
+            try:
+                return env[name]
+            except KeyError:
+                raise InterpretationError(f"no value for variable {name}") from None
+
+        return run
+    if isinstance(t, Bound):
+        depth = t.index
+        return lambda env, stack: stack[depth]
+    if isinstance(t, Const):
+        return _resolved_once(lambda: alg.symbol(t.name, t.sort))
+    if isinstance(t, Bottom):
+        return _resolved_once(lambda: _bottom(alg, t.sort))
+    if isinstance(t, App):
+        fn, arg, fsort = _compile(t.fn, alg), _compile(t.arg, alg), t.fn.sort
+        index: Mapping = {}
+
+        def run(env, stack):
+            nonlocal index
+            f = fn(env, stack)
+            a = arg(env, stack)
+            i = index.get(a)
+            if i is None:
+                # apply raises unless fsort is an arrow whose domain
+                # carrier holds a
+                value = alg.apply(fsort, f, a)
+                index = alg._index[fsort.dom]
+                return value
+            return f[i]
+
+        return run
+    if isinstance(t, Lam):
+        body = _compile(t.body, alg)
+        carrier = None
+
+        def run(env, stack):
+            nonlocal carrier
+            if carrier is None:
+                carrier = alg.carrier(t.var_sort)
+            return tuple([body(env, (v,) + stack) for v in carrier])
+
+        return run
+
+    def run(env, stack):
         raise StructuralError(f"unknown term node {t!r}")
 
-    return go(t, ())
+    return run
+
+
+def _resolved_once(resolve: Callable[[], object]) -> Callable[[Mapping, tuple], object]:
+    value = _UNSET
+
+    def run(env, stack):
+        nonlocal value
+        if value is _UNSET:
+            value = resolve()
+        return value
+
+    return run
+
+
+def _bottom(alg: FiniteQuantAlgebra, sort: Sort) -> int:
+    if alg.bottom is None:
+        raise InterpretationError("bottom has no interpretation in finite algebras")
+    space = alg.base_spaces.get(sort)
+    if space is None or not 0 <= alg.bottom < space.size:
+        raise InterpretationError("bottom element outside the base carrier")
+    return alg.bottom
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +493,20 @@ def _envs(alg: FiniteQuantAlgebra, var_sorts: Mapping[str, Sort]) -> Iterable[di
         yield dict(zip(names, combo))
 
 
-def _violates(alg: FiniteQuantAlgebra, eq: QuantEquation, left_env, right_env, delta=0) -> bool:
-    """Whether eq's sides, interpreted in left_env and right_env, lie
-    farther apart than max(delta, eps); delta is an integer at the
+def _violation_test(alg: FiniteQuantAlgebra, eq: QuantEquation) -> Callable[..., bool]:
+    """eq with its sides compiled, as violates(left_env, right_env,
+    delta=0): whether the sides, interpreted in left_env and right_env,
+    lie farther apart than max(delta, eps); delta is an integer at the
     algebra's scale, and eps is compared exactly as d·den > num·scale."""
-    d = alg._idist(eq.sort, interpret(eq.left, alg, left_env), interpret(eq.right, alg, right_env))
-    return d > delta and d * eq.eps.denominator > eq.eps.numerator * alg.scale
+    left, right = _compile(eq.left, alg), _compile(eq.right, alg)
+    dist = alg._reader(eq.sort)
+    den, num = eq.eps.denominator, eq.eps.numerator * alg.scale
+
+    def violates(left_env, right_env, delta=0) -> bool:
+        d = dist(left(left_env, ()), right(right_env, ()))
+        return d > delta and d * den > num
+
+    return violates
 
 
 def satisfies_inference(
@@ -419,20 +519,23 @@ def satisfies_inference(
     variables, interprets the left tuple in left-hand sides and the
     right tuple in right-hand sides, and compares against max(delta,
     epsilon) bounds, delta being the largest coordinate distance.
+    Each side is compiled once per call.
     """
     if mode not in ("sat", "sat_star"):
         raise PreconditionError(f"unknown mode {mode}")
     var_sorts = _inference_vars(inf)
     eqs = list(inf.hypotheses) + [inf.conclusion]
+    hyps = [_violation_test(alg, h) for h in inf.hypotheses]
+    conc_violated = _violation_test(alg, inf.conclusion)
 
     if mode == "sat":
         for eq in eqs:
             if eq.quantified:
                 raise StructuralError("sat mode needs empty quantified sets")
         for env in _envs(alg, var_sorts):
-            if any(_violates(alg, h, env, env) for h in inf.hypotheses):
+            if any(h(env, env) for h in hyps):
                 continue
-            if _violates(alg, inf.conclusion, env, env):
+            if conc_violated(env, env):
                 return SatReport(
                     False,
                     {n: alg.render_element(var_sorts[n], v) for n, v in env.items()},
@@ -451,17 +554,18 @@ def satisfies_inference(
     xnames = {v.name for v in xvars}
     outer = {n: s for n, s in var_sorts.items() if n not in xnames}
     xcarriers = [alg.carrier(v.sort) for v in xvars]
+    xdists = [alg._reader(v.sort) for v in xvars]
     for env in _envs(alg, outer):
         for avec in itertools.product(*xcarriers):
             for bvec in itertools.product(*xcarriers):
                 delta = max(
-                    (alg._idist(v.sort, a, b) for v, a, b in zip(xvars, avec, bvec)), default=0
+                    (dist(a, b) for dist, a, b in zip(xdists, avec, bvec)), default=0
                 )
                 enva = {**env, **{v.name: a for v, a in zip(xvars, avec)}}
                 envb = {**env, **{v.name: b for v, b in zip(xvars, bvec)}}
-                if any(_violates(alg, h, enva, envb, delta) for h in inf.hypotheses):
+                if any(h(enva, envb, delta) for h in hyps):
                     continue
-                if _violates(alg, conc, enva, envb, delta):
+                if conc_violated(enva, envb, delta):
                     return SatReport(
                         False,
                         {n: alg.render_element(outer[n], v) for n, v in env.items()},

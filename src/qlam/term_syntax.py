@@ -60,9 +60,24 @@ class Sort:
         return isinstance(self, (BaseSort, IntervalSort, StarSort))
 
 
+def _fields_hash(self) -> int:
+    """The dataclass hash of the fields, computed on first use and kept
+    outside them, so repr, == and dataclasses.fields do not see it.
+    Sorts key most of the finite-model tables, and an IntervalSort hash
+    is two Fraction hashes."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
 @dataclass(frozen=True)
 class BaseSort(Sort):
     name: str
+
+    __hash__ = _fields_hash
 
 
 @dataclass(frozen=True)
@@ -74,11 +89,15 @@ class IntervalSort(Sort):
         if self.lo > self.hi:
             raise StructuralError(f"interval sort [{self.lo},{self.hi}] has lo > hi")
 
+    __hash__ = _fields_hash
+
 
 @dataclass(frozen=True)
 class ArrowSort(Sort):
     dom: Sort
     cod: Sort
+
+    __hash__ = _fields_hash
 
 
 @dataclass(frozen=True)

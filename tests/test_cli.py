@@ -1,12 +1,16 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from qlam import corpus
 from qlam.cli import SCENARIOS, _dumps, main
-from qlam.corpus import corpus_derivations, corpus_theories, theta_xi_maps
-from qlam.quant_deduction import derivation_to_json
-from qlam.term_syntax import term_to_json
+from qlam.corpus import I01, corpus_derivations, corpus_theories, theta_xi_maps
+from qlam.finite_models import satisfies_inference
+from qlam.quant_deduction import Inference, QuantEquation, derivation_to_json
+from qlam.term_syntax import Const, Var, term_to_json
 
 runner = CliRunner()
 
@@ -259,8 +263,38 @@ def test_harness_emits_json_lines():
     res = run("harness")
     assert res.exit_code == 0
     lines = [json.loads(l) for l in res.output.strip().splitlines()]
-    assert len(lines) >= 30
+    assert len(lines) == 71
     assert all(r["status"] != "violated" for r in lines)
+    # 64 satisfied and 7 skipped, byte for byte as since the benchmark
+    # was defined
+    assert (
+        hashlib.sha256(res.output.encode()).hexdigest()
+        == "8fd722ea630426eab45eff653940872fcec01c2355d478cd99389e37eac5afcd"
+    )
+
+
+def test_model_check_builds_only_the_named_algebra(tmp_path, monkeypatch):
+    built = []
+
+    def counted(name, build):
+        def wrapped():
+            built.append(name)
+            return build()
+
+        return wrapped
+
+    for name, build in list(corpus.ALGEBRAS.items()):
+        monkeypatch.setitem(corpus.ALGEBRAS, name, counted(name, build))
+    x, k = Var("x", I01), Const("k1_2", I01)
+    inf = Inference(frozenset(), QuantEquation(x, k, Fraction(1, 4), I01))
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(inf.to_json()))
+    res = run("model-check", str(path), "--algebra", "grid8")
+    assert res.exit_code == 0
+    assert built == ["grid8"]
+    want = satisfies_inference(corpus.corpus_algebras()["grid8"], inf).to_json()
+    assert json.loads(res.output) == want and not want["satisfied"]
+    assert "[ex15|fts1|fts2|fts3|grid8|partial3]" in run("model-check", "--help").output
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qlam.corpus import (
+    FF,
     FG,
     I01,
     O,
@@ -14,8 +15,10 @@ from qlam.corpus import (
     corpus_theories,
     harness_corpus,
 )
-from qlam.errors import InterpretationError, StructuralError
+from qlam.errors import BudgetError, InterpretationError, StructuralError
 from qlam.finite_models import (
+    _envs,
+    _inference_vars,
     build_full_type_structure,
     build_grid_algebra,
     interpret,
@@ -27,11 +30,13 @@ from qlam.quant_deduction import Inference, QuantEquation
 from qlam.rewrite_engine import beta_normalize
 from qlam.term_syntax import (
     App,
+    ArrowSort,
     Bottom,
     Bound,
     Const,
     IntervalSort,
     Lam,
+    STAR,
     Var,
     arrow,
     parse_term,
@@ -125,6 +130,90 @@ def test_interpret_respects_beta():
     assert interpret(t, alg, env) == interpret(beta_normalize(t), alg, env)
 
 
+def oracle_interpret(t, alg, env=None):
+    """The by-node recursive evaluator the compiled one replaced."""
+    env = env or {}
+
+    def go(t, stack):
+        if isinstance(t, Var):
+            if t.name not in env:
+                raise InterpretationError(f"no value for variable {t.name}")
+            return env[t.name]
+        if isinstance(t, Bound):
+            return stack[t.index]
+        if isinstance(t, Const):
+            return alg.symbol(t.name, t.sort)
+        if isinstance(t, Bottom):
+            if alg.bottom is None:
+                raise InterpretationError("bottom has no interpretation in finite algebras")
+            space = alg.base_spaces.get(t.sort)
+            if space is None or not 0 <= alg.bottom < space.size:
+                raise InterpretationError("bottom element outside the base carrier")
+            return alg.bottom
+        if isinstance(t, App):
+            return alg.apply(t.fn.sort, go(t.fn, stack), go(t.arg, stack))
+        if isinstance(t, Lam):
+            return tuple(go(t.body, (v,) + stack) for v in alg.carrier(t.var_sort))
+        raise StructuralError(f"unknown term node {t!r}")
+
+    return go(t, ())
+
+
+def _outcome(evaluate):
+    try:
+        return "value", evaluate()
+    except (StructuralError, BudgetError, InterpretationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_compiled_evaluator_agrees_with_oracle_on_the_harness_corpus():
+    # two fresh copies of the corpus, so that each evaluator sees its
+    # algebras in the same state (symbols and carriers fill in lazily)
+    outcomes = []
+    for (_, derivs, algs), (_, _, oracle_algs) in zip(harness_corpus(), harness_corpus()):
+        for _, deriv in derivs:
+            inf = deriv.conclusion
+            var_sorts = _inference_vars(inf)
+            sides = [t for eq in [*inf.hypotheses, inf.conclusion] for t in (eq.left, eq.right)]
+            for (aname, alg), (_, oracle_alg) in zip(algs, oracle_algs):
+                envs = _outcome(lambda: list(_envs(alg, var_sorts)))
+                assert envs == _outcome(lambda: list(_envs(oracle_alg, var_sorts)))
+                if envs[0] != "value":
+                    continue
+                for env in envs[1]:
+                    for t in sides:
+                        got = _outcome(lambda: interpret(t, alg, env))
+                        assert got == _outcome(lambda: oracle_interpret(t, oracle_alg, env)), (
+                            aname,
+                            t,
+                            env,
+                        )
+                        outcomes.append(got[0])
+    # the corpus reaches values and the fts3 budget error through S
+    assert outcomes.count(BudgetError) == 3
+    assert len(outcomes) == 17442
+
+
+def test_interpret_errors_match_oracle():
+    alg, oracle_alg = ALGS["grid8"], corpus_algebras()["grid8"]
+    m = Const("m", FF)
+    env = {"f": (), "x": 99, "u": 0, "v": 0}
+    cases = [
+        Var("y", I01),  # no value
+        Const("nope", I01),  # no interpretation
+        App(m, Var("x", I01)),  # not in the carrier
+        App(Var("f", arrow(FF, I01)), m),  # domain without a carrier
+        Lam("g", FF, Bound(0, FF)),  # binder without a carrier
+        Bottom(I01),
+        App(Var("u", STAR), Var("v", STAR)),  # application at a base sort
+        App(Var("g", FF), Var("y", I01)),  # function before argument
+    ]
+    for t in cases:
+        got = _outcome(lambda: interpret(t, alg, env))
+        assert got[0] != "value", t
+        assert got == _outcome(lambda: oracle_interpret(t, oracle_alg, env)), t
+
+
 def test_interpret_rejects_bottom():
     alg = ALGS["grid8"]
     from qlam.term_syntax import Bottom
@@ -181,7 +270,7 @@ def dist_oracle(alg, base, sort, x, y, memo):
     the largest b(f(u), g(v)) above a(u, v) over the domain carrier."""
     key = (sort, x, y)
     if key not in memo:
-        if sort == O:
+        if not isinstance(sort, ArrowSort):
             memo[key] = base.d(x, y)
         else:
             dom = alg.carrier(sort.dom)
@@ -235,6 +324,31 @@ def test_algebra_carriers_and_arrow_distances_match_extreal_oracle(base, data):
     for _ in range(10):
         f, g = data.draw(st.sampled_from(tables)), data.draw(st.sampled_from(tables))
         assert alg.dist(o_oo, f, g) == dist_oracle(alg, base, o_oo, f, g, memo)
+    # the integer matrices entry by entry, where the carrier is small
+    # enough to tabulate (16 of the 30 bases at o->o->o, 15 at (o->o)->o,
+    # which has |o|^|o->o| candidate tables)
+    oo_o, sorts = arrow(OO, O), [OO, o_oo]
+    if base.size ** len(alg.carrier(OO)) <= alg.size_budget:
+        alg.populate_arrow(oo_o)
+        sorts.append(oo_o)
+    for sort in sorts:
+        elems = alg.carrier(sort)
+        if len(elems) <= 64:
+            want = [[dist_oracle(alg, base, sort, f, g, memo) for g in elems] for f in elems]
+            got = [[ExtReal.scaled(d, alg.scale) for d in row] for row in alg._matrix(sort)]
+            assert got == want, render_sort(sort)
+
+
+def test_grid_arrow_distance_without_a_full_carrier_matches_oracle():
+    alg = corpus_algebras()["grid8"]
+    assert FF not in alg._carriers
+    base, memo = alg.base_spaces[I01], {}
+    tables = [alg.symbol("idf", FF), alg.symbol("m", FF), interpret(Lam("x", I01, Const("k1_4", I01)), alg)]
+    for f in tables:
+        for g in tables:
+            assert alg.dist(FF, f, g) == dist_oracle(alg, base, FF, f, g, memo)
+    # |1 - m(1)| = 1/2 above |1 - 1| = 0, and no pair does better
+    assert alg.dist(FF, tables[0], tables[1]) == ExtReal(F(1, 2))
 
 
 def test_algebra_scale_is_the_lcm_of_the_base_scales():
@@ -266,6 +380,18 @@ def test_epsilon_bounds_compare_exactly_at_the_algebra_scale():
 
 # ---------------------------------------------------------------------------
 # Satisfaction
+
+
+def test_sat_reads_asymmetric_distances_left_to_right():
+    # d(p, q) = 1 and d(q, p) = 2: the first violating environment of
+    # x =_1 y is x = q, y = p; and x =_0 x over X = {x} holds because
+    # delta is d(a, b), the distance of the sides, in the same direction
+    alg = build_full_type_structure(FiniteMetricSpace(["p", "q"], [[0, 1], [2, 0]]), [])
+    x, y = Var("x", O), Var("y", O)
+    report = satisfies_inference(alg, Inference(frozenset(), eq(x, y, 1)))
+    assert report.counter_assignment == {"x": "q", "y": "p"}
+    quantified = QuantEquation(x, x, F(0), O, frozenset({x}))
+    assert satisfies_inference(alg, Inference(frozenset(), quantified), "sat_star").satisfied
 
 
 def eq(l, r, eps, X=frozenset()):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +45,26 @@ OO = arrow(O, O)
 def test_sort_render_parse_roundtrip():
     for text in ["o", "o->o", "(o->o)->o", "o->o->o", "[0,1]", "[0,1]->[0,5/4]", "*"]:
         assert render_sort(parse_sort(text)) == text
+
+
+def test_sorts_built_apart_hash_and_compare_equal():
+    pairs = [
+        (parse_sort("[0,1]->[0,1]"), arrow(IntervalSort(F(0), F(1)), IntervalSort(F(0), F(1)))),
+        (IntervalSort(F(2, 4), F(1)), IntervalSort(F(1, 2), F(1))),
+        (parse_sort("(o->o)->o"), arrow(OO, BaseSort("o"))),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        fields_before, repr_before = dataclasses.fields(a), repr(a)
+        assert hash(a) == hash(b) and a == b
+        # the cached hash is the dataclass hash of the fields, and it stays
+        # out of the fields, repr and equality
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+        assert dataclasses.fields(a) == fields_before and repr(a) == repr_before
+        assert repr(a) == repr(b) and render_sort(a) == render_sort(b)
+        assert len({a: 1, b: 2}) == 1
+    assert repr(pairs[1][0]) == "IntervalSort(lo=Fraction(1, 2), hi=Fraction(1, 1))"
+    assert IntervalSort(F(0), F(1)) != IntervalSort(F(0), F(2))
 
 
 def test_star_arrow_collapses():
