@@ -44,7 +44,6 @@ from .term_syntax import (
     print_term,
     render_sort,
     substitute,
-    term_from_json,
 )
 
 __all__ = [
@@ -534,13 +533,11 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
         if len(node.premises) != 1:
             return "Subst takes exactly one premise"
         (p,) = node.premises
-        env_json = node.params.get("env")
-        if env_json is None:
+        env = node.params.get("env")
+        if env is None:
             return "Subst needs a substitution in params"
-        env = {
-            name: (t if isinstance(t, Term) else term_from_json(t))
-            for name, t in env_json.items()
-        }
+        if not isinstance(env, dict) or not all(isinstance(t, Term) for t in env.values()):
+            return "Subst substitution must map names to terms"
         peq = p.conclusion.conclusion
         if th.is_lambda:
             if set(env) & peq.names():
@@ -893,10 +890,7 @@ def _inference_to_json(inf: Inference, side: Callable[[Term], object]) -> dict:
 def _derivation_to_json(d: Derivation, side: Callable[[Term], object]) -> dict:
     params = dict(d.params)
     if "env" in params:
-        params["env"] = {
-            name: side(t if isinstance(t, Term) else term_from_json(t))
-            for name, t in params["env"].items()
-        }
+        params["env"] = {name: side(t) for name, t in params["env"].items()}
     return {
         "rule": d.rule,
         "params": params,

@@ -12,7 +12,10 @@ from typing import Optional
 
 from .errors import OutOfFuelError, PreconditionError, SortError
 from .term_syntax import (
+    _rebuild,
+    _rewrap,
     _spine,
+    _strip,
     App,
     ArrowSort,
     Bound,
@@ -53,34 +56,27 @@ DEFAULT_FUEL = 10000
 
 
 def shift(t: Term, d: int, cutoff: int = 0) -> Term:
-    if isinstance(t, Bound):
-        if t.index >= cutoff:
-            return Bound(t.index + d, t.sort)
-        return t
-    if isinstance(t, App):
-        return App(shift(t.fn, d, cutoff), shift(t.arg, d, cutoff))
-    if isinstance(t, Lam):
-        return Lam(t.hint, t.var_sort, shift(t.body, d, cutoff + 1))
-    return t
+    """Add d to every index of t that points cutoff or more binders out."""
+
+    def leaf(u: Term, k: int) -> Term:
+        if isinstance(u, Bound) and u.index >= cutoff + k:
+            return Bound(u.index + d, u.sort)
+        return u
+
+    return _rebuild(t, leaf)
 
 
 def open_bound(body: Term, arg: Term) -> Term:
     """Substitute arg for index 0 in body, adjusting remaining indices."""
 
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Bound):
-            if t.index == depth:
-                return shift(arg, depth) if depth else arg
-            if t.index > depth:
-                return Bound(t.index - 1, t.sort)
-            return t
-        if isinstance(t, App):
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if isinstance(t, Lam):
-            return Lam(t.hint, t.var_sort, go(t.body, depth + 1))
-        return t
+    def leaf(u: Term, k: int) -> Term:
+        if not isinstance(u, Bound) or u.index < k:
+            return u
+        if u.index == k:
+            return shift(arg, k) if k else arg
+        return Bound(u.index - 1, u.sort)
 
-    return go(body, 0)
+    return _rebuild(body, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -107,56 +103,39 @@ class _Budget:
         self.left -= 1
 
 
-def _whnf(t: Term, budget: _Budget) -> Term:
-    while True:
-        if not isinstance(t, App):
-            return t
-        fn = _whnf(t.fn, budget)
-        if isinstance(fn, Lam):
+def _nf(t: Term, budget: _Budget) -> Term:
+    """Normal-order normal form over spines: contract the head redexes
+    left to right, then normalize under the binder or each argument left
+    to right.  A term with no redex comes back as itself."""
+    head, args = _spine(t)
+    contracted = isinstance(head, Lam) and bool(args)
+    if contracted:
+        rest = args[::-1]  # the arguments left, the next one last
+        while isinstance(head, Lam) and rest:
             budget.spend()
-            t = open_bound(fn.body, t.arg)
-            continue
-        return t if fn is t.fn else App(fn, t.arg)
+            head, more = _spine(open_bound(head.body, rest.pop()))
+            rest += reversed(more)
+        args = rest[::-1]
+    if isinstance(head, Lam):  # no arguments left
+        body = _nf(head.body, budget)
+        return head if body is head.body else Lam(head.hint, head.var_sort, body)
+    normal = []
+    for a in args:  # a loop, not a comprehension: one frame per nesting level
+        normal.append(_nf(a, budget))
+    if not contracted and all(a is b for a, b in zip(normal, args)):
+        return t
+    return app(head, *normal)
 
 
-def _nf_normal(t: Term, budget: _Budget) -> Term:
-    t = _whnf(t, budget)
-    if isinstance(t, Lam):
-        return Lam(t.hint, t.var_sort, _nf_normal(t.body, budget))
-    if isinstance(t, App):
-        return App(_nf_normal(t.fn, budget), _nf_normal(t.arg, budget))
-    return t
-
-
-def _nf_applicative(t: Term, budget: _Budget) -> Term:
-    if isinstance(t, Lam):
-        return Lam(t.hint, t.var_sort, _nf_applicative(t.body, budget))
-    if isinstance(t, App):
-        fn = _nf_applicative(t.fn, budget)
-        arg = _nf_applicative(t.arg, budget)
-        if isinstance(fn, Lam):
-            budget.spend()
-            return _nf_applicative(open_bound(fn.body, arg), budget)
-        return App(fn, arg)
-    return t
-
-
-def beta_normalize(
-    t: Term, fuel: Optional[int] = None, strategy: str = "normal"
-) -> Term:
-    """Reduce to beta-normal form.
+def beta_normalize(t: Term, fuel: Optional[int] = None) -> Term:
+    """Reduce to beta-normal form in normal order.
 
     Untyped terms always get a budget (explicit or the default); typed
     terms run unbounded unless one is given.
     """
     if t.sort is STAR and fuel is None:
         fuel = DEFAULT_FUEL
-    budget = _Budget(fuel)
-    if strategy == "normal":
-        return _nf_normal(t, budget)
-    if strategy == "applicative":
-        return _nf_applicative(t, budget)
-    raise PreconditionError(f"unknown strategy {strategy!r}")
+    return _nf(t, _Budget(fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +165,16 @@ def eta_long(t: Term) -> Term:
         raise PreconditionError("eta_long requires a beta-normal input")
 
     def go(t: Term) -> Term:
-        binders: list[tuple[str, Sort]] = []
-        while isinstance(t, Lam):
-            binders.append((t.hint, t.var_sort))
-            t = t.body
-        head, args = _spine(t)
-        extra, _ = sort_spine(t.sort)
+        binders, core = _strip(t)
+        head, args = _spine(core)
+        extra, _ = sort_spine(core.sort)
         m = len(extra)
         if m:
             head = shift(head, m)
             args = [shift(a, m) for a in args]
             args += [Bound(m - 1 - i, extra[i]) for i in range(m)]
-        body = app(head, *(go(a) for a in args))
-        for i, dom in enumerate(extra):
-            binders.append((f"e{i}", dom))
-        for hint, dom in reversed(binders):
-            body = Lam(hint, dom, body)
-        return body
+        binders += [(f"e{i}", dom) for i, dom in enumerate(extra)]
+        return _rewrap(binders, app(head, *(go(a) for a in args)))
 
     return go(t)
 

@@ -25,7 +25,9 @@ from .finite_models import build_full_type_structure, interpret
 from .metric_core import ExtReal, FiniteMetricSpace
 from .rewrite_engine import NormalForm, normalize
 from .term_syntax import (
+    _rewrap,
     _spine,
+    _strip,
     App,
     ArrowSort,
     Bottom,
@@ -101,20 +103,6 @@ DYADIC_ONE = Dyadic(Fraction(1))
 
 # ---------------------------------------------------------------------------
 # Projections
-
-
-def _strip(t: Term) -> tuple[list[tuple[str, Sort]], Term]:
-    binders: list[tuple[str, Sort]] = []
-    while isinstance(t, Lam):
-        binders.append((t.hint, t.var_sort))
-        t = t.body
-    return binders, t
-
-
-def _rewrap(binders: Sequence[tuple[str, Sort]], body: Term) -> Term:
-    for hint, sort in reversed(binders):
-        body = Lam(hint, sort, body)
-    return body
 
 
 def _project(t: Term, n: int) -> Term:

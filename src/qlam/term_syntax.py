@@ -199,34 +199,28 @@ class Signature:
 
 
 class Term:
-    __slots__ = ("_hash",)
+    """A term node; each constructor sets sort and _hash once."""
+
+    __slots__ = ("_hash", "sort")
 
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def sort(self) -> Sort:
-        raise NotImplementedError
-
 
 class Var(Term):
-    __slots__ = ("name", "_sort")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, sort: Sort):
         self.name = name
-        self._sort = sort
+        self.sort = sort
         self._hash = hash(("var", name, sort))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Var)
             and self._hash == other._hash
             and self.name == other.name
-            and self._sort == other._sort
+            and self.sort == other.sort
         )
 
     __hash__ = Term.__hash__
@@ -236,23 +230,19 @@ class Var(Term):
 
 
 class Bound(Term):
-    __slots__ = ("index", "_sort")
+    __slots__ = ("index",)
 
     def __init__(self, index: int, sort: Sort):
         self.index = index
-        self._sort = sort
+        self.sort = sort
         self._hash = hash(("bound", index, sort))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Bound)
             and self._hash == other._hash
             and self.index == other.index
-            and self._sort == other._sort
+            and self.sort == other.sort
         )
 
     __hash__ = Term.__hash__
@@ -262,23 +252,19 @@ class Bound(Term):
 
 
 class Const(Term):
-    __slots__ = ("name", "_sort")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, sort: Sort):
         self.name = name
-        self._sort = sort
+        self.sort = sort
         self._hash = hash(("const", name, sort))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Const)
             and self._hash == other._hash
             and self.name == other.name
-            and self._sort == other._sort
+            and self.sort == other.sort
         )
 
     __hash__ = Term.__hash__
@@ -288,20 +274,16 @@ class Const(Term):
 
 
 class Bottom(Term):
-    __slots__ = ("_sort",)
+    __slots__ = ()
 
     def __init__(self, sort: Sort):
         if not sort.is_base():
             raise SortError("bottom only exists at base sorts")
-        self._sort = sort
+        self.sort = sort
         self._hash = hash(("bottom", sort))
 
-    @property
-    def sort(self) -> Sort:
-        return self._sort
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bottom) and self._sort == other._sort
+        return isinstance(other, Bottom) and self.sort == other.sort
 
     __hash__ = Term.__hash__
 
@@ -310,19 +292,19 @@ class Bottom(Term):
 
 
 class App(Term):
-    __slots__ = ("fn", "arg", "_sort")
+    __slots__ = ("fn", "arg")
 
     def __init__(self, fn: Term, arg: Term):
         fsort = fn.sort
         if isinstance(fsort, StarSort):
-            self._sort: Sort = STAR
+            self.sort: Sort = STAR
         elif isinstance(fsort, ArrowSort):
             if fsort.dom != arg.sort:
                 raise SortError(
                     f"argument sort {render_sort(arg.sort)} does not match "
                     f"domain {render_sort(fsort.dom)}"
                 )
-            self._sort = fsort.cod
+            self.sort = fsort.cod
         else:
             raise SortError(
                 f"cannot apply a term of base sort {render_sort(fsort)}"
@@ -330,10 +312,6 @@ class App(Term):
         self.fn = fn
         self.arg = arg
         self._hash = hash(("app", fn._hash, arg._hash))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -350,19 +328,15 @@ class App(Term):
 
 
 class Lam(Term):
-    __slots__ = ("hint", "var_sort", "body", "_sort")
+    __slots__ = ("hint", "var_sort", "body")
 
     def __init__(self, hint: str, var_sort: Sort, body: Term):
         self.hint = hint
         self.var_sort = var_sort
         self.body = body
-        self._sort = arrow(var_sort, body.sort)
+        self.sort = arrow(var_sort, body.sort)
         # hint deliberately left out: equality is alpha-equivalence
         self._hash = hash(("lam", var_sort, body._hash))
-
-    @property
-    def sort(self) -> Sort:
-        return self._sort
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -394,23 +368,50 @@ def _spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def _bind_name(t: Term, name: str, sort: Sort, depth: int) -> Term:
-    if isinstance(t, Var):
-        if t.name == name:
-            if t.sort != sort:
-                raise SortError(f"variable {name} bound at a different sort")
-            return Bound(depth, sort)
-        return t
+def _strip(t: Term) -> tuple[list[tuple[str, Sort]], Term]:
+    """Decompose t as its lambda prefix (hint, sort), outermost first, and
+    the body under it; the inverse of _rewrap."""
+    binders: list[tuple[str, Sort]] = []
+    while isinstance(t, Lam):
+        binders.append((t.hint, t.var_sort))
+        t = t.body
+    return binders, t
+
+
+def _rewrap(binders: Sequence[tuple[str, Sort]], body: Term) -> Term:
+    for hint, sort in reversed(binders):
+        body = Lam(hint, sort, body)
+    return body
+
+
+def _rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
+    """t, taken to sit under k binders, with each Var or Bound leaf u
+    replaced by leaf(u, j), j the number of binders above u.  A node below
+    which nothing changed comes back as itself.  The one binder-aware walk:
+    shifting, opening, binding and substitution are leaf rules over it."""
     if isinstance(t, App):
-        return App(_bind_name(t.fn, name, sort, depth), _bind_name(t.arg, name, sort, depth))
+        fn = _rebuild(t.fn, leaf, k)
+        arg = _rebuild(t.arg, leaf, k)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Lam):
-        return Lam(t.hint, t.var_sort, _bind_name(t.body, name, sort, depth + 1))
+        body = _rebuild(t.body, leaf, k + 1)
+        return t if body is t.body else Lam(t.hint, t.var_sort, body)
+    if isinstance(t, (Var, Bound)):
+        return leaf(t, k)
     return t
 
 
 def bind(name: str, sort: Sort, body: Term, hint: Optional[str] = None) -> Lam:
     """Abstract the free variable `name` out of body."""
-    return Lam(hint or name, sort, _bind_name(body, name, sort, 0))
+
+    def leaf(u: Term, k: int) -> Term:
+        if not (isinstance(u, Var) and u.name == name):
+            return u
+        if u.sort != sort:
+            raise SortError(f"variable {name} bound at a different sort")
+        return Bound(k, sort)
+
+    return Lam(hint or name, sort, _rebuild(body, leaf))
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -438,16 +439,6 @@ def bound_hints(t: Term) -> set[str]:
     return {s.hint for s in subterms(t) if isinstance(s, Lam)}
 
 
-def _locally_closed(t: Term, depth: int) -> bool:
-    if isinstance(t, Bound):
-        return t.index < depth
-    if isinstance(t, App):
-        return _locally_closed(t.fn, depth) and _locally_closed(t.arg, depth)
-    if isinstance(t, Lam):
-        return _locally_closed(t.body, depth + 1)
-    return True
-
-
 def substitute(t: Term, env: Mapping[str, Term]) -> Term:
     """Simultaneous substitution of free variables.
 
@@ -455,27 +446,26 @@ def substitute(t: Term, env: Mapping[str, Term]) -> Term:
     required not to contain stray indices of their own.
     """
     for name, image in env.items():
-        if not _locally_closed(image, 0):
-            raise StructuralError(f"substitution image for {name} has stray indices")
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            image = env.get(t.name)
-            if image is None:
-                return t
-            if image.sort != t.sort:
-                raise SortError(
-                    f"substitution for {t.name} has sort "
-                    f"{render_sort(image.sort)}, expected {render_sort(t.sort)}"
-                )
-            return image
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, Lam):
-            return Lam(t.hint, t.var_sort, go(t.body))
-        return t
+        def stray(u: Term, k: int) -> Term:
+            if isinstance(u, Bound) and u.index >= k:
+                raise StructuralError(f"substitution image for {name} has stray indices")
+            return u
 
-    return go(t)
+        _rebuild(image, stray)
+
+    def leaf(u: Term, k: int) -> Term:
+        image = env.get(u.name) if isinstance(u, Var) else None
+        if image is None:
+            return u
+        if image.sort != u.sort:
+            raise SortError(
+                f"substitution for {u.name} has sort "
+                f"{render_sort(image.sort)}, expected {render_sort(u.sort)}"
+            )
+        return image
+
+    return _rebuild(t, leaf)
 
 
 def alpha_eq(t: Term, s: Term) -> bool:

@@ -35,6 +35,7 @@ from qlam.term_syntax import (
     app,
     arrow,
     substitute,
+    term_to_json,
 )
 
 O = BaseSort("o")
@@ -261,6 +262,20 @@ def test_subst_builder_instantiates_conclusion():
     # an ill-sorted image is rejected when the substitution is applied
     with pytest.raises(SortError):
         d_subst(d_refl(x), {"x": Const("K", arrow(O, arrow(O, O)))})
+
+
+def test_subst_env_values_that_are_not_terms_fail_with_a_reason():
+    th = THEORIES["U_CL_untyped"]
+    x, u = Var("x", STAR), Var("u", STAR)
+    good = d_subst(d_refl(x), {"x": u})
+    assert check_derivation(good, th).ok
+    # a JSON tree is not decoded: env values are terms only
+    for env in ({"x": term_to_json(u)}, {"x": "u"}, [("x", u)]):
+        bad = Derivation("Subst", good.conclusion, good.premises, {"env": env})
+        result = check_derivation(bad, th)
+        assert (result.ok, result.path, result.reason) == (
+            False, (), "Subst substitution must map names to terms"
+        )
 
 
 def test_cut_with_no_sides_weakens():

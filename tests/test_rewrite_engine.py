@@ -1,12 +1,15 @@
+import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlam.errors import OutOfFuelError, PreconditionError
+from qlam.errors import OutOfFuelError, PreconditionError, QlamError, SortError, StructuralError
 from qlam.rewrite_engine import (
+    DEFAULT_FUEL,
     NormalForm,
     beta_normalize,
     bracket_abstract,
@@ -15,10 +18,14 @@ from qlam.rewrite_engine import (
     is_beta_normal,
     is_eta_long,
     normalize,
+    open_bound,
+    shift,
 )
 from qlam.term_syntax import (
+    _TermTable,
     App,
     BaseSort,
+    Bottom,
     Bound,
     Const,
     Lam,
@@ -29,10 +36,14 @@ from qlam.term_syntax import (
     app,
     arrow,
     bind,
+    free_vars,
     parse_term,
     print_term,
+    render_sort,
     substitute,
+    subterms,
 )
+from test_term_syntax import typed_term
 
 O = BaseSort("o")
 OO = arrow(O, O)
@@ -98,9 +109,255 @@ def test_strategies_agree_on_normalizing_terms():
     ]
     for text in cases:
         t = term(text)
-        assert beta_normalize(t, strategy="normal") == beta_normalize(
-            t, strategy="applicative"
-        )
+        assert beta_normalize(t) == oracle_beta_normalize(t, strategy="applicative")
+
+
+def test_normalize_takes_a_deep_untyped_spine():
+    # at the default recursion limit: the normalizer must not recurse on
+    # spine length
+    assert sys.getrecursionlimit() <= 1000
+    x = Var("x", STAR)
+    t = app(x, *[x] * 10000)
+    assert normalize(t).term == t
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the recursive kernel the binder walk and the spine normalizer
+# replaced, one rebuild per operation and one normalizer per strategy
+
+
+def oracle_shift(t, d, cutoff=0):
+    if isinstance(t, Bound):
+        if t.index >= cutoff:
+            return Bound(t.index + d, t.sort)
+        return t
+    if isinstance(t, App):
+        return App(oracle_shift(t.fn, d, cutoff), oracle_shift(t.arg, d, cutoff))
+    if isinstance(t, Lam):
+        return Lam(t.hint, t.var_sort, oracle_shift(t.body, d, cutoff + 1))
+    return t
+
+
+def oracle_open_bound(body, arg):
+    def go(t, depth):
+        if isinstance(t, Bound):
+            if t.index == depth:
+                return oracle_shift(arg, depth) if depth else arg
+            if t.index > depth:
+                return Bound(t.index - 1, t.sort)
+            return t
+        if isinstance(t, App):
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if isinstance(t, Lam):
+            return Lam(t.hint, t.var_sort, go(t.body, depth + 1))
+        return t
+
+    return go(body, 0)
+
+
+def oracle_bind(name, sort, body, hint=None):
+    def go(t, depth):
+        if isinstance(t, Var):
+            if t.name == name:
+                if t.sort != sort:
+                    raise SortError(f"variable {name} bound at a different sort")
+                return Bound(depth, sort)
+            return t
+        if isinstance(t, App):
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if isinstance(t, Lam):
+            return Lam(t.hint, t.var_sort, go(t.body, depth + 1))
+        return t
+
+    return Lam(hint or name, sort, go(body, 0))
+
+
+def _locally_closed(t, depth):
+    if isinstance(t, Bound):
+        return t.index < depth
+    if isinstance(t, App):
+        return _locally_closed(t.fn, depth) and _locally_closed(t.arg, depth)
+    if isinstance(t, Lam):
+        return _locally_closed(t.body, depth + 1)
+    return True
+
+
+def oracle_substitute(t, env):
+    for name, image in env.items():
+        if not _locally_closed(image, 0):
+            raise StructuralError(f"substitution image for {name} has stray indices")
+
+    def go(t):
+        if isinstance(t, Var):
+            image = env.get(t.name)
+            if image is None:
+                return t
+            if image.sort != t.sort:
+                raise SortError(
+                    f"substitution for {t.name} has sort "
+                    f"{render_sort(image.sort)}, expected {render_sort(t.sort)}"
+                )
+            return image
+        if isinstance(t, App):
+            return App(go(t.fn), go(t.arg))
+        if isinstance(t, Lam):
+            return Lam(t.hint, t.var_sort, go(t.body))
+        return t
+
+    return go(t)
+
+
+class _OracleBudget:
+    def __init__(self, fuel):
+        self.left = fuel
+
+    def spend(self):
+        if self.left is None:
+            return
+        if self.left == 0:
+            raise OutOfFuelError("step budget exhausted")
+        self.left -= 1
+
+
+def _oracle_whnf(t, budget):
+    while True:
+        if not isinstance(t, App):
+            return t
+        fn = _oracle_whnf(t.fn, budget)
+        if isinstance(fn, Lam):
+            budget.spend()
+            t = oracle_open_bound(fn.body, t.arg)
+            continue
+        return t if fn is t.fn else App(fn, t.arg)
+
+
+def _oracle_nf_normal(t, budget):
+    t = _oracle_whnf(t, budget)
+    if isinstance(t, Lam):
+        return Lam(t.hint, t.var_sort, _oracle_nf_normal(t.body, budget))
+    if isinstance(t, App):
+        return App(_oracle_nf_normal(t.fn, budget), _oracle_nf_normal(t.arg, budget))
+    return t
+
+
+def _oracle_nf_applicative(t, budget):
+    if isinstance(t, Lam):
+        return Lam(t.hint, t.var_sort, _oracle_nf_applicative(t.body, budget))
+    if isinstance(t, App):
+        fn = _oracle_nf_applicative(t.fn, budget)
+        arg = _oracle_nf_applicative(t.arg, budget)
+        if isinstance(fn, Lam):
+            budget.spend()
+            return _oracle_nf_applicative(oracle_open_bound(fn.body, arg), budget)
+        return App(fn, arg)
+    return t
+
+
+def oracle_beta_normalize(t, fuel=None, strategy="normal"):
+    if t.sort is STAR and fuel is None:
+        fuel = DEFAULT_FUEL
+    nf = {"normal": _oracle_nf_normal, "applicative": _oracle_nf_applicative}[strategy]
+    return nf(t, _OracleBudget(fuel))
+
+
+def _outcome(f, *args):
+    """The value of f(*args) with its term-table JSON text, so binder hints
+    count, or the type and message of what it raised."""
+    try:
+        t = f(*args)
+    except QlamError as exc:
+        return type(exc), str(exc)
+    table = _TermTable()
+    root = table.index(t)
+    return t, json.dumps([table.records, root])
+
+
+FUELS = (None, 0, 1, 3, 20)
+
+
+def _agree_on(t, rng, names, images):
+    """The kernel and its oracle agree on t: shifted, opened, bound over,
+    substituted into and normalized at every fuel."""
+    for d, cutoff in ((1, 0), (2, 1), (-1, 0), (3, 2)):
+        assert _outcome(shift, t, d, cutoff) == _outcome(oracle_shift, t, d, cutoff)
+    body = t.body if isinstance(t, Lam) else t
+    arg = rng.choice(images)
+    assert _outcome(open_bound, body, arg) == _outcome(oracle_open_bound, body, arg)
+    name = rng.choice(names)
+    sort = rng.choice(images).sort
+    hint = rng.choice([None, "h"])
+    assert _outcome(bind, name, sort, t, hint) == _outcome(oracle_bind, name, sort, t, hint)
+    env = {n: rng.choice(images) for n in rng.sample(names, rng.randint(1, len(names)))}
+    assert _outcome(substitute, t, env) == _outcome(oracle_substitute, t, env)
+    for fuel in FUELS:
+        assert _outcome(beta_normalize, t, fuel) == _outcome(oracle_beta_normalize, t, fuel)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(typed_term(sort=OO, depth=4), st.randoms(use_true_random=False))
+def test_kernel_agrees_with_oracle_on_typed_terms(t, rng):
+    subs = list(subterms(t))  # images of every sort, some with stray indices
+    names = sorted(free_vars(t)) + ["x"]
+    _agree_on(t, rng, names, subs)
+
+
+UNTYPED_NAMES = ["f", "x", "y"]
+
+
+def random_untyped_term(rng, depth, binders=0):
+    """A random untyped term whose indices may point past its binders."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Var(rng.choice(UNTYPED_NAMES), STAR)
+        if kind == 1:
+            return Bound(rng.randrange(binders + 2), STAR)
+        if kind == 2:
+            return Const(rng.choice("IKS"), STAR)
+        return Bottom(STAR)
+    if r < 0.45:
+        return Lam(rng.choice("xyz"), STAR, random_untyped_term(rng, depth - 1, binders + 1))
+    fn = random_untyped_term(rng, depth - 1, binders)
+    if r < 0.6:  # a redex
+        fn = Lam(rng.choice("xyz"), STAR, fn)
+    return App(fn, random_untyped_term(rng, depth - 1, binders))
+
+
+def test_kernel_agrees_with_oracle_on_untyped_terms():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        t = random_untyped_term(rng, rng.randint(0, 6))
+        images = [random_untyped_term(rng, rng.randint(0, 3)) for _ in range(3)]
+        _agree_on(t, rng, UNTYPED_NAMES, images)
+
+
+def test_normalizer_agrees_with_oracle_on_divergent_terms():
+    omega, grow, fix = (
+        term(text, Signature(untyped=True))
+        for text in ["(\\x. x x) (\\x. x x)", "(\\x. x x x) (\\x. x x x)", "(\\x. f (x x)) (\\x. f (x x))"]
+    )
+    # the oracle recurses on spine length and nesting depth, so only omega
+    # keeps its size over the default budget; fix nests one argument per
+    # step, and at 600 steps both still run out of fuel, not of stack
+    for t, fuels in ((omega, FUELS), (grow, FUELS[1:]), (fix, FUELS[1:] + (600,))):
+        for fuel in fuels:
+            assert _outcome(beta_normalize, t, fuel) == _outcome(oracle_beta_normalize, t, fuel)
+            assert _outcome(beta_normalize, t, fuel)[0] is OutOfFuelError
+
+
+def test_strategies_agree_on_random_normalizing_terms():
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(1000):
+        t = random_untyped_term(rng, rng.randint(0, 6))
+        try:
+            nf = oracle_beta_normalize(t, 200, "applicative")
+        except OutOfFuelError:
+            continue
+        compared += 1
+        assert beta_normalize(t) == nf
+    assert compared > 500
 
 
 # ---------------------------------------------------------------------------
