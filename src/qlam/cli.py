@@ -416,19 +416,13 @@ def check_proof_cmd(proof_file, theory_spec, human) -> None:
     required=True,
     type=click.Choice(sorted(_corpus.ALGEBRAS)),
 )
-@click.option(
-    "--mode",
-    type=click.Choice(["sat", "sat_star"]),
-    default="sat",
-    show_default=True,
-)
 @_with([_human])
-def model_check_cmd(inference_file, algebra_name, mode, human) -> None:
+def model_check_cmd(inference_file, algebra_name, human) -> None:
     """Check an inference in one of the shipped finite algebras."""
     with open(inference_file, encoding="utf-8") as handle:
         inf = Inference.from_json(json.load(handle))
     alg = _corpus.ALGEBRAS[algebra_name]()
-    _emit(satisfies_inference(alg, inf, mode).to_json(), human)
+    _emit(satisfies_inference(alg, inf).to_json(), human)
 
 
 @main.command("harness")
@@ -496,8 +490,8 @@ def _example15_payload() -> dict:
     lam_g = Lam("x", _corpus.I01, _App(g, Bound(0, _corpus.I01)))
     hyp = QuantEquation(_App(f, x), _App(g, x), eps, _corpus.I054, frozenset({x}))
     concl = QuantEquation(lam_f, lam_g, eps, lam_f.sort)
-    sat_report = satisfies_inference(alg, Inference(frozenset(), concl), "sat")
-    star_report = satisfies_inference(alg, Inference(frozenset(), hyp), "sat_star")
+    sat_report = satisfies_inference(alg, Inference(frozenset(), concl))
+    star_report = satisfies_inference(alg, Inference(frozenset(), hyp))
     return {
         "pointwise_max": str(pointwise),
         "arrow_xi_distance": arrow_dist.render(),

@@ -18,14 +18,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import PreconditionError, SortError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
 from .term_syntax import (
+    _json_field,
     _leaf_from_json,
     _sort_from_json,
     _spine,
+    _substituter,
     _term_at,
     _TermTable,
     _terms_from_json,
-    _tree_decoder,
-    _tree_encoder,
     _typecheck,
     App,
     Bound,
@@ -43,7 +43,6 @@ from .term_syntax import (
     free_vars,
     print_term,
     render_sort,
-    substitute,
 )
 
 __all__ = [
@@ -94,14 +93,6 @@ class QuantEquation:
     def names(self) -> set[str]:
         return {v.name for v in self.quantified}
 
-    def to_json(self) -> dict:
-        return _equation_to_json(self, _tree_encoder())
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuantEquation":
-        table: dict = {}
-        return _equation_from_json(data, _tree_sides(table), table)
-
 
 @dataclass(frozen=True)
 class Inference:
@@ -109,12 +100,17 @@ class Inference:
     conclusion: QuantEquation
 
     def to_json(self) -> dict:
-        return _inference_to_json(self, _tree_encoder())
+        """The inference document {"terms": [...], "inference": {"hyps",
+        "eq"}}, whose equation sides are indices into terms as in a
+        derivation document."""
+        table = _TermTable()
+        inference = _inference_to_json(self, table)
+        return {"terms": table.records, "inference": inference}
 
     @classmethod
     def from_json(cls, data: dict) -> "Inference":
-        table: dict = {}
-        return _inference_from_json(data, _tree_sides(table), table)
+        terms, table = _document_terms(data)
+        return _inference_from_json(_json_field(data, "inference", dict), terms, table)
 
 
 def _sorted_eqs(eqs: Iterable[QuantEquation]) -> list[QuantEquation]:
@@ -288,10 +284,10 @@ def _same_x(*eqs: QuantEquation) -> bool:
     return len(xs) == 1
 
 
-def _subst_eq(eq: QuantEquation, env: Mapping[str, Term]) -> QuantEquation:
+def _subst_eq(eq: QuantEquation, sub: Callable[[Term], Term]) -> QuantEquation:
     return QuantEquation(
-        substitute(eq.left, env),
-        substitute(eq.right, env),
+        sub(eq.left),
+        sub(eq.right),
         eq.eps,
         eq.sort,
         eq.quantified,
@@ -549,8 +545,9 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
                 if set(free_vars(image)) & bd:
                     return "Subst hygiene violated"
         try:
-            want_eq = _subst_eq(peq, env)
-            want_hyps = frozenset(_subst_eq(h, env) for h in p.conclusion.hypotheses)
+            sub = _substituter(env)
+            want_eq = _subst_eq(peq, sub)
+            want_hyps = frozenset(_subst_eq(h, sub) for h in p.conclusion.hypotheses)
         except StructuralError as exc:
             return f"Subst substitution is malformed: {exc}"
         if eq != want_eq or hyps != want_hyps:
@@ -738,9 +735,10 @@ def d_axiom(inf: Inference) -> Derivation:
 
 def d_subst(premise: Derivation, env: Mapping[str, Term]) -> Derivation:
     pinf = premise.conclusion
+    sub = _substituter(env)
     inf = Inference(
-        frozenset(_subst_eq(h, env) for h in pinf.hypotheses),
-        _subst_eq(pinf.conclusion, env),
+        frozenset(_subst_eq(h, sub) for h in pinf.hypotheses),
+        _subst_eq(pinf.conclusion, sub),
     )
     return Derivation("Subst", inf, (premise,), {"env": dict(env)})
 
@@ -843,7 +841,7 @@ def derivation_to_json(d: Derivation) -> dict:
     binder hints included.
     """
     table = _TermTable()
-    proof = _derivation_to_json(d, table.index)
+    proof = _derivation_to_json(d, table)
     return {"terms": table.records, "proof": proof}
 
 
@@ -854,23 +852,14 @@ def derivation_from_json(data: dict) -> Derivation:
     The term table is decoded in one forward pass, and equal subterms with
     equal binder hints come back as one object.
     """
-    table: dict = {}
-    terms = _terms_from_json(_json_field(data, "terms", list), table)
-
-    def side(obj, key: str) -> Term:
-        return _term_at(terms, _json_field(obj, key, object))
-
-    return _derivation_from_json(_json_field(data, "proof", dict), side, table)
+    terms, table = _document_terms(data)
+    return _derivation_from_json(_json_field(data, "proof", dict), terms, table)
 
 
-# An encoder side maps a term to its JSON (a tree or a table index); a
-# decoder side maps (object, key) to the term in that field.
-
-
-def _equation_to_json(eq: QuantEquation, side: Callable[[Term], object]) -> dict:
+def _equation_to_json(eq: QuantEquation, table: _TermTable) -> dict:
     return {
-        "left": side(eq.left),
-        "right": side(eq.right),
+        "left": table.index(eq.left),
+        "right": table.index(eq.right),
         "eps": str(eq.eps),
         "sort": render_sort(eq.sort),
         "X": sorted(
@@ -880,40 +869,23 @@ def _equation_to_json(eq: QuantEquation, side: Callable[[Term], object]) -> dict
     }
 
 
-def _inference_to_json(inf: Inference, side: Callable[[Term], object]) -> dict:
+def _inference_to_json(inf: Inference, table: _TermTable) -> dict:
     return {
-        "hyps": [_equation_to_json(h, side) for h in _sorted_eqs(inf.hypotheses)],
-        "eq": _equation_to_json(inf.conclusion, side),
+        "hyps": [_equation_to_json(h, table) for h in _sorted_eqs(inf.hypotheses)],
+        "eq": _equation_to_json(inf.conclusion, table),
     }
 
 
-def _derivation_to_json(d: Derivation, side: Callable[[Term], object]) -> dict:
+def _derivation_to_json(d: Derivation, table: _TermTable) -> dict:
     params = dict(d.params)
     if "env" in params:
-        params["env"] = {name: side(t) for name, t in params["env"].items()}
+        params["env"] = {name: table.index(t) for name, t in params["env"].items()}
     return {
         "rule": d.rule,
         "params": params,
-        "conclusion": _inference_to_json(d.conclusion, side),
-        "premises": [_derivation_to_json(p, side) for p in d.premises],
+        "conclusion": _inference_to_json(d.conclusion, table),
+        "premises": [_derivation_to_json(p, table) for p in d.premises],
     }
-
-
-_REQUIRED = object()
-
-
-def _json_field(data, key: str, kind=str, default=_REQUIRED):
-    """data[key], which must be an instance of kind (a type or a tuple of
-    types; a bool only when kind is bool); every other shape of data is a
-    StructuralError."""
-    if not isinstance(data, dict):
-        raise StructuralError(f"bad JSON: expected an object, found {type(data).__name__}")
-    value = data.get(key, default)
-    if value is _REQUIRED:
-        raise StructuralError(f"bad JSON: missing field {key!r}")
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise StructuralError(f"bad JSON: field {key!r} has type {type(value).__name__}")
-    return value
 
 
 def _fraction_from_json(value, what: str) -> Fraction:
@@ -934,16 +906,20 @@ def _eps_from_json(value, table: dict) -> Fraction:
     return eps
 
 
-def _tree_sides(table: dict) -> Callable[[dict, str], Term]:
-    decode = _tree_decoder(table)
-    return lambda obj, key: decode(_json_field(obj, key, dict))
+def _document_terms(data) -> tuple[list[Term], dict]:
+    """The decoded term list of a document and its decoder table, which
+    the equations of the document share."""
+    table: dict = {}
+    return _terms_from_json(data, table), table
 
 
-def _equation_from_json(
-    data: dict, side: Callable[[dict, str], Term], table: dict
-) -> QuantEquation:
-    left = side(data, "left")
-    right = side(data, "right")
+def _side(obj, key: str, terms: list[Term]) -> Term:
+    return _term_at(terms, _json_field(obj, key, object))
+
+
+def _equation_from_json(data: dict, terms: list[Term], table: dict) -> QuantEquation:
+    left = _side(data, "left", terms)
+    right = _side(data, "right", terms)
     xs = frozenset(
         _leaf_from_json("var", _json_field(v, "name"), _json_field(v, "sort"), table)
         for v in _json_field(data, "X", list, [])
@@ -952,25 +928,25 @@ def _equation_from_json(
     return QuantEquation(left, right, eps, _sort_from_json(_json_field(data, "sort"), table), xs)
 
 
-def _inference_from_json(data: dict, side: Callable[[dict, str], Term], table: dict) -> Inference:
+def _inference_from_json(data: dict, terms: list[Term], table: dict) -> Inference:
     return Inference(
         frozenset(
-            _equation_from_json(h, side, table) for h in _json_field(data, "hyps", list, [])
+            _equation_from_json(h, terms, table) for h in _json_field(data, "hyps", list, [])
         ),
-        _equation_from_json(_json_field(data, "eq", dict), side, table),
+        _equation_from_json(_json_field(data, "eq", dict), terms, table),
     )
 
 
-def _derivation_from_json(data: dict, side: Callable[[dict, str], Term], table: dict) -> Derivation:
+def _derivation_from_json(data: dict, terms: list[Term], table: dict) -> Derivation:
     params = dict(_json_field(data, "params", dict, {}))
     if "env" in params:
         env = _json_field(params, "env", dict)
-        params["env"] = {name: side(env, name) for name in env}
+        params["env"] = {name: _side(env, name, terms) for name in env}
     return Derivation(
         _json_field(data, "rule"),
-        _inference_from_json(_json_field(data, "conclusion", dict), side, table),
+        _inference_from_json(_json_field(data, "conclusion", dict), terms, table),
         tuple(
-            _derivation_from_json(p, side, table)
+            _derivation_from_json(p, terms, table)
             for p in _json_field(data, "premises", list, [])
         ),
         params,

@@ -232,9 +232,15 @@ class CLReduction:
 
 
 def _match_cl_redex(t: Term) -> Optional[tuple[str, Term]]:
-    head, args = _spine(t)
+    # a redex has at most three arguments, so look no deeper: taking the
+    # whole spine at every node of a long one is quadratic in its length
+    head, args = t, []
+    while isinstance(head, App) and len(args) < 3:
+        args.append(head.arg)
+        head = head.fn
     if not isinstance(head, Const):
         return None
+    args.reverse()
     if head.name == "I" and len(args) == 1:
         return "I", args[0]
     if head.name == "K" and len(args) == 2:
@@ -245,16 +251,21 @@ def _match_cl_redex(t: Term) -> Optional[tuple[str, Term]]:
     return None
 
 
-def _find_cl_redex(t: Term, path: tuple[str, ...]) -> Optional[tuple[tuple[str, ...], str, Term, Term]]:
+def _find_cl_redex(t: Term) -> Optional[tuple[tuple[str, ...], str, Term, Term]]:
     m = _match_cl_redex(t)
     if m is not None:
-        return path, m[0], t, m[1]
-    if isinstance(t, App):
-        found = _find_cl_redex(t.fn, path + ("fn",))
-        if found is not None:
-            return found
-        return _find_cl_redex(t.arg, path + ("arg",))
-    return None
+        return (), m[0], t, m[1]
+    if not isinstance(t, App):
+        return None
+    # the path is built on the way back up, along the redex's branch only,
+    # and not as one tuple per node visited
+    direction, found = "fn", _find_cl_redex(t.fn)
+    if found is None:
+        direction, found = "arg", _find_cl_redex(t.arg)
+    if found is None:
+        return None
+    path, rule, redex, contractum = found
+    return (direction,) + path, rule, redex, contractum
 
 
 def _replace_at(t: Term, path: tuple[str, ...], new: Term) -> Term:
@@ -276,7 +287,7 @@ def cl_reduce(t: Term, fuel: Optional[int] = None) -> CLReduction:
     current = t
     out_of_fuel = False
     while True:
-        found = _find_cl_redex(current, ())
+        found = _find_cl_redex(current)
         if found is None:
             break
         if len(steps) >= fuel:

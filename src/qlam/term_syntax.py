@@ -445,6 +445,12 @@ def substitute(t: Term, env: Mapping[str, Term]) -> Term:
     Capture cannot occur: bound variables are indices, and the images are
     required not to contain stray indices of their own.
     """
+    return _substituter(env)(t)
+
+
+def _substituter(env: Mapping[str, Term]) -> Callable[[Term], Term]:
+    """substitute(., env), with env's images checked for stray indices
+    here, once, rather than on every application."""
     for name, image in env.items():
 
         def stray(u: Term, k: int) -> Term:
@@ -465,7 +471,7 @@ def substitute(t: Term, env: Mapping[str, Term]) -> Term:
             )
         return image
 
-    return _rebuild(t, leaf)
+    return lambda t: _rebuild(t, leaf)
 
 
 def alpha_eq(t: Term, s: Term) -> bool:
@@ -483,47 +489,52 @@ def typecheck(t: Term, sig: Optional[Signature] = None) -> Sort:
 
 def _typecheck(t: Term, sig: Optional[Signature], checked: set) -> Sort:
     """typecheck that skips the subterms in checked and adds every node
-    that passes.  A node's check reads only its structure and sorts, which
-    equality compares, so a term equal to one that passed under sig passes
-    again: callers checking many terms against one signature share the
-    set and check each distinct subterm once.
-    """
-    def go(t: Term) -> Sort:
-        if t in checked:
-            return t.sort
-        if isinstance(t, Const):
-            if sig is not None:
-                declared = sig.constants.get(t.name)
-                if declared is not None:
-                    if declared != t.sort:
-                        raise SortError(
-                            f"constant {t.name} declared at "
-                            f"{render_sort(declared)}, used at {render_sort(t.sort)}"
-                        )
-                elif not (sig.combinators and combinator_schema_matches(t.name, t.sort)):
-                    raise SortError(f"unknown constant {t.name}")
-        elif isinstance(t, App):
-            fsort = go(t.fn)
-            asort = go(t.arg)
-            if not isinstance(fsort, (StarSort, ArrowSort)):
-                raise SortError(f"application of non-arrow {render_sort(fsort)}")
-            if isinstance(fsort, ArrowSort) and fsort.dom != asort:
-                raise SortError("argument sort mismatch")
-        elif isinstance(t, Lam):
-            go(t.body)
-        elif not isinstance(t, (Var, Bound, Bottom)):
-            raise StructuralError(f"unknown term node {t!r}")
-        # a node that passes has the sort its constructor computed
-        checked.add(t)
-        return t.sort
+    of t that passes.  A node's check reads only its structure and sorts,
+    which equality compares, so a term equal to one that passed under sig
+    passes again: callers checking many terms against one signature share
+    the set and check each distinct subterm once.
 
-    result = go(t)
+    The constructors already enforce the sorts of applications and
+    abstractions, so what is left is each constant against sig, taken
+    in print order so that the first failure is the leftmost, and the
+    regime of the root.  A node enters checked before its subterms are
+    checked, so on a failure the nodes this call added leave again.
+    """
+    added: list[Term] = []
+    stack = [t]
+    try:
+        while stack:
+            s = stack.pop()
+            if s in checked:
+                continue
+            checked.add(s)
+            added.append(s)
+            if isinstance(s, App):
+                stack += (s.arg, s.fn)
+            elif isinstance(s, Lam):
+                stack.append(s.body)
+            elif isinstance(s, Const):
+                if sig is not None:
+                    declared = sig.constants.get(s.name)
+                    if declared is not None:
+                        if declared != s.sort:
+                            raise SortError(
+                                f"constant {s.name} declared at "
+                                f"{render_sort(declared)}, used at {render_sort(s.sort)}"
+                            )
+                    elif not (sig.combinators and combinator_schema_matches(s.name, s.sort)):
+                        raise SortError(f"unknown constant {s.name}")
+            elif not isinstance(s, (Var, Bound, Bottom)):
+                raise StructuralError(f"unknown term node {s!r}")
+    except (SortError, StructuralError):
+        checked.difference_update(added)
+        raise
     if sig is not None:
-        if sig.untyped and result is not STAR:
+        if sig.untyped and t.sort is not STAR:
             raise SortError("typed term used under an untyped signature")
-        if not sig.untyped and result is STAR:
+        if not sig.untyped and t.sort is STAR:
             raise SortError("untyped term used under a typed signature")
-    return result
+    return t.sort
 
 
 # ---------------------------------------------------------------------------
@@ -785,101 +796,17 @@ def print_term(t: Term, untyped: Optional[bool] = None) -> str:
 # ---------------------------------------------------------------------------
 # JSON
 #
-# One node codec: _node_to_json writes the record of one node given the
-# encodings of its children, and _node_from_json builds one node through
-# the validating constructors given a way to decode its children.  Two
-# wire forms use it, and both walk explicit stacks, so neither recurses
-# on term depth:
-# - the tree (term_to_json, the sides of equation and inference JSON): a
-#   child is the child's own record, nested;
-# - the table (the "terms" of a derivation document): a list of records,
-#   children before parents, where a child is the integer index of an
-#   earlier entry.  _TermTable keys each node by (kind, fields, child
-#   indices), so every structurally distinct node, hints included, is
-#   written once and the table depends only on the terms' values.
-# The encoders remember each term object by id, so a subterm object met
-# twice is encoded once (tree dicts are then shared, so read-only).  The
-# decoder table lives for one top-level call and keys a leaf by (kind,
-# name or index, sort text), an application by the ids of its decoded
-# children and an abstraction by (hint, sort text, id(body)), so equal
-# subtrees with equal hints come back as one object.  It holds every
-# decoded object, which keeps those ids valid for the call.
-
-
-_CHILDREN_DONE = object()  # marks the parent below it as ready on the stack
-
-
-def _postorder(root, children: Callable, done: Mapping[int, object]) -> Iterator:
-    """The nodes under root whose ids are not in done, each once, children
-    (in the order children(node) lists them) before parents.  The caller
-    enters each yielded node in done before taking the next."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is _CHILDREN_DONE:
-            yield stack.pop()
-        elif id(node) not in done:
-            kids = children(node)
-            if kids:
-                stack += (node, _CHILDREN_DONE, *reversed(kids))
-            else:
-                yield node
-
-
-def _term_children(t: Term) -> tuple:
-    if isinstance(t, App):
-        return (t.fn, t.arg)
-    return (t.body,) if isinstance(t, Lam) else ()
-
-
-def _record_children(data) -> Sequence:
-    """The child records of a tree record; a malformed child is left for
-    _node_from_json to reject."""
-    kind = data.get("node") if isinstance(data, dict) else None
-    if kind == "app":
-        kids = (data.get("fn"), data.get("arg"))
-    elif kind == "lam":
-        kids = (data.get("body"),)
-    else:
-        return ()
-    return [c for c in kids if isinstance(c, dict)]
-
-
-def _node_to_json(t: Term, child: Callable[[Term], object]) -> dict:
-    """The record of the node t; child(c) encodes a direct subterm c."""
-    if isinstance(t, App):
-        return {"node": "app", "fn": child(t.fn), "arg": child(t.arg)}
-    if isinstance(t, Var):
-        return {"node": "var", "name": t.name, "sort": render_sort(t.sort)}
-    if isinstance(t, Bound):
-        return {"node": "bvar", "index": t.index, "sort": render_sort(t.sort)}
-    if isinstance(t, Const):
-        return {"node": "const", "name": t.name, "sort": render_sort(t.sort)}
-    if isinstance(t, Bottom):
-        return {"node": "bottom", "sort": render_sort(t.sort)}
-    if isinstance(t, Lam):
-        return {
-            "node": "lam",
-            "hint": t.hint,
-            "var_sort": render_sort(t.var_sort),
-            "body": child(t.body),
-        }
-    raise StructuralError(f"unknown term node {t!r}")
-
-
-def _tree_encoder() -> Callable[[Term], dict]:
-    """A term -> JSON tree function whose memo lives as long as it does."""
-    memo: dict[int, dict] = {}
-
-    def child(c: Term) -> dict:
-        return memo[id(c)]
-
-    def encode(t: Term) -> dict:
-        for s in _postorder(t, _term_children, memo):
-            memo[id(s)] = _node_to_json(s, child)
-        return memo[id(t)]
-
-    return encode
+# One wire form.  A document lists term records under "terms", children
+# before parents; a record's child (fn, arg, body) is the integer index of
+# an earlier entry, and the document names its terms by index.  Term,
+# inference and derivation documents differ only in what names the terms.
+# _TermTable writes the list: it keys each node by (kind, fields, child
+# indices), so every structurally distinct node, hints included, is
+# written once and the list depends only on the terms' values.
+# _terms_from_json reads it in one forward pass.  Its decoder table keys a
+# leaf by (kind, name or index, sort text), so a variable is one object
+# wherever it occurs, in the list or in a quantified set; records are
+# unique, so every other node decodes to one object already.
 
 
 class _TermTable:
@@ -893,15 +820,40 @@ class _TermTable:
         self._roots: list[Term] = []  # keeps every id in _ids valid
 
     def index(self, t: Term) -> int:
-        """The index of t's record, adding t's new nodes."""
+        """The index of t's record, adding t's new nodes, function before
+        argument."""
         ids, keys, records = self._ids, self._keys, self.records
         self._roots.append(t)
-
-        def child(c: Term) -> int:
-            return ids[id(c)]
-
-        for s in _postorder(t, _term_children, ids):
-            rec = _node_to_json(s, child)
+        stack = [(t, False)]
+        while stack:
+            s, ready = stack.pop()
+            if id(s) in ids:
+                continue
+            if isinstance(s, App):
+                if not ready:
+                    stack += ((s, True), (s.arg, False), (s.fn, False))
+                    continue
+                rec = {"node": "app", "fn": ids[id(s.fn)], "arg": ids[id(s.arg)]}
+            elif isinstance(s, Lam):
+                if not ready:
+                    stack += ((s, True), (s.body, False))
+                    continue
+                rec = {
+                    "node": "lam",
+                    "hint": s.hint,
+                    "var_sort": render_sort(s.var_sort),
+                    "body": ids[id(s.body)],
+                }
+            elif isinstance(s, Var):
+                rec = {"node": "var", "name": s.name, "sort": render_sort(s.sort)}
+            elif isinstance(s, Bound):
+                rec = {"node": "bvar", "index": s.index, "sort": render_sort(s.sort)}
+            elif isinstance(s, Const):
+                rec = {"node": "const", "name": s.name, "sort": render_sort(s.sort)}
+            elif isinstance(s, Bottom):
+                rec = {"node": "bottom", "sort": render_sort(s.sort)}
+            else:
+                raise StructuralError(f"unknown term node {s!r}")
             key = tuple(rec.values())
             i = keys.get(key)
             if i is None:
@@ -912,22 +864,41 @@ class _TermTable:
 
 
 def term_to_json(t: Term) -> dict:
-    """The JSON tree of t.  Shared subterms share their dicts, so the
-    result is read-only."""
-    return _tree_encoder()(t)
+    """The term document {"terms": [...], "root": i} of t."""
+    table = _TermTable()
+    root = table.index(t)
+    return {"terms": table.records, "root": root}
 
 
-def term_from_json(data: dict) -> Term:
-    """Decode a JSON tree; equal subtrees come back as one object."""
-    return _tree_decoder({})(data)
+def term_from_json(data) -> Term:
+    """Decode a term document; every malformed shape is a StructuralError."""
+    terms = _terms_from_json(data, {})
+    return _term_at(terms, _json_field(data, "root", object))
+
+
+_REQUIRED = object()
+
+
+def _json_field(data, key: str, kind=str, default=_REQUIRED):
+    """data[key], which must be an instance of kind (a type or a tuple of
+    types; a bool only when kind is bool); every other shape of data is a
+    StructuralError."""
+    if not isinstance(data, dict):
+        raise StructuralError(f"bad JSON: expected an object, found {type(data).__name__}")
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise StructuralError(f"bad JSON: missing field {key!r}")
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise StructuralError(f"bad JSON: field {key!r} has type {type(value).__name__}")
+    return value
 
 
 def _sort_from_json(text: str, table: dict) -> Sort:
+    if not isinstance(text, str):
+        raise StructuralError(f"bad JSON: sort {text!r} is not a string")
     key = ("sort", text)
     s = table.get(key)
     if s is None:
-        if not isinstance(text, str):
-            raise StructuralError(f"bad JSON: sort {text!r} is not a string")
         s = table[key] = parse_sort(text)
     return s
 
@@ -953,8 +924,8 @@ def _leaf_from_json(kind: str, name, text: str, table: dict) -> Term:
     return t
 
 
-def _node_from_json(data, child: Callable[[object], Term], table: dict) -> Term:
-    """The node whose record is data; child(v) decodes a child field."""
+def _node_from_json(data, terms: list[Term], table: dict) -> Term:
+    """The node whose record is data; a child is an index into terms."""
     try:
         kind = data["node"]
         if kind in ("var", "const"):
@@ -964,46 +935,19 @@ def _node_from_json(data, child: Callable[[object], Term], table: dict) -> Term:
         if kind == "bottom":
             return _leaf_from_json(kind, None, data["sort"], table)
         if kind == "app":
-            fn = child(data["fn"])
-            arg = child(data["arg"])
-            key = ("app", id(fn), id(arg))
+            fn, arg = data["fn"], data["arg"]
         elif kind == "lam":
-            hint, text = data["hint"], data["var_sort"]
-            body = child(data["body"])
-            key = ("lam", hint, text, id(body))
+            hint, text, body = data["hint"], data["var_sort"], data["body"]
         else:
             raise StructuralError(f"unknown term node kind {kind!r}")
-        t = table.get(key)
     except (KeyError, TypeError) as exc:
         # a missing field, a record that is not an object, an unhashable value
         raise StructuralError(f"bad term JSON: {exc}") from exc
-    if t is None:
-        if kind == "app":
-            t = App(fn, arg)
-        elif not isinstance(hint, str):
-            raise StructuralError(f"bad JSON: binder hint {hint!r} is not a string")
-        else:
-            t = Lam(hint, _sort_from_json(text, table), body)
-        table[key] = t
-    return t
-
-
-def _tree_decoder(table: dict) -> Callable[[object], Term]:
-    """A JSON tree -> term function over the decoder table."""
-    done: dict[int, Term] = {}
-
-    def child(data) -> Term:
-        t = done.get(id(data)) if isinstance(data, dict) else None
-        if t is None:
-            raise StructuralError(f"bad term JSON: a child of type {type(data).__name__}")
-        return t
-
-    def decode(data) -> Term:
-        for d in _postorder(data, _record_children, done):
-            done[id(d)] = _node_from_json(d, child, table)
-        return done[id(data)]
-
-    return decode
+    if kind == "app":
+        return App(_term_at(terms, fn), _term_at(terms, arg))
+    if not isinstance(hint, str):
+        raise StructuralError(f"bad JSON: binder hint {hint!r} is not a string")
+    return Lam(hint, _sort_from_json(text, table), _term_at(terms, body))
 
 
 def _term_at(terms: list[Term], i) -> Term:
@@ -1014,14 +958,10 @@ def _term_at(terms: list[Term], i) -> Term:
     return terms[i]
 
 
-def _terms_from_json(entries: list, table: dict) -> list[Term]:
-    """Decode a term table in one forward pass: a child index must name an
-    earlier entry."""
+def _terms_from_json(data, table: dict) -> list[Term]:
+    """Decode the "terms" list of a document in one forward pass: a child
+    index must name an earlier entry."""
     terms: list[Term] = []
-
-    def child(i) -> Term:
-        return _term_at(terms, i)
-
-    for data in entries:
-        terms.append(_node_from_json(data, child, table))
+    for record in _json_field(data, "terms", list):
+        terms.append(_node_from_json(record, terms, table))
     return terms

@@ -152,10 +152,9 @@ def test_criterion_03_xi_failure_in_grid_algebra():
     sat = satisfies_inference(
         alg,
         Inference(frozenset(), QuantEquation(lam_f, lam_g, eps, lam_f.sort)),
-        "sat",
     )
     hyp = QuantEquation(App(f, x), App(g, x), eps, App(f, x).sort, frozenset({x}))
-    star = satisfies_inference(alg, Inference(frozenset(), hyp), "sat_star")
+    star = satisfies_inference(alg, Inference(frozenset(), hyp))
     refuted = not sat.satisfied and not star.satisfied
     witness_ok = star.counter_tuples is not None
     ok = pointwise_ok and dist_ok and refuted and witness_ok

@@ -10,7 +10,7 @@ from qlam.cli import SCENARIOS, _dumps, main
 from qlam.corpus import I01, corpus_derivations, corpus_theories, theta_xi_maps
 from qlam.finite_models import satisfies_inference
 from qlam.quant_deduction import Inference, QuantEquation, derivation_to_json
-from qlam.term_syntax import Const, Var, term_to_json
+from qlam.term_syntax import Const, Var, render_sort, term_to_json
 
 runner = CliRunner()
 
@@ -115,6 +115,10 @@ def _non_string_sort(data):
     data["signature"]["constants"]["k0"] = 5
 
 
+def _list_sort(data):
+    data["signature"]["constants"]["k0"] = ["[0,1]"]
+
+
 def _float_interval_value(data):
     data["interval_values"]["k1_2"] = 0.5
 
@@ -125,8 +129,8 @@ def _short_table_row(data):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_theory_without_name, _non_string_sort, _float_interval_value, _short_table_row],
-    ids=["missing-name", "non-string-sort", "float-interval-value", "short-table-row"],
+    [_theory_without_name, _non_string_sort, _list_sort, _float_interval_value, _short_table_row],
+    ids=["missing-name", "non-string-sort", "list-sort", "float-interval-value", "short-table-row"],
 )
 def test_check_proof_malformed_theory_file_is_exit_1(tmp_path, corrupt):
     name, d = corpus_derivations()["U_CL_interval"][0]
@@ -189,30 +193,116 @@ def test_check_proof_malformed_json_is_exit_1_without_traceback(tmp_path, corrup
     assert json.loads(res.stderr)["kind"] == "StructuralError"
 
 
+def _tree(t) -> dict:
+    """t as the nested JSON term tree that preceded term documents: each
+    child (fn, arg, body) is written out as its own record."""
+    doc = term_to_json(t)
+
+    def expand(i):
+        return {k: expand(v) if k in ("fn", "arg", "body") else v for k, v in doc["terms"][i].items()}
+
+    return expand(doc["root"])
+
+
+def _nested_inference(inf) -> dict:
+    """inf in the nested form that preceded inference documents: hyps and
+    eq with each side a nested term tree."""
+
+    def equation(eq):
+        xs = sorted(({"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified), key=str)
+        return {
+            "left": _tree(eq.left),
+            "right": _tree(eq.right),
+            "eps": str(eq.eps),
+            "sort": render_sort(eq.sort),
+            "X": xs,
+        }
+
+    return {"hyps": [equation(h) for h in inf.hypotheses], "eq": equation(inf.conclusion)}
+
+
 def _nested_form(d) -> dict:
     """d in the nested form that preceded the term table: the proof tree
     with every equation side and env value written out as a JSON term
     tree."""
     params = dict(d.params)
     if "env" in params:
-        params["env"] = {name: term_to_json(t) for name, t in params["env"].items()}
+        params["env"] = {name: _tree(t) for name, t in params["env"].items()}
     return {
         "rule": d.rule,
         "params": params,
-        "conclusion": d.conclusion.to_json(),
+        "conclusion": _nested_inference(d.conclusion),
         "premises": [_nested_form(p) for p in d.premises],
     }
 
 
 def test_check_proof_rejects_the_nested_form(tmp_path):
     name, d = corpus_derivations()["U_CL"][0]
+    nested = _nested_form(d)
+    assert "node" in nested["conclusion"]["eq"]["left"]  # a term tree, not an index
     p = tmp_path / "old.json"
-    p.write_text(json.dumps(_nested_form(d)))
+    p.write_text(json.dumps(nested))
     res = runner.invoke(main, ["check-proof", str(p), "--theory", "U_CL"])
     assert res.exit_code == 1
     assert "Traceback" not in res.output
     assert set(json.loads(res.stderr)) == {"error", "kind"}
     assert json.loads(res.stderr)["kind"] == "StructuralError"
+
+
+def _exit_1_with_structural_error(res):
+    assert res.exit_code == 1, res.output
+    assert "Traceback" not in res.output
+    assert json.loads(res.stderr) == {"error": json.loads(res.stderr)["error"], "kind": "StructuralError"}
+
+
+def test_term_and_inference_files_reject_the_nested_form(tmp_path):
+    name, d = corpus_derivations()["U_CL_interval"][0]
+    inf = d.conclusion
+    old_inf = tmp_path / "inf.json"
+    old_inf.write_text(json.dumps(_nested_inference(inf)))
+    _exit_1_with_structural_error(runner.invoke(main, ["model-check", str(old_inf), "--algebra", "grid8"]))
+    old_term = tmp_path / "term.json"
+    old_term.write_text(json.dumps(_tree(inf.conclusion.left)))
+    for verb in ("parse", "typecheck", "normalize"):
+        _exit_1_with_structural_error(runner.invoke(main, [verb, str(old_term)]))
+    # the inference document itself is read
+    new_inf = tmp_path / "new.json"
+    new_inf.write_text(json.dumps(inf.to_json()))
+    res = run("model-check", str(new_inf), "--algebra", "grid8")
+    assert res.exit_code == 0 and json.loads(res.output)["satisfied"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["parse", "--expr", "\\f:o->o. \\x:o. f (f x)"],
+        ["normalize", "--expr", "\\f:o->o. f"],
+        ["bracket", "--expr", "--untyped", "S (K x) (y x)", "--var", "x"],
+        ["project", "--expr", "\\x:o->o. x (x c1:o)", "--level", "1"],
+    ],
+    ids=["parse", "normalize", "bracket", "project"],
+)
+def test_term_field_round_trips_through_parse(tmp_path, args):
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(out["term"]))
+    again = run("parse", str(path))
+    assert again.exit_code == 0, again.output
+    assert json.loads(again.output)["printed"] == out["printed"]
+    assert json.loads(again.output)["term"] == out["term"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"terms": [], "root": 0}, {"terms": [{"node": "app", "fn": 0, "arg": 0}], "root": 0}, []],
+    ids=["empty-table", "self-reference", "list"],
+)
+def test_malformed_term_document_is_exit_1_without_traceback(tmp_path, doc):
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(doc))
+    _exit_1_with_structural_error(runner.invoke(main, ["parse", str(path)]))
 
 
 def _deep_app_json(depth: int) -> str:
@@ -232,6 +322,12 @@ def test_deep_json_proof_is_exit_1_without_traceback(tmp_path):
     assert res.exit_code == 1
     assert "Traceback" not in res.output
     assert json.loads(res.stderr)["kind"] == "RecursionError"
+
+
+def test_typecheck_takes_a_deep_untyped_spine():
+    res = run("typecheck", "--expr", "--untyped", " ".join(["x"] * 10_001))
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {"sort": "*"}
 
 
 def test_deep_untyped_spine_is_exit_1_without_traceback():
@@ -295,6 +391,15 @@ def test_model_check_builds_only_the_named_algebra(tmp_path, monkeypatch):
     want = satisfies_inference(corpus.corpus_algebras()["grid8"], inf).to_json()
     assert json.loads(res.output) == want and not want["satisfied"]
     assert "[ex15|fts1|fts2|fts3|grid8|partial3]" in run("model-check", "--help").output
+
+
+def test_model_check_has_no_mode_option(tmp_path):
+    x = Var("x", I01)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(Inference(frozenset(), QuantEquation(x, x, 0, I01)).to_json()))
+    res = runner.invoke(main, ["model-check", str(path), "--algebra", "grid8", "--mode", "sat"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -373,7 +373,7 @@ def test_epsilon_bounds_compare_exactly_at_the_algebra_scale():
     f, g = Var("f", OO), Var("g", OO)
     for eps, ok in ((F(1, 3), True), (F(1, 4), False)):
         app = QuantEquation(App(f, x), App(g, x), eps, O, frozenset({x}))
-        report = satisfies_inference(alg, Inference(frozenset(), app), "sat_star")
+        report = satisfies_inference(alg, Inference(frozenset(), app))
         assert report.satisfied == ok
     assert report.counter_tuples["delta"] == "0"
 
@@ -391,7 +391,7 @@ def test_sat_reads_asymmetric_distances_left_to_right():
     report = satisfies_inference(alg, Inference(frozenset(), eq(x, y, 1)))
     assert report.counter_assignment == {"x": "q", "y": "p"}
     quantified = QuantEquation(x, x, F(0), O, frozenset({x}))
-    assert satisfies_inference(alg, Inference(frozenset(), quantified), "sat_star").satisfied
+    assert satisfies_inference(alg, Inference(frozenset(), quantified)).satisfied
 
 
 def eq(l, r, eps, X=frozenset()):
@@ -415,15 +415,57 @@ def test_sat_counterexample_is_reported():
     assert report.counter_assignment is not None
 
 
+def oracle_sat(alg, inf):
+    """Plain satisfaction of an inference whose quantified sets are all
+    empty, by definition: the first environment of its variables that
+    keeps every hypothesis within its epsilon and not the conclusion,
+    evaluated node by node.  This is the pointwise loop that satisfaction
+    over tuple pairs replaced; it gives (satisfied, counter_assignment)."""
+    assert not any(e.quantified for e in [*inf.hypotheses, inf.conclusion])
+    var_sorts = _inference_vars(inf)
+
+    def within(e, env):
+        left = oracle_interpret(e.left, alg, env)
+        right = oracle_interpret(e.right, alg, env)
+        return alg.dist(e.sort, left, right) <= ExtReal(e.eps)
+
+    for env in _envs(alg, var_sorts):
+        if all(within(h, env) for h in inf.hypotheses) and not within(inf.conclusion, env):
+            return False, {n: alg.render_element(var_sorts[n], v) for n, v in env.items()}
+    return True, None
+
+
 def test_sat_star_agrees_with_sat_on_empty_x():
-    alg = ALGS["grid8"]
-    m = Const("m", arrow(I01, I01))
-    x = Var("x", I01)
-    hyp = eq(App(m, x), App(m, x), F(0))
-    inf = Inference(frozenset({hyp}), eq(x, x, F(0)))
-    a = satisfies_inference(alg, inf, "sat")
-    b = satisfies_inference(alg, inf, "sat_star")
-    assert a.satisfied == b.satisfied
+    """With X empty, satisfaction over tuple pairs is plain satisfaction:
+    on every empty-X inference of the harness corpus, with and without
+    its hypotheses and with the conclusion's epsilon set to 0, in each of
+    its algebras, the report agrees with the pointwise oracle."""
+    outcomes = []
+    for (_, derivs, algs), (_, _, oracle_algs) in zip(harness_corpus(), harness_corpus()):
+        for _, deriv in derivs:
+            inf = deriv.conclusion
+            if any(e.quantified for e in [*inf.hypotheses, inf.conclusion]):
+                continue
+            c = inf.conclusion
+            variants = [
+                inf,
+                Inference(frozenset(), c),
+                Inference(frozenset(), QuantEquation(c.left, c.right, 0, c.sort)),
+            ]
+            for variant in variants:
+                for (aname, alg), (_, oracle_alg) in zip(algs, oracle_algs):
+
+                    def fast():
+                        report = satisfies_inference(alg, variant)
+                        assert report.counter_tuples is None
+                        return report.satisfied, report.counter_assignment
+
+                    got = _outcome(fast)
+                    assert got == _outcome(lambda: oracle_sat(oracle_alg, variant)), (aname, variant)
+                    outcomes.append(got[1][0] if got[0] == "value" else got[0])
+    # the variants reach satisfied and violated inferences and the fts3
+    # budget error
+    assert (outcomes.count(True), outcomes.count(False), outcomes.count(BudgetError)) == (140, 34, 3)
 
 
 def test_sat_star_refutes_pointwise_hypothesis():
@@ -432,7 +474,7 @@ def test_sat_star_refutes_pointwise_hypothesis():
     x = Var("x", I01)
     X = frozenset({x})
     hyp = QuantEquation(App(f, x), App(g, x), F(1, 4), App(f, x).sort, X)
-    report = satisfies_inference(alg, Inference(frozenset(), hyp), "sat_star")
+    report = satisfies_inference(alg, Inference(frozenset(), hyp))
     assert not report.satisfied
     assert report.counter_tuples is not None
 
@@ -444,7 +486,7 @@ def test_sat_star_hypotheses_must_share_quantified_set():
     hyp = eq(x, x, F(0))  # empty X
     concl = QuantEquation(x, x, F(0), I01, X)
     with pytest.raises(StructuralError):
-        satisfies_inference(alg, Inference(frozenset({hyp}), concl), "sat_star")
+        satisfies_inference(alg, Inference(frozenset({hyp}), concl))
 
 
 def test_variable_at_two_sorts_rejected():

@@ -183,10 +183,10 @@ def map_sides(node, f):
     }
 
 
-def tree_to_table(tree):
-    """The derivation document of a nested oracle tree: every term dict is
-    hash-consed by its JSON text, in postorder, in the order the proof
-    tree mentions it."""
+def hash_consing():
+    """A term table and a function that enters a nested oracle term dict
+    into it: every term dict is hash-consed by its JSON text, in
+    postorder, in the order of the calls."""
     terms, index = [], {}
 
     def term(t):
@@ -197,8 +197,21 @@ def tree_to_table(tree):
             terms.append(record)
         return index[key]
 
+    return terms, term
+
+
+def tree_to_table(tree):
+    """The derivation document of a nested oracle tree."""
+    terms, term = hash_consing()
     proof = map_sides(tree, term)
     return {"terms": terms, "proof": proof}
+
+
+def term_tree_to_table(tree):
+    """The term document of a nested oracle term tree."""
+    terms, term = hash_consing()
+    root = term(tree)
+    return {"terms": terms, "root": root}
 
 
 def table_to_tree(doc):
@@ -421,7 +434,27 @@ def test_binder_hints_survive_shared_decoding():
     assert left.body is right.body
     assert json.dumps(derivation_to_json(copy)) == text
     pair = App(App(Const("p", arrow(lam_x.sort, arrow(lam_x.sort, o))), lam_x), lam_y)
-    assert print_term(term_from_json(oracle_term_to_json(pair))) == print_term(pair)
+    text = json.dumps(term_to_json(pair))
+    assert text == json.dumps(term_tree_to_table(oracle_term_to_json(pair)))
+    copy = term_from_json(json.loads(text))
+    assert print_term(copy) == print_term(pair) == "p (\\x:o. x) (\\y:o. y)"
+    assert copy.fn.arg.body is copy.arg.body
+    assert json.dumps(term_to_json(copy)) == text
+
+
+def test_term_documents_match_oracle():
+    """Every term the corpus derivations mention is written as the
+    hash-consed oracle tree and decodes to an equal term, hints
+    included."""
+    seen = 0
+    for th, name, d in CORPUS:
+        for t in roots(d):
+            text = json.dumps(term_to_json(t))
+            assert text == json.dumps(term_tree_to_table(oracle_term_to_json(t))), name
+            copy = term_from_json(json.loads(text))
+            assert copy == t and json.dumps(term_to_json(copy)) == text, name
+            seen += 1
+    assert seen == 591, seen
 
 
 def cl_tree(names, depth):
@@ -451,9 +484,9 @@ def test_bracket_simulation_replay_matches_oracles(t_tree, u_tree):
 
 def test_deep_terms_round_trip_without_recursion():
     """A 10,000-argument spine applied to 10,000 nested binders goes
-    through the table codec, json.dumps and json.loads, and through the
-    tree codec in memory.  Term == still recurses, so copies are compared
-    by their re-encoded text."""
+    through derivation and term documents, json.dumps and json.loads.
+    Term == still recurses, so copies are compared by their re-encoded
+    text."""
     x = Var("x", STAR)
     nest = x
     for _ in range(10_000):
@@ -464,8 +497,8 @@ def test_deep_terms_round_trip_without_recursion():
     assert len(data["terms"]) == 1 + 10_000 + 10_000 + 1
     copy = derivation_from_json(data)
     assert json.dumps(derivation_to_json(copy)) == text
-    tree_copy = term_from_json(term_to_json(t))
-    assert json.dumps(derivation_to_json(d_refl(tree_copy))) == text
+    term_copy = term_from_json(json.loads(json.dumps(term_to_json(t))))
+    assert json.dumps(derivation_to_json(d_refl(term_copy))) == text
 
 
 # ---------------------------------------------------------------------------
@@ -554,23 +587,68 @@ MALFORMED_DERIVATIONS = {
     "side missing": lambda data: data["proof"]["conclusion"]["eq"].pop("right"),
 }
 
+# Each record is decoded as the only entry of a term document, and must
+# fail with its own message.
 MALFORMED_TERMS = {
-    "bvar index a string": {"node": "bvar", "index": "x", "sort": "*"},
-    "bvar index negative": {"node": "bvar", "index": -1, "sort": "*"},
-    "bvar index a bool": {"node": "bvar", "index": True, "sort": "*"},
-    "var name unhashable": {"node": "var", "name": ["x"], "sort": "*"},
-    "var name a number": {"node": "var", "name": 1, "sort": "*"},
-    "const sort missing": {"node": "const", "name": "K"},
-    "sort not a string": {"node": "var", "name": "x", "sort": None},
-    "not an object": [1, 2],
-    "null": None,
-    "child null": {"node": "lam", "hint": "x", "var_sort": "*", "body": None},
-    "kind missing": {"name": "x"},
-    "kind unknown": {"node": "pair"},
-    "app missing arg": {"node": "app", "fn": {"node": "var", "name": "x", "sort": "*"}},
-    "app child not an object": {"node": "app", "fn": "x", "arg": "y"},
-    "lam hint a number": {"node": "lam", "hint": 3, "var_sort": "*", "body": STAR_BODY},
-    "lam sort missing": {"node": "lam", "hint": "x", "body": STAR_BODY},
+    "bvar index a string": ({"node": "bvar", "index": "x", "sort": "*"}, "bad JSON: bound index 'x'"),
+    "bvar index negative": ({"node": "bvar", "index": -1, "sort": "*"}, "bad JSON: bound index -1"),
+    "bvar index a bool": ({"node": "bvar", "index": True, "sort": "*"}, "bad JSON: bound index True"),
+    "var name unhashable": (
+        {"node": "var", "name": ["x"], "sort": "*"},
+        "bad term JSON: unhashable type: 'list'",
+    ),
+    "var name a number": (
+        {"node": "var", "name": 1, "sort": "*"},
+        "bad JSON: var name 1 is not a string",
+    ),
+    "const sort missing": ({"node": "const", "name": "K"}, "bad term JSON: 'sort'"),
+    "sort not a string": (
+        {"node": "var", "name": "x", "sort": None},
+        "bad JSON: sort None is not a string",
+    ),
+    "not an object": ([1, 2], "bad term JSON: list indices must be integers or slices, not str"),
+    "null": (None, "bad term JSON: 'NoneType' object is not subscriptable"),
+    "child null": (
+        {"node": "lam", "hint": "x", "var_sort": "*", "body": None},
+        "bad JSON: term index has type NoneType",
+    ),
+    "kind missing": ({"name": "x"}, "bad term JSON: 'node'"),
+    "kind unknown": ({"node": "pair"}, "unknown term node kind 'pair'"),
+    "app missing arg": ({"node": "app", "fn": 0}, "bad term JSON: 'arg'"),
+    "app child not an object": (
+        {"node": "app", "fn": "x", "arg": "y"},
+        "bad JSON: term index has type str",
+    ),
+    "app child itself": (
+        {"node": "app", "fn": 0, "arg": 0},
+        "bad JSON: term index 0 is not an earlier table entry",
+    ),
+    "lam hint a number": (
+        {"node": "lam", "hint": 3, "var_sort": "*", "body": 0},
+        "bad JSON: binder hint 3 is not a string",
+    ),
+    "lam sort missing": ({"node": "lam", "hint": "x", "body": 0}, "bad term JSON: 'var_sort'"),
+}
+
+MALFORMED_TERM_DOCUMENTS = {
+    "not an object": ([STAR_VAR], "bad JSON: expected an object, found list"),
+    "nested tree": (STAR_VAR, "bad JSON: missing field 'terms'"),
+    "terms missing": ({"root": 0}, "bad JSON: missing field 'terms'"),
+    "terms not a list": ({"terms": {"0": STAR_VAR}, "root": 0}, "bad JSON: field 'terms' has type dict"),
+    "root missing": ({"terms": [STAR_VAR]}, "bad JSON: missing field 'root'"),
+    "root a bool": ({"terms": [STAR_VAR], "root": False}, "bad JSON: field 'root' has type bool"),
+    "root a nested dict": (
+        {"terms": [STAR_VAR], "root": STAR_VAR},
+        "bad JSON: term index has type dict",
+    ),
+    "root negative": (
+        {"terms": [STAR_VAR], "root": -1},
+        "bad JSON: term index -1 is not an earlier table entry",
+    ),
+    "root out of range": (
+        {"terms": [STAR_VAR], "root": 1},
+        "bad JSON: term index 1 is not an earlier table entry",
+    ),
 }
 
 
@@ -584,8 +662,18 @@ def test_malformed_derivation_json_is_structural_error(name):
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_TERMS))
 def test_malformed_term_json_is_structural_error(name):
-    with pytest.raises(StructuralError):
-        term_from_json(MALFORMED_TERMS[name])
+    record, message = MALFORMED_TERMS[name]
+    with pytest.raises(StructuralError) as info:
+        term_from_json({"terms": [record], "root": 0})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TERM_DOCUMENTS))
+def test_malformed_term_document_is_structural_error(name):
+    data, message = MALFORMED_TERM_DOCUMENTS[name]
+    with pytest.raises(StructuralError) as info:
+        term_from_json(data)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("data", [[], "rule", 5, None])

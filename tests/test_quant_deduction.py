@@ -58,11 +58,24 @@ def test_equation_validation():
 
 
 def test_equation_json_roundtrip():
+    """An inference document names its sides by index into one term table
+    and round-trips through JSON text; a quantified variable decodes to
+    the very object that its occurrences in the sides decode to."""
     x, y = Var("x", O), Var("y", O)
     eq = QuantEquation(x, y, F(1, 2), O, frozenset({x}))
-    assert QuantEquation.from_json(eq.to_json()) == eq
-    inf = Inference(frozenset({eq}), eq)
-    assert Inference.from_json(inf.to_json()) == inf
+    inf = Inference(frozenset({eq}), QuantEquation(y, x, F(1, 2), O, frozenset({x})))
+    data = json.loads(json.dumps(inf.to_json()))
+    assert data == {
+        "terms": [{"node": "var", "name": "x", "sort": "o"}, {"node": "var", "name": "y", "sort": "o"}],
+        "inference": {
+            "hyps": [{"left": 0, "right": 1, "eps": "1/2", "sort": "o", "X": [{"name": "x", "sort": "o"}]}],
+            "eq": {"left": 1, "right": 0, "eps": "1/2", "sort": "o", "X": [{"name": "x", "sort": "o"}]},
+        },
+    }
+    copy = Inference.from_json(data)
+    assert copy == inf
+    (hyp,) = copy.hypotheses
+    assert next(iter(hyp.quantified)) is hyp.left is copy.conclusion.right
 
 
 def test_interval_constant_names():

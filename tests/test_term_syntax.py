@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qlam.errors import ParseError, SortError, StructuralError
 from qlam.term_syntax import (
+    _typecheck,
     App,
     ArrowSort,
     BaseSort,
@@ -182,6 +184,31 @@ def test_typecheck_rejects_undeclared_constant():
     sig = Signature(constants={})
     with pytest.raises(SortError):
         typecheck(Const("d", O), sig)
+
+
+def test_typecheck_takes_a_deep_spine_at_the_default_recursion_limit():
+    x, sig = Var("x", STAR), Signature(untyped=True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        checked = set()
+        assert _typecheck(app(x, *[x] * 10_000), sig, checked) is STAR
+        assert len(checked) == 10_001
+        # the leftmost bad constant is the one reported, at any depth, and
+        # the nodes of a term that fails do not stay in checked
+        bad = app(Const("a", STAR), *[x] * 10_000, Const("b", STAR))
+        with pytest.raises(SortError, match="unknown constant a$"):
+            _typecheck(bad, sig, checked)
+        assert len(checked) == 10_001
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_typecheck_enforces_the_regime_of_the_signature():
+    with pytest.raises(SortError, match="typed term used under an untyped signature"):
+        typecheck(Var("x", O), Signature(untyped=True))
+    with pytest.raises(SortError, match="untyped term used under a typed signature"):
+        typecheck(Var("x", STAR), Signature())
 
 
 def test_combinator_instances_typecheck():
