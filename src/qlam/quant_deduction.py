@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SortError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
 from .term_syntax import (
+    _fields_hash,
     _json_field,
     _leaf_from_json,
     _sort_from_json,
@@ -28,6 +29,7 @@ from .term_syntax import (
     _terms_from_json,
     _typecheck,
     App,
+    Bottom,
     Bound,
     Const,
     Lam,
@@ -68,7 +70,7 @@ VarSet = frozenset  # of Var
 
 
 def _frac(value) -> Fraction:
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f < 0:
         raise StructuralError("epsilon must be non-negative")
     return f
@@ -90,6 +92,10 @@ class QuantEquation:
             if not isinstance(v, Var):
                 raise StructuralError("quantified set must contain variables")
 
+    # equations key the frozensets that derive and check build and
+    # compare, and the field hash would re-hash the Fraction eps each time
+    __hash__ = _fields_hash
+
     def names(self) -> set[str]:
         return {v.name for v in self.quantified}
 
@@ -103,18 +109,14 @@ class Inference:
         """The inference document {"terms": [...], "inference": {"hyps",
         "eq"}}, whose equation sides are indices into terms as in a
         derivation document."""
-        table = _TermTable()
-        inference = _inference_to_json(self, table)
-        return {"terms": table.records, "inference": inference}
+        writer = _Writer()
+        inference = writer.inference(self)
+        return {"terms": writer.table.records, "inference": inference}
 
     @classmethod
     def from_json(cls, data: dict) -> "Inference":
         terms, table = _document_terms(data)
         return _inference_from_json(_json_field(data, "inference", dict), terms, table)
-
-
-def _sorted_eqs(eqs: Iterable[QuantEquation]) -> list[QuantEquation]:
-    return sorted(eqs, key=lambda e: (str(e.eps), print_term(e.left), print_term(e.right)))
 
 
 @dataclass
@@ -265,12 +267,13 @@ def _is_axiom_instance(axiom: Inference, node: Inference) -> bool:
     base: dict[str, Var] = {}
     if not _match_equation(axiom.conclusion, node.conclusion, base):
         return False
+    # every pairing of the two hypothesis sets is tried, and a pairing
+    # matches or not whatever order its pairs are taken in, so the
+    # axiom's hypotheses need no particular order
+    patterns = tuple(axiom.hypotheses)
     for perm in itertools.permutations(node.hypotheses):
         mapping = dict(base)
-        if all(
-            _match_equation(p, h, mapping)
-            for p, h in zip(_sorted_eqs(axiom.hypotheses), perm)
-        ):
+        if all(_match_equation(p, h, mapping) for p, h in zip(patterns, perm)):
             return True
     return False
 
@@ -294,37 +297,32 @@ def _subst_eq(eq: QuantEquation, sub: Callable[[Term], Term]) -> QuantEquation:
     )
 
 
+_LAMBDA_RULES = frozenset({"Alpha", "Xi", "Beta", "Eta", "Abstraction", "Concretion"})
+_LEAF_RULES = _LAMBDA_RULES | {
+    "Assumpt",
+    "Refl",
+    "PRefl",
+    "Symm",
+    "Triang",
+    "Max",
+    "NExp",
+    "Axiom",
+}
+
+
 def _check_node(node: Derivation, th: Theory) -> Optional[str]:
     rule = node.rule
     inf = node.conclusion
     eq = inf.conclusion
     hyps = inf.hypotheses
-    leaf_rules = {
-        "Assumpt",
-        "Refl",
-        "PRefl",
-        "Symm",
-        "Triang",
-        "Max",
-        "NExp",
-        "Alpha",
-        "Xi",
-        "Beta",
-        "Eta",
-        "Abstraction",
-        "Concretion",
-        "Axiom",
-    }
-    lambda_rules = {"Alpha", "Xi", "Beta", "Eta", "Abstraction", "Concretion"}
 
-    if rule in lambda_rules and not th.is_lambda:
-        return f"{rule} requires a lambda theory"
     if not th.is_lambda:
-        for e in list(hyps) + [eq]:
-            if e.quantified:
-                return "quantified variables need a lambda theory"
+        if rule in _LAMBDA_RULES:
+            return f"{rule} requires a lambda theory"
+        if eq.quantified or any(h.quantified for h in hyps):
+            return "quantified variables need a lambda theory"
 
-    if rule in leaf_rules:
+    if rule in _LEAF_RULES:
         if node.premises:
             return f"{rule} is a leaf schema and takes no premises"
 
@@ -560,29 +558,34 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
 def check_derivation(d: Derivation, th: Theory) -> CheckResult:
     """Check every node against its rule schema; locate the first failure.
 
-    Equation sides are typechecked against th.signature through one set of
-    the terms already checked in this call, so each distinct term is
-    checked once however often the derivation repeats it.
+    Equation sides are typechecked against th.signature once per distinct
+    equation of this call, through one set of the terms already checked,
+    so each distinct equation and each distinct term is checked once
+    however often the derivation repeats it.  (Typechecking ignores binder
+    hints, so equations are kept by value.)  The walk keeps its own stack:
+    a recursive closure would sit in a reference cycle and keep both sets
+    alive after the call, until the collector next reached them.
     """
     checked: set[Term] = set()
-
-    def walk(node: Derivation, path: tuple[int, ...]) -> Optional[CheckResult]:
-        for eq in list(node.conclusion.hypotheses) + [node.conclusion.conclusion]:
+    typed: set[QuantEquation] = set()
+    stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
+    while stack:  # depth first, premises in order
+        node, path = stack.pop()
+        inf = node.conclusion
+        for eq in (*inf.hypotheses, inf.conclusion):
+            if eq in typed:
+                continue
             try:
                 _typecheck(eq.left, th.signature, checked)
                 _typecheck(eq.right, th.signature, checked)
             except Exception as exc:
                 return CheckResult(False, path, f"ill-typed equation: {exc}")
+            typed.add(eq)
         reason = _check_node(node, th)
         if reason is not None:
             return CheckResult(False, path, reason)
-        for i, child in enumerate(node.premises):
-            bad = walk(child, path + (i,))
-            if bad is not None:
-                return bad
-        return None
-
-    return walk(d, ()) or CheckResult(True)
+        stack += reversed([(p, path + (i,)) for i, p in enumerate(node.premises)])
+    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +770,8 @@ def _d_triang(p1: Derivation, p2: Derivation) -> Derivation:
 def _d_app(p_fn: Derivation, p_arg: Derivation) -> Derivation:
     ef = p_fn.conclusion.conclusion
     ea = p_arg.conclusion.conclusion
-    out = QuantEquation(
-        App(ef.left, ea.left), App(ef.right, ea.right), ef.eps, App(ef.left, ea.left).sort, ef.quantified
-    )
+    left = App(ef.left, ea.left)
+    out = QuantEquation(left, App(ef.right, ea.right), ef.eps, left.sort, ef.quantified)
     leaf = Derivation("NExp", Inference(frozenset({ef, ea}), out))
     return d_cut([p_fn, p_arg], leaf)
 
@@ -838,11 +840,12 @@ def derivation_to_json(d: Derivation) -> dict:
     parents; a child (fn, arg, body) is the index of an earlier entry.
     proof is the tree of rule nodes, in which each equation side and each
     env value is an index into terms.  The text depends only on d's value,
-    binder hints included.
+    binder hints included.  An equation object that d holds at several
+    nodes is written as one record dict, shared by those nodes.
     """
-    table = _TermTable()
-    proof = _derivation_to_json(d, table)
-    return {"terms": table.records, "proof": proof}
+    writer = _Writer()
+    proof = writer.derivation(d)
+    return {"terms": writer.table.records, "proof": proof}
 
 
 def derivation_from_json(data: dict) -> Derivation:
@@ -850,42 +853,93 @@ def derivation_from_json(data: dict) -> Derivation:
     StructuralError.
 
     The term table is decoded in one forward pass, and equal subterms with
-    equal binder hints come back as one object.
+    equal binder hints come back as one object, as do equal equation
+    records.
     """
     terms, table = _document_terms(data)
     return _derivation_from_json(_json_field(data, "proof", dict), terms, table)
 
 
-def _equation_to_json(eq: QuantEquation, table: _TermTable) -> dict:
-    return {
-        "left": table.index(eq.left),
-        "right": table.index(eq.right),
-        "eps": str(eq.eps),
-        "sort": render_sort(eq.sort),
-        "X": sorted(
-            ({"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified),
-            key=lambda d: d["name"],
-        ),
-    }
+class _Writer:
+    """The encoder of one document: its term table, the record of each
+    equation object and the printed text of each binder-free side node.
+    Everything is kept by identity, and every object it keeps belongs to
+    the value being written, so the ids stay valid while it is written."""
 
+    def __init__(self) -> None:
+        self.table = _TermTable()
+        self._records: dict[int, dict] = {}
+        # id -> text, one dict per regime of the side, which decides how
+        # bottom prints: typed, untyped
+        self._texts: tuple[dict, dict] = ({}, {})
 
-def _inference_to_json(inf: Inference, table: _TermTable) -> dict:
-    return {
-        "hyps": [_equation_to_json(h, table) for h in _sorted_eqs(inf.hypotheses)],
-        "eq": _equation_to_json(inf.conclusion, table),
-    }
+    def derivation(self, d: Derivation) -> dict:
+        params = dict(d.params)
+        if "env" in params:
+            params["env"] = {name: self.table.index(t) for name, t in params["env"].items()}
+        return {
+            "rule": d.rule,
+            "params": params,
+            "conclusion": self.inference(d.conclusion),
+            "premises": [self.derivation(p) for p in d.premises],
+        }
 
+    def inference(self, inf: Inference) -> dict:
+        hyps = inf.hypotheses
+        if len(hyps) > 1:
+            hyps = sorted(hyps, key=self._order)
+        return {
+            "hyps": [self.equation(h) for h in hyps],
+            "eq": self.equation(inf.conclusion),
+        }
 
-def _derivation_to_json(d: Derivation, table: _TermTable) -> dict:
-    params = dict(d.params)
-    if "env" in params:
-        params["env"] = {name: table.index(t) for name, t in params["env"].items()}
-    return {
-        "rule": d.rule,
-        "params": params,
-        "conclusion": _inference_to_json(d.conclusion, table),
-        "premises": [_derivation_to_json(p, table) for p in d.premises],
-    }
+    def equation(self, eq: QuantEquation) -> dict:
+        # by object, not by value: equal equations may differ in hints
+        rec = self._records.get(id(eq))
+        if rec is None:
+            xs = [{"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified]
+            if xs:
+                xs.sort(key=lambda v: v["name"])
+            rec = self._records[id(eq)] = {
+                "left": self.table.index(eq.left),
+                "right": self.table.index(eq.right),
+                "eps": str(eq.eps),
+                "sort": render_sort(eq.sort),
+                "X": xs,
+            }
+        return rec
+
+    def _order(self, eq: QuantEquation) -> tuple[str, str, str]:
+        """The order of hypotheses in a document, a function of their
+        values: eps, then the printed sides."""
+        return (str(eq.eps), self._text(eq.left), self._text(eq.right))
+
+    def _text(self, t: Term) -> str:
+        """print_term(t).  A node without binders or bound variables prints
+        the same wherever it sits, so each such node of the document is
+        printed once, from its children's texts; a side that reaches a Lam
+        or a Bound, whose text depends on the binders above it, is printed
+        by print_term."""
+        untyped = t.sort is STAR
+        texts = self._texts[untyped]
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if id(s) in texts:
+                continue
+            if isinstance(s, App):
+                fn, arg = texts.get(id(s.fn)), texts.get(id(s.arg))
+                if fn is None or arg is None:
+                    stack += (s, s.arg, s.fn)
+                    continue
+                texts[id(s)] = f"{fn} ({arg})" if isinstance(s.arg, App) else f"{fn} {arg}"
+            elif isinstance(s, (Var, Const)):
+                texts[id(s)] = s.name
+            elif isinstance(s, Bottom):
+                texts[id(s)] = "bot" if untyped else f"bot:{render_sort(s.sort)}"
+            else:
+                return print_term(t)
+        return texts[id(t)]
 
 
 def _fraction_from_json(value, what: str) -> Fraction:
@@ -918,6 +972,30 @@ def _side(obj, key: str, terms: list[Term]) -> Term:
 
 
 def _equation_from_json(data: dict, terms: list[Term], table: dict) -> QuantEquation:
+    """The equation of record data; a record whose fields repeat an
+    earlier record's is that record's equation, validated when the table
+    first met it.  The key is the raw fields, and only side indices that
+    are ints and an eps that is a string or an int take it, as a bool or
+    a float equals an int; any other shape, and any unhashable field,
+    reaches the validating decoder, which reports it."""
+    key = None
+    try:
+        left, right, eps = data["left"], data["right"], data["eps"]
+        if type(left) is int and type(right) is int and type(eps) in (str, int):
+            xs = tuple((v["name"], v["sort"]) for v in data.get("X", ()))
+            key = ("eq", left, right, eps, data["sort"], xs)
+            eq = table.get(key)
+            if eq is not None:
+                return eq
+    except (KeyError, TypeError):
+        key = None
+    eq = _decode_equation(data, terms, table)
+    if key is not None:
+        table[key] = eq
+    return eq
+
+
+def _decode_equation(data: dict, terms: list[Term], table: dict) -> QuantEquation:
     left = _side(data, "left", terms)
     right = _side(data, "right", terms)
     xs = frozenset(

@@ -63,8 +63,9 @@ class Sort:
 def _fields_hash(self) -> int:
     """The dataclass hash of the fields, computed on first use and kept
     outside them, so repr, == and dataclasses.fields do not see it.
-    Sorts key most of the finite-model tables, and an IntervalSort hash
-    is two Fraction hashes."""
+    Sorts key most of the finite-model tables and equations the proof
+    layer's sets; an IntervalSort hash is two Fraction hashes, an
+    equation's one."""
     try:
         return self._hash
     except AttributeError:
@@ -823,6 +824,9 @@ class _TermTable:
         """The index of t's record, adding t's new nodes, function before
         argument."""
         ids, keys, records = self._ids, self._keys, self.records
+        i = ids.get(id(t))
+        if i is not None:
+            return i
         self._roots.append(t)
         stack = [(t, False)]
         while stack:

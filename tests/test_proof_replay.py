@@ -26,9 +26,11 @@ from qlam.quant_deduction import (
     _check_node,
     builtin_theory,
     check_derivation,
+    d_cut,
     d_refl,
     derivation_from_json,
     derivation_to_json,
+    derive_cl_reduction,
     derive_equal_reducts,
 )
 from qlam.rewrite_engine import bracket_abstract, cl_reduce
@@ -442,6 +444,63 @@ def test_binder_hints_survive_shared_decoding():
     assert json.dumps(term_to_json(copy)) == text
 
 
+def unhinted(t):
+    """t with every binder hint replaced by one name."""
+    if isinstance(t, App):
+        return App(unhinted(t.fn), unhinted(t.arg))
+    if isinstance(t, Lam):
+        return Lam("v", t.var_sort, unhinted(t.body))
+    return t
+
+
+def test_hypotheses_with_binder_sides_order_by_printed_text():
+    """A Triang node whose hypotheses have abstractions on every side is
+    ordered by the printed text, which names each binder by its hint; the
+    hint-free text orders the two hypotheses the other way round."""
+    th = THEORIES["U_lambda_interval"]
+    i = parse_sort("[0,1]")
+    m = Const("m", arrow(i, i))
+    ident = Lam("a", i, Bound(0, i))
+    once = Lam("b", i, App(m, Bound(0, i)))
+    twice = Lam("c", i, App(m, App(m, Bound(0, i))))
+    h1 = QuantEquation(ident, once, Fraction(0), ident.sort)
+    h2 = QuantEquation(once, twice, Fraction(0), ident.sort)
+    out = QuantEquation(ident, twice, Fraction(0), ident.sort)
+    d = Derivation("Triang", Inference(frozenset({h1, h2}), out))
+    assert check_derivation(d, th).ok
+    assert_replay_matches_oracles(d, th)
+    doc = json.loads(json.dumps(derivation_to_json(d)))
+    lefts = [
+        print_term(term_from_json({"terms": doc["terms"], "root": h["left"]}))
+        for h in doc["proof"]["conclusion"]["hyps"]
+    ]
+    assert lefts == ["\\a:[0,1]. a", "\\b:[0,1]. m b"]
+    assert print_term(unhinted(once)) < print_term(unhinted(ident))
+
+
+def test_alpha_equivalent_equations_keep_their_own_hints():
+    """Two alpha-equivalent equations with different hints, one proved by
+    Alpha and one assumed by the main premise of a Cut, keep their own
+    records and come back with their own hints."""
+    th = THEORIES["U_lambda_interval"]
+    i = parse_sort("[0,1]")
+    lam_x, lam_y = Lam("x", i, Bound(0, i)), Lam("y", i, Bound(0, i))
+    ex = QuantEquation(lam_x, lam_x, Fraction(0), lam_x.sort)
+    ey = QuantEquation(lam_y, lam_y, Fraction(0), lam_y.sort)
+    assert ex == ey
+    alpha = Derivation("Alpha", Inference(frozenset(), ex))
+    d = d_cut([alpha], Derivation("Assumpt", Inference(frozenset({ey}), ey)))
+    assert check_derivation(d, th).ok
+    assert_replay_matches_oracles(d, th)
+    data = json.loads(json.dumps(derivation_to_json(d)))
+    assert data["proof"]["conclusion"]["eq"] != data["proof"]["premises"][0]["conclusion"]["eq"]
+    copy = derivation_from_json(data)
+    alpha, assumpt = copy.premises
+    assert print_term(alpha.conclusion.conclusion.left) == "\\x:[0,1]. x"
+    assert [print_term(h.left) for h in assumpt.conclusion.hypotheses] == ["\\y:[0,1]. y"]
+    assert print_term(copy.conclusion.conclusion.right) == "\\y:[0,1]. y"
+
+
 def test_term_documents_match_oracle():
     """Every term the corpus derivations mention is written as the
     hash-consed oracle tree and decodes to an equal term, hints
@@ -650,6 +709,77 @@ MALFORMED_TERM_DOCUMENTS = {
         "bad JSON: term index 1 is not an earlier table entry",
     ),
 }
+
+
+def equation_records(proof):
+    """The equation records of a proof tree, in the order the decoder
+    meets them."""
+    inf = proof["conclusion"]
+    yield from inf["hyps"]
+    yield inf["eq"]
+    for p in proof["premises"]:
+        yield from equation_records(p)
+
+
+def _repeated_record():
+    """A document, the first equation record that a later one repeats,
+    and that later copy."""
+    x = Var("x", STAR)
+    s, k = Const("S", STAR), Const("K", STAR)
+    d = derive_cl_reduction(cl_reduce(app(s, k, k, x), fuel=100), CL_THEORY)
+    data = json.loads(json.dumps(derivation_to_json(d)))
+    first = {}
+    for record in equation_records(data["proof"]):
+        text = json.dumps(record)
+        if text in first:
+            return data, first[text], record
+        first[text] = record
+    raise AssertionError("no equation record repeats")
+
+
+# Each case edits the earlier record (keeping it valid) and its later
+# copy; the later copy must fail as it does without any memo of records,
+# also where its raw fields equal the earlier ones (True == 1 == 1.0).
+MALFORMED_REPEATS = {
+    "eps a bool": (
+        lambda first, later, n: (first.update(eps=1), later.update(eps=True)),
+        "bad JSON: field 'eps' has type bool",
+    ),
+    "eps a float": (
+        lambda first, later, n: (first.update(eps=1), later.update(eps=1.0)),
+        "bad JSON: field 'eps' has type float",
+    ),
+    "side index a bool": (
+        lambda first, later, n: (first.update(left=1), later.update(left=True)),
+        "bad JSON: field 'left' has type bool",
+    ),
+    "side index out of range": (
+        lambda first, later, n: later.update(right=n),
+        "bad JSON: term index {n} is not an earlier table entry",
+    ),
+    "X entry not an object": (
+        lambda first, later, n: later.update(X=["x"]),
+        "bad JSON: expected an object, found str",
+    ),
+    "X name not a string": (
+        lambda first, later, n: later.update(X=[{"name": ["x"], "sort": "*"}]),
+        "bad JSON: field 'name' has type list",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPEATS))
+def test_malformed_copy_of_a_repeated_record_is_structural_error(name):
+    data, first, later = _repeated_record()
+    edit, message = MALFORMED_REPEATS[name]
+    n = len(data["terms"])
+    later_copy = dict(later)
+    edit(first, later_copy, n)
+    derivation_from_json(data)  # the edited earlier record is valid
+    later.update(later_copy)
+    with pytest.raises(StructuralError) as info:
+        derivation_from_json(data)
+    assert str(info.value) == message.format(n=n)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_DERIVATIONS))
