@@ -77,18 +77,11 @@ def _emit(data: dict, human: bool) -> None:
         click.echo(_dumps(data))
 
 
-def _fail(exc: QlamError) -> None:
-    click.echo(_dumps({"error": str(exc), "kind": type(exc).__name__}), err=True)
-    sys.exit(1)
-
-
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except QlamError as exc:
-            _fail(exc)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (QlamError, OSError, json.JSONDecodeError, RecursionError) as exc:
             click.echo(_dumps({"error": str(exc), "kind": type(exc).__name__}), err=True)
             sys.exit(1)
 

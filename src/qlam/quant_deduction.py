@@ -18,13 +18,13 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import PreconditionError, SortError, StructuralError
 from .rewrite_engine import CLReduction, open_bound, shift
 from .term_syntax import (
+    _entry_at,
     _fields_hash,
     _json_field,
     _leaf_from_json,
     _sort_from_json,
     _spine,
     _substituter,
-    _term_at,
     _TermTable,
     _terms_from_json,
     _typecheck,
@@ -106,17 +106,17 @@ class Inference:
     conclusion: QuantEquation
 
     def to_json(self) -> dict:
-        """The inference document {"terms": [...], "inference": {"hyps",
-        "eq"}}, whose equation sides are indices into terms as in a
-        derivation document."""
+        """The inference document {"terms": [...], "equations": [...],
+        "hyps": [...], "eq": e}, whose tables are those of a derivation
+        document; hyps and eq are indices into equations."""
         writer = _Writer()
-        inference = writer.inference(self)
-        return {"terms": writer.table.records, "inference": inference}
+        hyps, eq = writer.inference(self)
+        tables = {"terms": writer.table.records, "equations": writer.equations}
+        return {**tables, "hyps": hyps, "eq": eq}
 
     @classmethod
     def from_json(cls, data: dict) -> "Inference":
-        terms, table = _document_terms(data)
-        return _inference_from_json(_json_field(data, "inference", dict), terms, table)
+        return _inference_from_json(data, _document_tables(data)[1])
 
 
 @dataclass
@@ -568,7 +568,9 @@ def check_derivation(d: Derivation, th: Theory) -> CheckResult:
     """
     checked: set[Term] = set()
     typed: set[QuantEquation] = set()
-    stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
+    # a node's path is kept as (last index, parent's path), () at the root,
+    # so pushing a premise costs the same at any depth
+    stack: list[tuple[Derivation, tuple]] = [(d, ())]
     while stack:  # depth first, premises in order
         node, path = stack.pop()
         inf = node.conclusion
@@ -579,13 +581,21 @@ def check_derivation(d: Derivation, th: Theory) -> CheckResult:
                 _typecheck(eq.left, th.signature, checked)
                 _typecheck(eq.right, th.signature, checked)
             except Exception as exc:
-                return CheckResult(False, path, f"ill-typed equation: {exc}")
+                return CheckResult(False, _unwind(path), f"ill-typed equation: {exc}")
             typed.add(eq)
         reason = _check_node(node, th)
         if reason is not None:
-            return CheckResult(False, path, reason)
-        stack += reversed([(p, path + (i,)) for i, p in enumerate(node.premises)])
+            return CheckResult(False, _unwind(path), reason)
+        stack += reversed([(p, (i, path)) for i, p in enumerate(node.premises)])
     return CheckResult(True)
+
+
+def _unwind(path: tuple) -> tuple[int, ...]:
+    out = []
+    while path:
+        i, path = path
+        out.append(i)
+    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -834,80 +844,111 @@ def derive_equal_reducts(r1: CLReduction, r2: CLReduction, th: Theory) -> Deriva
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """The derivation document {"terms": [...], "proof": {...}}.
+    """The derivation document {"terms": [...], "equations": [...],
+    "proof": [...]}.
 
     terms lists each structurally distinct term node once, children before
-    parents; a child (fn, arg, body) is the index of an earlier entry.
-    proof is the tree of rule nodes, in which each equation side and each
-    env value is an index into terms.  The text depends only on d's value,
-    binder hints included.  An equation object that d holds at several
-    nodes is written as one record dict, shared by those nodes.
+    parents; equations lists each distinct equation record once, its sides
+    indices into terms; proof lists the rule nodes in postorder, one entry
+    per node, the root last, each naming its equations by index into
+    equations and its premises by index of an earlier proof entry.  The
+    text depends only on d's value, binder hints included.
     """
     writer = _Writer()
     proof = writer.derivation(d)
-    return {"terms": writer.table.records, "proof": proof}
+    return {"terms": writer.table.records, "equations": writer.equations, "proof": proof}
 
 
 def derivation_from_json(data: dict) -> Derivation:
-    """Decode a derivation document; every malformed shape is a
-    StructuralError.
+    """Decode a derivation document in one forward pass over each table;
+    every malformed shape is a StructuralError.
 
-    The term table is decoded in one forward pass, and equal subterms with
-    equal binder hints come back as one object, as do equal equation
-    records.
+    Equal subterms with equal binder hints come back as one object, and
+    each equation record is decoded once, to one object.
     """
-    terms, table = _document_terms(data)
-    return _derivation_from_json(_json_field(data, "proof", dict), terms, table)
+    terms, equations = _document_tables(data)
+    nodes: list[Derivation] = []
+    for entry in _json_field(data, "proof", list):
+        params = dict(_json_field(entry, "params", dict, {}))
+        if "env" in params:
+            env = _json_field(params, "env", dict)
+            params["env"] = {name: _entry_at(terms, i) for name, i in env.items()}
+        premises = _json_field(entry, "premises", list, [])
+        nodes.append(
+            Derivation(
+                _json_field(entry, "rule"),
+                _inference_from_json(entry, equations),
+                tuple(_entry_at(nodes, i, "proof") for i in premises),
+                params,
+            )
+        )
+    if not nodes:
+        raise StructuralError("bad JSON: proof has no entries")
+    return nodes[-1]
 
 
 class _Writer:
-    """The encoder of one document: its term table, the record of each
-    equation object and the printed text of each binder-free side node.
-    Everything is kept by identity, and every object it keeps belongs to
-    the value being written, so the ids stay valid while it is written."""
+    """The encoder of one document: its term table, its equation table and
+    the printed text of each binder-free side node.  Equation records are
+    keyed by content, as term records are, and each equation object's
+    index and each node's text are also kept by identity; every object
+    kept by identity belongs to the value being written, so the ids stay
+    valid while it is written."""
 
     def __init__(self) -> None:
         self.table = _TermTable()
-        self._records: dict[int, dict] = {}
+        self.equations: list[dict] = []
+        self._keys: dict[tuple, int] = {}
+        self._ids: dict[int, int] = {}
         # id -> text, one dict per regime of the side, which decides how
         # bottom prints: typed, untyped
         self._texts: tuple[dict, dict] = ({}, {})
 
-    def derivation(self, d: Derivation) -> dict:
-        params = dict(d.params)
-        if "env" in params:
-            params["env"] = {name: self.table.index(t) for name, t in params["env"].items()}
-        return {
-            "rule": d.rule,
-            "params": params,
-            "conclusion": self.inference(d.conclusion),
-            "premises": [self.derivation(p) for p in d.premises],
-        }
+    def derivation(self, d: Derivation) -> list[dict]:
+        """The proof table of d: each node's entry after its premises'."""
+        # a preorder that takes the premises last to first, reversed, is
+        # the postorder that takes them first to last
+        order = []
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack += node.premises
+        proof: list[dict] = []
+        done: list[int] = []  # entries of finished subtrees still to be claimed
+        for node in reversed(order):
+            params = dict(node.params)
+            if "env" in params:
+                params["env"] = {name: self.table.index(t) for name, t in params["env"].items()}
+            hyps, eq = self.inference(node.conclusion)
+            first = len(done) - len(node.premises)
+            premises = done[first:]
+            del done[first:]
+            done.append(len(proof))
+            proof.append(
+                {"rule": node.rule, "params": params, "hyps": hyps, "eq": eq, "premises": premises}
+            )
+        return proof
 
-    def inference(self, inf: Inference) -> dict:
+    def inference(self, inf: Inference) -> tuple[list[int], int]:
         hyps = inf.hypotheses
         if len(hyps) > 1:
             hyps = sorted(hyps, key=self._order)
-        return {
-            "hyps": [self.equation(h) for h in hyps],
-            "eq": self.equation(inf.conclusion),
-        }
+        return [self.equation(h) for h in hyps], self.equation(inf.conclusion)
 
-    def equation(self, eq: QuantEquation) -> dict:
-        # by object, not by value: equal equations may differ in hints
-        rec = self._records.get(id(eq))
-        if rec is None:
-            xs = [{"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified]
-            if xs:
-                xs.sort(key=lambda v: v["name"])
-            rec = self._records[id(eq)] = {
-                "left": self.table.index(eq.left),
-                "right": self.table.index(eq.right),
-                "eps": str(eq.eps),
-                "sort": render_sort(eq.sort),
-                "X": xs,
-            }
-        return rec
+    def equation(self, eq: QuantEquation) -> int:
+        i = self._ids.get(id(eq))
+        if i is None:
+            left, right = self.table.index(eq.left), self.table.index(eq.right)
+            xs = sorted((v.name, render_sort(v.sort)) for v in eq.quantified)
+            key = (left, right, str(eq.eps), render_sort(eq.sort), *xs)
+            i = self._ids[id(eq)] = self._keys.setdefault(key, len(self.equations))
+            if i == len(self.equations):
+                xs = [{"name": name, "sort": sort} for name, sort in xs]
+                self.equations.append(
+                    {"left": left, "right": right, "eps": key[2], "sort": key[3], "X": xs}
+                )
+        return i
 
     def _order(self, eq: QuantEquation) -> tuple[str, str, str]:
         """The order of hypotheses in a document, a function of their
@@ -960,44 +1001,18 @@ def _eps_from_json(value, table: dict) -> Fraction:
     return eps
 
 
-def _document_terms(data) -> tuple[list[Term], dict]:
-    """The decoded term list of a document and its decoder table, which
-    the equations of the document share."""
+def _document_tables(data) -> tuple[list[Term], list[QuantEquation]]:
+    """The decoded term and equation tables of a document, one forward
+    pass each; the equations share the term decoder's table of leaves."""
     table: dict = {}
-    return _terms_from_json(data, table), table
-
-
-def _side(obj, key: str, terms: list[Term]) -> Term:
-    return _term_at(terms, _json_field(obj, key, object))
+    terms = _terms_from_json(data, table)
+    records = _json_field(data, "equations", list)
+    return terms, [_equation_from_json(rec, terms, table) for rec in records]
 
 
 def _equation_from_json(data: dict, terms: list[Term], table: dict) -> QuantEquation:
-    """The equation of record data; a record whose fields repeat an
-    earlier record's is that record's equation, validated when the table
-    first met it.  The key is the raw fields, and only side indices that
-    are ints and an eps that is a string or an int take it, as a bool or
-    a float equals an int; any other shape, and any unhashable field,
-    reaches the validating decoder, which reports it."""
-    key = None
-    try:
-        left, right, eps = data["left"], data["right"], data["eps"]
-        if type(left) is int and type(right) is int and type(eps) in (str, int):
-            xs = tuple((v["name"], v["sort"]) for v in data.get("X", ()))
-            key = ("eq", left, right, eps, data["sort"], xs)
-            eq = table.get(key)
-            if eq is not None:
-                return eq
-    except (KeyError, TypeError):
-        key = None
-    eq = _decode_equation(data, terms, table)
-    if key is not None:
-        table[key] = eq
-    return eq
-
-
-def _decode_equation(data: dict, terms: list[Term], table: dict) -> QuantEquation:
-    left = _side(data, "left", terms)
-    right = _side(data, "right", terms)
+    left = _entry_at(terms, _json_field(data, "left", object))
+    right = _entry_at(terms, _json_field(data, "right", object))
     xs = frozenset(
         _leaf_from_json("var", _json_field(v, "name"), _json_field(v, "sort"), table)
         for v in _json_field(data, "X", list, [])
@@ -1006,26 +1021,11 @@ def _decode_equation(data: dict, terms: list[Term], table: dict) -> QuantEquatio
     return QuantEquation(left, right, eps, _sort_from_json(_json_field(data, "sort"), table), xs)
 
 
-def _inference_from_json(data: dict, terms: list[Term], table: dict) -> Inference:
+def _inference_from_json(data: dict, equations: list[QuantEquation]) -> Inference:
+    """The inference whose hyps and eq are indices into equations."""
     return Inference(
         frozenset(
-            _equation_from_json(h, terms, table) for h in _json_field(data, "hyps", list, [])
+            _entry_at(equations, i, "equation") for i in _json_field(data, "hyps", list, [])
         ),
-        _equation_from_json(_json_field(data, "eq", dict), terms, table),
-    )
-
-
-def _derivation_from_json(data: dict, terms: list[Term], table: dict) -> Derivation:
-    params = dict(_json_field(data, "params", dict, {}))
-    if "env" in params:
-        env = _json_field(params, "env", dict)
-        params["env"] = {name: _side(env, name, terms) for name in env}
-    return Derivation(
-        _json_field(data, "rule"),
-        _inference_from_json(_json_field(data, "conclusion", dict), terms, table),
-        tuple(
-            _derivation_from_json(p, terms, table)
-            for p in _json_field(data, "premises", list, [])
-        ),
-        params,
+        _entry_at(equations, _json_field(data, "eq", object), "equation"),
     )

@@ -315,11 +315,9 @@ class DnfContext:
         self,
         witness_budget: int = 12,
         constants: Optional[Mapping[str, Sort]] = None,
-        fuel: Optional[int] = None,
     ):
         self.witness_budget = witness_budget
         self.constants = dict(constants or {})
-        self.fuel = fuel
         self._memo: dict = {}
         self._witnesses: dict = {}
         self._applied: dict = {}
@@ -347,7 +345,7 @@ class DnfContext:
         key = (f.term, a.term)
         hit = self._applied.get(key)
         if hit is None:
-            hit = self._applied[key] = normalize(App(f.term, a.term), self.fuel)
+            hit = self._applied[key] = normalize(App(f.term, a.term))
         return hit
 
     def _compute(self, t: NormalForm, s: NormalForm) -> DistCertificate:
@@ -413,7 +411,6 @@ def dnf_distance(
     s: NormalForm,
     witness_budget: int = 12,
     constants: Optional[Mapping[str, Sort]] = None,
-    context: Optional[DnfContext] = None,
 ) -> DistCertificate:
     """Partial ultrametric on normal forms, witness-bounded.
 
@@ -422,8 +419,7 @@ def dnf_distance(
     outputs within 1/2^n.  The value is 1/2^m for the largest passing
     level (1 if none, 0 past stabilization).
     """
-    ctx = context or DnfContext(witness_budget, constants)
-    return ctx.distance(t, s)
+    return DnfContext(witness_budget, constants).distance(t, s)
 
 
 # ---------------------------------------------------------------------------

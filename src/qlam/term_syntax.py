@@ -800,7 +800,9 @@ def print_term(t: Term, untyped: Optional[bool] = None) -> str:
 # One wire form.  A document lists term records under "terms", children
 # before parents; a record's child (fn, arg, body) is the integer index of
 # an earlier entry, and the document names its terms by index.  Term,
-# inference and derivation documents differ only in what names the terms.
+# inference and derivation documents differ only in what names the terms
+# (quant_deduction adds equation and proof tables); _entry_at reads every
+# index of every table.
 # _TermTable writes the list: it keys each node by (kind, fields, child
 # indices), so every structurally distinct node, hints included, is
 # written once and the list depends only on the terms' values.
@@ -877,7 +879,7 @@ def term_to_json(t: Term) -> dict:
 def term_from_json(data) -> Term:
     """Decode a term document; every malformed shape is a StructuralError."""
     terms = _terms_from_json(data, {})
-    return _term_at(terms, _json_field(data, "root", object))
+    return _entry_at(terms, _json_field(data, "root", object))
 
 
 _REQUIRED = object()
@@ -948,18 +950,22 @@ def _node_from_json(data, terms: list[Term], table: dict) -> Term:
         # a missing field, a record that is not an object, an unhashable value
         raise StructuralError(f"bad term JSON: {exc}") from exc
     if kind == "app":
-        return App(_term_at(terms, fn), _term_at(terms, arg))
+        return App(_entry_at(terms, fn), _entry_at(terms, arg))
     if not isinstance(hint, str):
         raise StructuralError(f"bad JSON: binder hint {hint!r} is not a string")
-    return Lam(hint, _sort_from_json(text, table), _term_at(terms, body))
+    return Lam(hint, _sort_from_json(text, table), _entry_at(terms, body))
 
 
-def _term_at(terms: list[Term], i) -> Term:
+def _entry_at(entries: list, i, what: str = "term"):
+    """entries[i] for a reference i of a document.  The one index rule:
+    i is an int (not a bool) with 0 <= i < len(entries), where entries is
+    the part of a table decoded so far when a table entry refers into its
+    own table, and the whole referenced table otherwise."""
     if type(i) is not int:  # a bool is not an index
-        raise StructuralError(f"bad JSON: term index has type {type(i).__name__}")
-    if not 0 <= i < len(terms):
-        raise StructuralError(f"bad JSON: term index {i} is not an earlier table entry")
-    return terms[i]
+        raise StructuralError(f"bad JSON: {what} index has type {type(i).__name__}")
+    if not 0 <= i < len(entries):
+        raise StructuralError(f"bad JSON: {what} index {i} is not an earlier table entry")
+    return entries[i]
 
 
 def _terms_from_json(data, table: dict) -> list[Term]:

@@ -9,8 +9,8 @@ from qlam import corpus
 from qlam.cli import SCENARIOS, _dumps, main
 from qlam.corpus import I01, corpus_derivations, corpus_theories, theta_xi_maps
 from qlam.finite_models import satisfies_inference
-from qlam.quant_deduction import Inference, QuantEquation, derivation_to_json
-from qlam.term_syntax import Const, Var, render_sort, term_to_json
+from qlam.quant_deduction import Inference, QuantEquation, d_cut, d_refl, derivation_to_json
+from qlam.term_syntax import STAR, Const, Var, render_sort, term_to_json
 
 runner = CliRunner()
 
@@ -87,7 +87,7 @@ def test_check_proof_valid_and_invalid(tmp_path):
     assert res.exit_code == 0 and json.loads(res.output)["ok"]
 
     bad = derivation_to_json(d)
-    bad["proof"]["rule"] = "Nonsense"
+    bad["proof"][-1]["rule"] = "Nonsense"
     p.write_text(json.dumps(bad))
     res = run("check-proof", str(p), "--theory", "U_CL")
     assert res.exit_code == 1
@@ -159,7 +159,7 @@ def test_check_proof_unknown_theory_and_corpus_flag_are_usage_errors(tmp_path):
 
 
 def _drop_rule(data):
-    del data["proof"]["rule"]
+    del data["proof"][-1]["rule"]
     return data
 
 
@@ -169,12 +169,12 @@ def _bvar_index_x(data):
 
 
 def _eps_abc(data):
-    data["proof"]["conclusion"]["eq"]["eps"] = "abc"
+    data["equations"][data["proof"][-1]["eq"]]["eps"] = "abc"
     return data
 
 
 def _params_5(data):
-    data["proof"]["params"] = 5
+    data["proof"][-1]["params"] = 5
     return data
 
 
@@ -253,6 +253,47 @@ def _exit_1_with_structural_error(res):
     assert res.exit_code == 1, res.output
     assert "Traceback" not in res.output
     assert json.loads(res.stderr) == {"error": json.loads(res.stderr)["error"], "kind": "StructuralError"}
+
+
+def _proof_tree_form(doc) -> dict:
+    """A derivation document in the form that preceded the equation and
+    proof tables: the term table, and the proof as a nested tree whose
+    nodes write out each equation record."""
+    records, nodes = doc["equations"], []
+    for entry in doc["proof"]:
+        conclusion = {"hyps": [records[i] for i in entry["hyps"]], "eq": records[entry["eq"]]}
+        premises = [nodes[i] for i in entry["premises"]]
+        node = {"rule": entry["rule"], "params": entry["params"], "conclusion": conclusion}
+        nodes.append({**node, "premises": premises})
+    return {"terms": doc["terms"], "proof": nodes[-1]}
+
+
+def test_check_proof_and_model_check_reject_the_tree_form(tmp_path):
+    name, d = corpus_derivations()["U_CL_interval"][0]
+    old_proof = tmp_path / "proof.json"
+    old_proof.write_text(json.dumps(_proof_tree_form(derivation_to_json(d))))
+    res = runner.invoke(main, ["check-proof", str(old_proof), "--theory", "U_CL_interval"])
+    _exit_1_with_structural_error(res)
+    doc = d.conclusion.to_json()
+    records = doc["equations"]
+    old_inf = tmp_path / "inf.json"
+    inference = {"hyps": [records[i] for i in doc["hyps"]], "eq": records[doc["eq"]]}
+    old_inf.write_text(json.dumps({"terms": doc["terms"], "inference": inference}))
+    res = runner.invoke(main, ["model-check", str(old_inf), "--algebra", "grid8"])
+    _exit_1_with_structural_error(res)
+
+
+def test_check_proof_takes_a_deep_proof(tmp_path):
+    """A Cut chain 20,000 nodes deep is written, read and checked at the
+    default recursion limit."""
+    d = d_refl(Var("x", STAR))
+    for _ in range(20_000):
+        d = d_cut([], d)
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(derivation_to_json(d)))
+    res = run("check-proof", str(p), "--theory", "U_CL_untyped")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"]
 
 
 def test_term_and_inference_files_reject_the_nested_form(tmp_path):

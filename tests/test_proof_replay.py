@@ -1,14 +1,17 @@
 """Proof replay against by-definition oracles.
 
-The derivation JSON codec writes each distinct term node once into a
-table and decodes it in one forward pass (one decoded object per distinct
-subtree), and check_derivation typechecks each distinct term once.  The
-oracles below do none of that: they are plain recursions over nested JSON
-trees that rebuild and re-check everything, with separate plain
-converters between the nested tree and the table document, and every
-fast path must agree with them exactly.
+The derivation JSON codec writes each distinct term node and each
+distinct equation record once into a table, and the proof nodes in
+postorder into a third, and decodes each table in one forward pass (one
+decoded object per distinct subtree or record); check_derivation
+typechecks each distinct term once.  The oracles below do none of that:
+they are plain recursions over nested JSON trees that rebuild and
+re-check everything, with separate plain converters between the nested
+tree and the table document, and every fast path must agree with them
+exactly.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -99,7 +102,7 @@ def oracle_equation_to_json(eq):
         "sort": render_sort(eq.sort),
         "X": sorted(
             ({"name": v.name, "sort": render_sort(v.sort)} for v in eq.quantified),
-            key=lambda d: d["name"],
+            key=lambda d: (d["name"], d["sort"]),
         ),
     }
 
@@ -164,27 +167,6 @@ def oracle_from_json(data):
 TERM_CHILDREN = ("fn", "arg", "body")
 
 
-def map_sides(node, f):
-    """The proof tree node with every equation side and env value mapped
-    through f, in the order the document mentions them."""
-
-    def equation(eq):
-        return {**eq, "left": f(eq["left"]), "right": f(eq["right"])}
-
-    params = dict(node["params"])
-    if "env" in params:
-        params["env"] = {name: f(t) for name, t in params["env"].items()}
-    return {
-        "rule": node["rule"],
-        "params": params,
-        "conclusion": {
-            "hyps": [equation(h) for h in node["conclusion"]["hyps"]],
-            "eq": equation(node["conclusion"]["eq"]),
-        },
-        "premises": [map_sides(p, f) for p in node["premises"]],
-    }
-
-
 def hash_consing():
     """A term table and a function that enters a nested oracle term dict
     into it: every term dict is hash-consed by its JSON text, in
@@ -203,10 +185,34 @@ def hash_consing():
 
 
 def tree_to_table(tree):
-    """The derivation document of a nested oracle tree."""
+    """The derivation document of a nested oracle tree: its nodes in
+    postorder, and its equation records and terms hash-consed in the order
+    the nodes mention them (env values, hypotheses, conclusion)."""
     terms, term = hash_consing()
-    proof = map_sides(tree, term)
-    return {"terms": terms, "proof": proof}
+    equations, index, proof = [], {}, []
+
+    def equation(eq):
+        record = {**eq, "left": term(eq["left"]), "right": term(eq["right"])}
+        key = json.dumps(record)
+        if key not in index:
+            index[key] = len(equations)
+            equations.append(record)
+        return index[key]
+
+    def node(tree):
+        premises = [node(p) for p in tree["premises"]]
+        params = dict(tree["params"])
+        if "env" in params:
+            params["env"] = {name: term(t) for name, t in params["env"].items()}
+        hyps = [equation(h) for h in tree["conclusion"]["hyps"]]
+        eq = equation(tree["conclusion"]["eq"])
+        proof.append(
+            {"rule": tree["rule"], "params": params, "hyps": hyps, "eq": eq, "premises": premises}
+        )
+        return len(proof) - 1
+
+    node(tree)
+    return {"terms": terms, "equations": equations, "proof": proof}
 
 
 def term_tree_to_table(tree):
@@ -218,12 +224,30 @@ def term_tree_to_table(tree):
 
 def table_to_tree(doc):
     """The nested oracle tree of a derivation document."""
-    terms = doc["terms"]
+    terms, records, nodes = doc["terms"], doc["equations"], []
 
     def term(i):
         return {k: term(v) if k in TERM_CHILDREN else v for k, v in terms[i].items()}
 
-    return map_sides(doc["proof"], term)
+    def equation(i):
+        return {**records[i], "left": term(records[i]["left"]), "right": term(records[i]["right"])}
+
+    for entry in doc["proof"]:
+        params = dict(entry["params"])
+        if "env" in params:
+            params["env"] = {name: term(i) for name, i in params["env"].items()}
+        nodes.append(
+            {
+                "rule": entry["rule"],
+                "params": params,
+                "conclusion": {
+                    "hyps": [equation(i) for i in entry["hyps"]],
+                    "eq": equation(entry["eq"]),
+                },
+                "premises": [nodes[i] for i in entry["premises"]],
+            }
+        )
+    return nodes[-1]
 
 
 def oracle_typecheck(t, sig):
@@ -471,8 +495,8 @@ def test_hypotheses_with_binder_sides_order_by_printed_text():
     assert_replay_matches_oracles(d, th)
     doc = json.loads(json.dumps(derivation_to_json(d)))
     lefts = [
-        print_term(term_from_json({"terms": doc["terms"], "root": h["left"]}))
-        for h in doc["proof"]["conclusion"]["hyps"]
+        print_term(term_from_json({"terms": doc["terms"], "root": doc["equations"][i]["left"]}))
+        for i in doc["proof"][-1]["hyps"]
     ]
     assert lefts == ["\\a:[0,1]. a", "\\b:[0,1]. m b"]
     assert print_term(unhinted(once)) < print_term(unhinted(ident))
@@ -493,12 +517,25 @@ def test_alpha_equivalent_equations_keep_their_own_hints():
     assert check_derivation(d, th).ok
     assert_replay_matches_oracles(d, th)
     data = json.loads(json.dumps(derivation_to_json(d)))
-    assert data["proof"]["conclusion"]["eq"] != data["proof"]["premises"][0]["conclusion"]["eq"]
+    root = data["proof"][-1]
+    assert root["eq"] != data["proof"][root["premises"][0]]["eq"]
     copy = derivation_from_json(data)
     alpha, assumpt = copy.premises
     assert print_term(alpha.conclusion.conclusion.left) == "\\x:[0,1]. x"
     assert [print_term(h.left) for h in assumpt.conclusion.hypotheses] == ["\\y:[0,1]. y"]
     assert print_term(copy.conclusion.conclusion.right) == "\\y:[0,1]. y"
+
+
+def test_quantified_variables_are_written_sorted():
+    """An equation's X entries are written sorted by name, then sort,
+    whatever order its set iterates in."""
+    th = THEORIES["U_lambda_interval"]
+    i = parse_sort("[0,1]")
+    d = d_refl(Var("z", i), frozenset(Var(name, i) for name in "qwertyuiop"))
+    assert check_derivation(d, th).ok
+    assert_replay_matches_oracles(d, th)
+    (record,) = derivation_to_json(d)["equations"]
+    assert [v["name"] for v in record["X"]] == sorted("qwertyuiop")
 
 
 def test_term_documents_match_oracle():
@@ -560,6 +597,37 @@ def test_deep_terms_round_trip_without_recursion():
     assert json.dumps(derivation_to_json(d_refl(term_copy))) == text
 
 
+def test_deep_proofs_round_trip_and_check():
+    """Proof depth needs no recursion in the codec or the checker: the
+    derivation of a 600-step reduction of I (I (... (I x))), which is one
+    Cut deeper per step, and a Cut chain 20,000 deep go through the
+    document, JSON text and the checker at the default recursion limit.
+    Term == recurses, so copies are compared by their re-encoded text."""
+    x = Var("x", STAR)
+    t = x
+    for _ in range(600):
+        t = App(Const("I", STAR), t)
+    chain = d_refl(x)
+    for _ in range(20_000):
+        chain = d_cut([], chain)
+    for d in (derive_cl_reduction(cl_reduce(t, fuel=1000), CL_THEORY), chain):
+        text = json.dumps(derivation_to_json(d))
+        copy = derivation_from_json(json.loads(text))
+        assert check_derivation(copy, CL_THEORY).ok
+        assert json.dumps(derivation_to_json(copy)) == text
+
+
+def test_corpus_derivation_documents_are_pinned():
+    """The documents of the 45 corpus derivations, byte for byte, so that
+    any change to the derivation document shows here."""
+    text = "\n".join(json.dumps(derivation_to_json(d)) for _, _, d in CORPUS)
+    assert len(CORPUS) == 45
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "b57a83ce6cabef866acf885411365798e1fc782f7172c3883ea4b382bb7710df"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Malformed JSON is a StructuralError, never another exception
 
@@ -567,7 +635,8 @@ def test_deep_terms_round_trip_without_recursion():
 def _valid():
     th, name, d = CORPUS[0]
     data = json.loads(json.dumps(derivation_to_json(d)))
-    assert len(data["terms"]) == 1  # the cases below rely on one entry
+    # the cases below rely on one entry in each table
+    assert len(data["terms"]) == len(data["equations"]) == len(data["proof"]) == 1
     return data
 
 
@@ -603,47 +672,173 @@ def _forward(data):
     data["terms"] += [{"node": "app", "fn": n + 1, "arg": 0}, STAR_VAR]
 
 
+def _premises(*premises):
+    return _set(["proof", -1, "premises"], list(premises))
+
+
+def _lam_body_forward(data):
+    data["terms"].append({"node": "lam", "hint": "x", "var_sort": "*", "body": len(data["terms"])})
+
+
+# Each case edits the valid document and must fail with its own message.
+# The root is the last proof entry; the one equation record is the first.
 MALFORMED_DERIVATIONS = {
-    "missing rule": lambda data: data["proof"].pop("rule"),
-    "rule not a string": _set(["proof", "rule"], ["Refl"]),
-    "params not an object": _set(["proof", "params"], 5),
-    "env not an object": _set(["proof", "params"], {"env": [1]}),
-    "env term not an object": _set(["proof", "params"], {"env": {"x": 3}}),
-    "env value a nested dict": _set(["proof", "params"], {"env": {"x": STAR_VAR}}),
-    "premises not a list": _set(["proof", "premises"], "abc"),
-    "conclusion missing": lambda data: data["proof"].pop("conclusion"),
-    "hyps not a list": _set(["proof", "conclusion", "hyps"], {"a": 1}),
-    "X entry not an object": _set(["proof", "conclusion", "eq", "X"], ["x"]),
-    "X name not a string": _set(["proof", "conclusion", "eq", "X"], [{"name": 1, "sort": "*"}]),
-    "eps not a fraction": _set(["proof", "conclusion", "eq", "eps"], "abc"),
-    "eps divides by zero": _set(["proof", "conclusion", "eq", "eps"], "1/0"),
-    "eps a float": _set(["proof", "conclusion", "eq", "eps"], 0.5),
-    "sort not a string": _set(["proof", "conclusion", "eq", "sort"], 7),
-    "terms missing": lambda data: data.pop("terms"),
-    "proof missing": lambda data: data.pop("proof"),
-    "proof not an object": _set(["proof"], []),
-    "terms not a list": _set(["terms"], {"0": STAR_VAR}),
-    "terms entry not an object": lambda data: data["terms"].append([0, 1]),
-    "terms entry a string": lambda data: data["terms"].append("app"),
-    "child index out of range": _with_entry(fn=99),
-    "child index forward": _forward,
-    "child index self-referential": _at_own_position("fn"),
-    "arg index self-referential": _at_own_position("arg"),
-    "child index negative": _with_entry(fn=-1),
-    "child index a bool": _with_entry(fn=True),
-    "child index a float": _with_entry(fn=1.0),
-    "child index a string": _with_entry(arg="1"),
-    "child a nested dict": _with_entry(fn=STAR_VAR),
-    "lam body forward": lambda data: data["terms"].append(
-        {"node": "lam", "hint": "x", "var_sort": "*", "body": len(data["terms"])}
+    "missing rule": (lambda data: data["proof"][-1].pop("rule"), "bad JSON: missing field 'rule'"),
+    "rule not a string": (
+        _set(["proof", -1, "rule"], ["Refl"]),
+        "bad JSON: field 'rule' has type list",
     ),
-    "side index out of range": _set(["proof", "conclusion", "eq", "left"], 1),
-    "side index negative": _set(["proof", "conclusion", "eq", "right"], -1),
-    "side index a bool": _set(["proof", "conclusion", "eq", "left"], False),
-    "side index a float": _set(["proof", "conclusion", "eq", "left"], 0.0),
-    "side index a string": _set(["proof", "conclusion", "eq", "left"], "0"),
-    "side a nested dict": _set(["proof", "conclusion", "eq", "left"], STAR_VAR),
-    "side missing": lambda data: data["proof"]["conclusion"]["eq"].pop("right"),
+    "params not an object": (
+        _set(["proof", -1, "params"], 5),
+        "bad JSON: field 'params' has type int",
+    ),
+    "env not an object": (
+        _set(["proof", -1, "params"], {"env": [1]}),
+        "bad JSON: field 'env' has type list",
+    ),
+    "env term not an object": (
+        _set(["proof", -1, "params"], {"env": {"x": 3}}),
+        "bad JSON: term index 3 is not an earlier table entry",
+    ),
+    "env value a nested dict": (
+        _set(["proof", -1, "params"], {"env": {"x": STAR_VAR}}),
+        "bad JSON: term index has type dict",
+    ),
+    "premises not a list": (
+        _set(["proof", -1, "premises"], "abc"),
+        "bad JSON: field 'premises' has type str",
+    ),
+    "premise index self-referential": (
+        _premises(0),
+        "bad JSON: proof index 0 is not an earlier table entry",
+    ),
+    "premise index a bool": (_premises(False), "bad JSON: proof index has type bool"),
+    "premise index a nested entry": (
+        _premises({"rule": "Refl"}),
+        "bad JSON: proof index has type dict",
+    ),
+    "conclusion missing": (
+        lambda data: data["proof"][-1].pop("eq"),
+        "bad JSON: missing field 'eq'",
+    ),
+    "eq index out of range": (
+        _set(["proof", -1, "eq"], 1),
+        "bad JSON: equation index 1 is not an earlier table entry",
+    ),
+    "eq index a bool": (_set(["proof", -1, "eq"], False), "bad JSON: field 'eq' has type bool"),
+    "eq a nested record": (
+        lambda data: data["proof"][-1].update(eq=data["equations"][0]),
+        "bad JSON: equation index has type dict",
+    ),
+    "hyps not a list": (
+        _set(["proof", -1, "hyps"], {"a": 1}),
+        "bad JSON: field 'hyps' has type dict",
+    ),
+    "hyp index a string": (
+        _set(["proof", -1, "hyps"], ["0"]),
+        "bad JSON: equation index has type str",
+    ),
+    "hyp index negative": (
+        _set(["proof", -1, "hyps"], [-1]),
+        "bad JSON: equation index -1 is not an earlier table entry",
+    ),
+    "X entry not an object": (
+        _set(["equations", 0, "X"], ["x"]),
+        "bad JSON: expected an object, found str",
+    ),
+    "X name not a string": (
+        _set(["equations", 0, "X"], [{"name": 1, "sort": "*"}]),
+        "bad JSON: field 'name' has type int",
+    ),
+    "eps not a fraction": (
+        _set(["equations", 0, "eps"], "abc"),
+        "bad JSON: epsilon 'abc' is not a fraction",
+    ),
+    "eps divides by zero": (
+        _set(["equations", 0, "eps"], "1/0"),
+        "bad JSON: epsilon '1/0' is not a fraction",
+    ),
+    "eps a float": (_set(["equations", 0, "eps"], 0.5), "bad JSON: field 'eps' has type float"),
+    "sort not a string": (_set(["equations", 0, "sort"], 7), "bad JSON: field 'sort' has type int"),
+    "terms missing": (lambda data: data.pop("terms"), "bad JSON: missing field 'terms'"),
+    "equations missing": (
+        lambda data: data.pop("equations"),
+        "bad JSON: missing field 'equations'",
+    ),
+    "equations not a list": (
+        _set(["equations"], {"0": {}}),
+        "bad JSON: field 'equations' has type dict",
+    ),
+    "equations entry not an object": (
+        lambda data: data["equations"].append("eq"),
+        "bad JSON: expected an object, found str",
+    ),
+    "proof missing": (lambda data: data.pop("proof"), "bad JSON: missing field 'proof'"),
+    "proof not an object": (_set(["proof", -1], []), "bad JSON: expected an object, found list"),
+    "proof not a list": (
+        lambda data: data.update(proof=data["proof"][-1]),
+        "bad JSON: field 'proof' has type dict",
+    ),
+    "proof empty": (_set(["proof"], []), "bad JSON: proof has no entries"),
+    "terms not a list": (_set(["terms"], {"0": STAR_VAR}), "bad JSON: field 'terms' has type dict"),
+    "terms entry not an object": (
+        lambda data: data["terms"].append([0, 1]),
+        "bad term JSON: list indices must be integers or slices, not str",
+    ),
+    "terms entry a string": (
+        lambda data: data["terms"].append("app"),
+        "bad term JSON: string indices must be integers, not 'str'",
+    ),
+    "child index out of range": (
+        _with_entry(fn=99),
+        "bad JSON: term index 99 is not an earlier table entry",
+    ),
+    "child index forward": (_forward, "bad JSON: term index 2 is not an earlier table entry"),
+    "child index self-referential": (
+        _at_own_position("fn"),
+        "bad JSON: term index 1 is not an earlier table entry",
+    ),
+    "arg index self-referential": (
+        _at_own_position("arg"),
+        "bad JSON: term index 1 is not an earlier table entry",
+    ),
+    "child index negative": (
+        _with_entry(fn=-1),
+        "bad JSON: term index -1 is not an earlier table entry",
+    ),
+    "child index a bool": (_with_entry(fn=True), "bad JSON: term index has type bool"),
+    "child index a float": (_with_entry(fn=1.0), "bad JSON: term index has type float"),
+    "child index a string": (_with_entry(arg="1"), "bad JSON: term index has type str"),
+    "child a nested dict": (_with_entry(fn=STAR_VAR), "bad JSON: term index has type dict"),
+    "lam body forward": (_lam_body_forward, "bad JSON: term index 1 is not an earlier table entry"),
+    "side index out of range": (
+        _set(["equations", 0, "left"], 1),
+        "bad JSON: term index 1 is not an earlier table entry",
+    ),
+    "side index negative": (
+        _set(["equations", 0, "right"], -1),
+        "bad JSON: term index -1 is not an earlier table entry",
+    ),
+    "side index a bool": (
+        _set(["equations", 0, "left"], False),
+        "bad JSON: field 'left' has type bool",
+    ),
+    "side index a float": (
+        _set(["equations", 0, "left"], 0.0),
+        "bad JSON: term index has type float",
+    ),
+    "side index a string": (
+        _set(["equations", 0, "left"], "0"),
+        "bad JSON: term index has type str",
+    ),
+    "side a nested dict": (
+        _set(["equations", 0, "left"], STAR_VAR),
+        "bad JSON: term index has type dict",
+    ),
+    "side missing": (
+        lambda data: data["equations"][0].pop("right"),
+        "bad JSON: missing field 'right'",
+    ),
 }
 
 # Each record is decoded as the only entry of a term document, and must
@@ -711,35 +906,11 @@ MALFORMED_TERM_DOCUMENTS = {
 }
 
 
-def equation_records(proof):
-    """The equation records of a proof tree, in the order the decoder
-    meets them."""
-    inf = proof["conclusion"]
-    yield from inf["hyps"]
-    yield inf["eq"]
-    for p in proof["premises"]:
-        yield from equation_records(p)
-
-
-def _repeated_record():
-    """A document, the first equation record that a later one repeats,
-    and that later copy."""
-    x = Var("x", STAR)
-    s, k = Const("S", STAR), Const("K", STAR)
-    d = derive_cl_reduction(cl_reduce(app(s, k, k, x), fuel=100), CL_THEORY)
-    data = json.loads(json.dumps(derivation_to_json(d)))
-    first = {}
-    for record in equation_records(data["proof"]):
-        text = json.dumps(record)
-        if text in first:
-            return data, first[text], record
-        first[text] = record
-    raise AssertionError("no equation record repeats")
-
-
-# Each case edits the earlier record (keeping it valid) and its later
-# copy; the later copy must fail as it does without any memo of records,
-# also where its raw fields equal the earlier ones (True == 1 == 1.0).
+# Each case edits the first equation record of a document (keeping it
+# valid) and a copy of it, which is appended to the equation table and
+# replaces it as the conclusion of the first proof entry; the copy must
+# fail as a record of its own does, also where its raw fields equal the
+# earlier record's (True == 1 == 1.0).
 MALFORMED_REPEATS = {
     "eps a bool": (
         lambda first, later, n: (first.update(eps=1), later.update(eps=True)),
@@ -770,13 +941,18 @@ MALFORMED_REPEATS = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_REPEATS))
 def test_malformed_copy_of_a_repeated_record_is_structural_error(name):
-    data, first, later = _repeated_record()
+    x = Var("x", STAR)
+    s, k = Const("S", STAR), Const("K", STAR)
+    d = derive_cl_reduction(cl_reduce(app(s, k, k, x), fuel=100), CL_THEORY)
+    data = json.loads(json.dumps(derivation_to_json(d)))
+    first = data["equations"][data["proof"][0]["eq"]]
     edit, message = MALFORMED_REPEATS[name]
     n = len(data["terms"])
-    later_copy = dict(later)
-    edit(first, later_copy, n)
+    later = dict(first)
+    edit(first, later, n)
     derivation_from_json(data)  # the edited earlier record is valid
-    later.update(later_copy)
+    data["proof"][0]["eq"] = len(data["equations"])
+    data["equations"].append(later)
     with pytest.raises(StructuralError) as info:
         derivation_from_json(data)
     assert str(info.value) == message.format(n=n)
@@ -785,9 +961,11 @@ def test_malformed_copy_of_a_repeated_record_is_structural_error(name):
 @pytest.mark.parametrize("name", sorted(MALFORMED_DERIVATIONS))
 def test_malformed_derivation_json_is_structural_error(name):
     data = _valid()
-    MALFORMED_DERIVATIONS[name](data)
-    with pytest.raises(StructuralError, match="bad (term )?JSON"):
+    edit, message = MALFORMED_DERIVATIONS[name]
+    edit(data)
+    with pytest.raises(StructuralError) as info:
         derivation_from_json(data)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_TERMS))

@@ -58,19 +58,22 @@ def test_equation_validation():
 
 
 def test_equation_json_roundtrip():
-    """An inference document names its sides by index into one term table
-    and round-trips through JSON text; a quantified variable decodes to
-    the very object that its occurrences in the sides decode to."""
+    """An inference document names its equations by index into one
+    equation table, whose sides are indices into one term table, and
+    round-trips through JSON text; a quantified variable decodes to the
+    very object that its occurrences in the sides decode to."""
     x, y = Var("x", O), Var("y", O)
     eq = QuantEquation(x, y, F(1, 2), O, frozenset({x}))
     inf = Inference(frozenset({eq}), QuantEquation(y, x, F(1, 2), O, frozenset({x})))
     data = json.loads(json.dumps(inf.to_json()))
     assert data == {
         "terms": [{"node": "var", "name": "x", "sort": "o"}, {"node": "var", "name": "y", "sort": "o"}],
-        "inference": {
-            "hyps": [{"left": 0, "right": 1, "eps": "1/2", "sort": "o", "X": [{"name": "x", "sort": "o"}]}],
-            "eq": {"left": 1, "right": 0, "eps": "1/2", "sort": "o", "X": [{"name": "x", "sort": "o"}]},
-        },
+        "equations": [
+            {"left": 0, "right": 1, "eps": "1/2", "sort": "o", "X": [{"name": "x", "sort": "o"}]},
+            {"left": 1, "right": 0, "eps": "1/2", "sort": "o", "X": [{"name": "x", "sort": "o"}]},
+        ],
+        "hyps": [0],
+        "eq": 1,
     }
     copy = Inference.from_json(data)
     assert copy == inf
