@@ -6,9 +6,9 @@ for infinity), and every check compares integers; ExtReal, an exact
 Fraction or infinity, is what results and JSON carry.
 On top of that the module provides finite point spaces with a taxonomy
 classifier (premetric / metric / ultrametric / partial ultrametric),
-star-completion, binary products, enumeration of non-expansive maps, the
-four hom-distances phi / xi / xi' / theta between such maps, and the
-"enough midpoints" exponentiability check.
+enumeration of non-expansive maps, the four hom-distances phi / xi /
+xi' / theta between such maps, and the "enough midpoints"
+exponentiability check.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "SpaceClass",
     "PointMap",
     "classify_space",
-    "star_completion",
-    "product_space",
     "enumerate_nonexpansive",
     "nonexpansive_tables",
     "hom_distance",
@@ -276,22 +274,6 @@ def classify_space(space: FiniteMetricSpace) -> SpaceClass:
         ultrametric=premetric and trans_star,
         partial_ultrametric=symm and trans_star and refl_star,
     )
-
-
-def star_completion(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Zero out the diagonal of a partial ultrametric space."""
-    if not classify_space(space).partial_ultrametric:
-        raise PreconditionError("star_completion requires a partial ultrametric space")
-    m = [[0 if i == j else v for j, v in enumerate(row)] for i, row in enumerate(space.m)]
-    return FiniteMetricSpace(space.points, m, space.scale)
-
-
-def product_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Cartesian product with the pointwise max distance."""
-    fa, fb = _factors(a, b)
-    points = tuple(f"({p},{q})" for p in a.points for q in b.points)
-    m = [[max(u * fa, v * fb) for u in ra for v in rb] for ra in a.m for rb in b.m]
-    return FiniteMetricSpace(points, m, a.scale * fa)
 
 
 @dataclass(frozen=True)

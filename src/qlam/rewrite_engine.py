@@ -55,11 +55,12 @@ DEFAULT_FUEL = 10000
 # Index plumbing
 
 
-def shift(t: Term, d: int, cutoff: int = 0) -> Term:
-    """Add d to every index of t that points cutoff or more binders out."""
+def shift(t: Term, d: int) -> Term:
+    """Add d to every free index of t: one that points past the binders of t
+    above it."""
 
     def leaf(u: Term, k: int) -> Term:
-        if isinstance(u, Bound) and u.index >= cutoff + k:
+        if isinstance(u, Bound) and u.index >= k:
             return Bound(u.index + d, u.sort)
         return u
 

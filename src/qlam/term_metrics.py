@@ -51,7 +51,6 @@ __all__ = [
     "DYADIC_ONE",
     "project",
     "nf_depth",
-    "term_size",
     "agreement_level",
     "e_distance",
     "enumerate_closed_nfs",
@@ -60,10 +59,8 @@ __all__ = [
     "dnf_distance",
     "OrderResult",
     "order_distance",
-    "order_leq",
     "fth_distance",
     "approx_apply",
-    "check_approx_conditions",
 ]
 
 
@@ -130,10 +127,6 @@ def nf_depth(t: Term) -> int:
     if isinstance(head, (Bottom, Const)):
         return 0
     return 1 + max((nf_depth(a) for a in args), default=0)
-
-
-def term_size(t: Term) -> int:
-    return sum(1 for _ in subterms(t))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +200,7 @@ class _Enumerator:
         self._fresh = itertools.count()
 
     def generate(self, sort: Sort, budget: int) -> list[tuple[Term, int, int]]:
-        """(term, size, bottom count) triples; size is term_size(term)."""
+        """(term, size, bottom count) triples; size counts the nodes of term."""
         return self._gen(sort, (), budget)
 
     def _gen(
@@ -473,11 +466,6 @@ def order_distance(t: NormalForm, s: NormalForm) -> tuple[Dyadic, OrderResult]:
     return Dyadic(Fraction(1, 2)), OrderResult(True, NormalForm(j))
 
 
-def order_leq(t: NormalForm, s: NormalForm) -> bool:
-    """Decision scan for the approximation order: t below s."""
-    return _join(t.term, s.term) == s.term
-
-
 # ---------------------------------------------------------------------------
 # Full type hierarchy distance
 
@@ -547,79 +535,3 @@ def approx_apply(t: NormalForm, s: NormalForm, n: int) -> NormalForm:
     if not isinstance(sort, ArrowSort) or sort.dom != s.sort:
         raise SortError("approx_apply requires matching arrow and argument sorts")
     return normalize(App(_project(t.term, n), _project(s.term, n)))
-
-
-def check_approx_conditions(
-    corpus: Sequence[tuple[NormalForm, NormalForm]],
-    n_range: tuple[int, int],
-    eps_targets: Sequence[Fraction] = (Fraction(0),),
-) -> dict:
-    """Report on monotonicity, convergence and uniform non-expansiveness
-    of approximate application over a corpus of (function, argument)
-    pairs."""
-    lo, hi = n_range
-    if lo < 0 or hi < lo:
-        raise PreconditionError("bad level range")
-
-    # approx[i][n - lo]: approximate application of pair i at level n
-    approx: list[list[NormalForm]] = []
-    gaps: list[list[Fraction]] = []
-    for t, s in corpus:
-        full = normalize(App(t.term, s.term))
-        approx.append([approx_apply(t, s, n) for n in range(lo, hi + 2)])
-        gaps.append([e_distance(a, full).value for a in approx[-1]])
-
-    monotone_violations = []
-    for idx, row in enumerate(gaps):
-        for j in range(len(row) - 1):
-            if row[j + 1] > row[j]:
-                monotone_violations.append(
-                    {"pair": idx, "n": lo + j, "gap_n": str(row[j]), "gap_next": str(row[j + 1])}
-                )
-
-    convergence = []
-    for idx, row in enumerate(gaps):
-        entry = {"pair": idx}
-        for eps in eps_targets:
-            least = next((lo + j for j, g in enumerate(row) if g <= eps), None)
-            entry[f"least_n_eps_{eps}"] = least
-        convergence.append(entry)
-
-    # uniform non-expansiveness: per level, the largest candidate epsilon
-    # at or below 1/2^n for which close inputs give close outputs
-    pair_dists: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    for i, j in itertools.combinations_with_replacement(range(len(corpus)), 2):
-        dt = e_distance(corpus[i][0], corpus[j][0]).value
-        ds = e_distance(corpus[i][1], corpus[j][1]).value
-        pair_dists[(i, j)] = (dt, ds)
-    observed = sorted(
-        {d for pair in pair_dists.values() for d in pair}, reverse=True
-    )
-
-    nonexpansive = []
-    for n in range(lo, hi + 1):
-        cap = Fraction(1, 2**n)
-        candidates = [e for e in observed if e <= cap]
-        if cap not in candidates:
-            candidates.insert(0, cap)
-        chosen = Fraction(0)
-        violation = None
-        for eps in candidates:
-            bad = None
-            for (i, j), (dt, ds) in pair_dists.items():
-                if dt <= eps and ds <= eps:
-                    out = e_distance(approx[i][n - lo], approx[j][n - lo]).value
-                    if out > eps:
-                        bad = {"pairs": [i, j], "output_gap": str(out)}
-                        break
-            if bad is None:
-                chosen = eps
-                break
-            violation = {"eps": str(eps), **bad}
-        nonexpansive.append({"n": n, "largest_eps": str(chosen), "first_violation": violation})
-
-    return {
-        "monotonicity_violations": monotone_violations,
-        "convergence": convergence,
-        "nonexpansiveness": nonexpansive,
-    }

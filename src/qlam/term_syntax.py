@@ -38,7 +38,6 @@ __all__ = [
     "free_vars",
     "bound_hints",
     "substitute",
-    "alpha_eq",
     "typecheck",
     "parse_term",
     "parse_sort",
@@ -475,10 +474,6 @@ def _substituter(env: Mapping[str, Term]) -> Callable[[Term], Term]:
     return lambda t: _rebuild(t, leaf)
 
 
-def alpha_eq(t: Term, s: Term) -> bool:
-    return t == s
-
-
 def typecheck(t: Term, sig: Optional[Signature] = None) -> Sort:
     """Recompute and validate the sort of every node.
 
@@ -760,10 +755,8 @@ def _fresh(base: str, used: set[str]) -> str:
     return f"{base}{k}"
 
 
-def print_term(t: Term, untyped: Optional[bool] = None) -> str:
-    if untyped is None:
-        untyped = t.sort is STAR
-
+def print_term(t: Term) -> str:
+    untyped = t.sort is STAR
     root = t
     used: Optional[set[str]] = None  # free names of root, found at the first binder
 

@@ -41,7 +41,6 @@ from qlam.quant_deduction import Inference, QuantEquation, check_derivation
 from qlam.rewrite_engine import bracket_abstract, cl_reduce, normalize
 from qlam.term_metrics import (
     approx_apply,
-    check_approx_conditions,
     dnf_distance,
     e_distance,
     enumerate_closed_nfs,

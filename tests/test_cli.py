@@ -65,6 +65,60 @@ def test_domain_error_is_exit_1():
     assert res.exit_code == 1
 
 
+R25 = ("--const", "c1:o", "--const", "c2:o")
+
+
+@pytest.mark.parametrize(
+    "left, right, want",
+    [
+        (
+            "\\x:o->o. x bot:o",
+            "\\x:o->o. x (x c1)",
+            {"value": "1/2", "comparable": True, "join": "\\x:o->o. x (x c1)"},
+        ),
+        (
+            "\\x:o->o. x (x c1)",
+            "\\x:o->o. x (x c2)",
+            {"value": "1", "comparable": False, "join": None},
+        ),
+        (
+            "\\x:o->o. x (x c1)",
+            "\\x:o->o. x (x c1)",
+            {"value": "0", "comparable": True, "join": "\\x:o->o. x (x c1)"},
+        ),
+    ],
+    ids=["comparable", "incomparable", "equal"],
+)
+def test_dist_order_metric_outcomes(left, right, want):
+    res = run("dist", "--metric", "order", "--expr", *R25, left, right)
+    assert res.exit_code == 0
+    assert json.loads(res.output) == want
+
+
+def test_dist_dnf_metric_on_the_remark25_pair():
+    res = run("dist", "--metric", "dnf", "--expr", *R25, "\\x:o->o. x (x c1)", "\\x:o->o. x (x c2)")
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        "value": "1/2",
+        "status": "exact",
+        "witness_budget": 12,
+        "failing_witness": None,
+    }
+
+
+def test_dist_fth_metric_on_church_2_and_4():
+    res = run(
+        "dist",
+        "--metric",
+        "fth",
+        "--expr",
+        "\\f:o->o. \\x:o. f (f x)",
+        "\\f:o->o. \\x:o. f (f (f (f x)))",
+    )
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"value": "1/2", "status": "exact"}
+
+
 def test_hom_dist_via_files(tmp_path):
     a, b, f, g = theta_xi_maps()
     pa = tmp_path / "a.json"
@@ -75,8 +129,43 @@ def test_hom_dist_via_files(tmp_path):
     pb.write_text(b.dumps())
     pf.write_text(json.dumps(list(f.table)))
     pg.write_text(json.dumps(list(g.table)))
-    res = run("hom-dist", "--kind", "theta", str(pa), str(pb), str(pf), str(pg))
-    assert json.loads(res.output) == {"value": "2"}
+    for kind, value in (("phi", "1/2"), ("xi", "15/16"), ("xi_prime", "15/16"), ("theta", "2")):
+        res = run("hom-dist", "--kind", kind, str(pa), str(pb), str(pf), str(pg))
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {"value": value}
+
+
+@pytest.mark.parametrize(
+    "points, dist, sorts, carriers",
+    [
+        # a discrete base makes every map non-expansive
+        (
+            ["a", "b"],
+            [["0", "1"], ["1", "0"]],
+            ["o", "o->o", "(o->o)->o"],
+            {"o": 2, "o->o": 4, "(o->o)->o": 16},
+        ),
+        # on the path 0 - 1/2 - 1, f(1/2) = 1/2 leaves 3 x 3 choices and
+        # f(1/2) = 0 or 1 leaves 2 x 2 each
+        (
+            ["0", "1/2", "1"],
+            [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]],
+            ["o", "o->o"],
+            {"o": 3, "o->o": 17},
+        ),
+    ],
+    ids=["discrete", "path"],
+)
+def test_build_fts_counts_the_full_carriers(tmp_path, points, dist, sorts, carriers):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"points": points, "dist": dist}))
+    res = run("build-fts", str(base), *(arg for s in sorts for arg in ("--sort", s)))
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        "bases": {"o": {"dist": dist, "points": points}},
+        "full_carriers": carriers,
+        "name": "fts",
+    }
 
 
 def test_check_proof_valid_and_invalid(tmp_path):

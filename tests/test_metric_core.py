@@ -20,8 +20,6 @@ from qlam.metric_core import (
     classify_space,
     enumerate_nonexpansive,
     hom_distance,
-    product_space,
-    star_completion,
 )
 
 
@@ -130,22 +128,6 @@ def test_classify_matches_brute_laws(name):
 def test_partial_space_classes():
     cls = classify_space(SPACES["partial"])
     assert cls.partial_ultrametric and not cls.metric and not cls.premetric
-
-
-def test_star_completion_zeroes_diagonal():
-    star = star_completion(SPACES["partial"])
-    assert all(star.d(i, i) == ZERO for i in range(star.size))
-    assert star.d(0, 1) == ExtReal(F(1, 2))
-    assert classify_space(star).ultrametric
-    with pytest.raises(PreconditionError):
-        star_completion(SPACES["asym"])
-
-
-def test_product_space_is_pointwise_max():
-    p = product_space(SPACES["discrete"], SPACES["grid"])
-    assert p.size == 6
-    assert p.d_name("(a,0)", "(b,1/2)") == ExtReal(F(1))
-    assert p.d_name("(a,0)", "(a,1/2)") == ExtReal(F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +544,8 @@ def test_scale_is_canonical_across_constructions():
     halves = FiniteMetricSpace(("a", "b"), ((ZERO, ExtReal(F(2, 4))), (ExtReal(F(1, 2)), ZERO)))
     assert halves.scale == 2 and halves.m == ((0, 1), (1, 0))
     assert halves == FiniteMetricSpace(("a", "b"), ((0, 2), (2, 0)), 4)
-    assert star_completion(SPACES["partial"]).scale == 2
+    thirds = FiniteMetricSpace(("a", "b", "c"), ((0, 3, 6), (3, 0, 3), (6, 3, 0)), 12)
+    assert thirds.scale == 4 and thirds.m == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
     assert FiniteMetricSpace(("a",), ((INF,),)).m == ((math.inf,),)
     assert grid(0, 0, F(1, 3)).scale == 1
 

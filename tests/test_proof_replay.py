@@ -566,7 +566,12 @@ def cl_term(tree):
     return Const(tree, STAR) if tree in ("I", "K", "S") else Var(tree, STAR)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(cl_tree(["x", "y", "z"], 4), cl_tree(["y", "z"], 3))
 def test_bracket_simulation_replay_matches_oracles(t_tree, u_tree):
     """Criterion-06 problems: derive that (\\x. t) u and t[x:=u] meet,

@@ -20,7 +20,6 @@ from qlam.term_syntax import (
     STAR,
     Signature,
     Var,
-    alpha_eq,
     app,
     arrow,
     bind,
@@ -112,7 +111,6 @@ def test_alpha_equivalence_ignores_hints():
     a = bind("x", O, Var("x", O))
     b = bind("y", O, Var("y", O))
     assert a == b
-    assert alpha_eq(a, b)
     assert hash(a) == hash(b)
 
 
