@@ -36,10 +36,7 @@ __all__ = [
     "DEFAULT_FUEL",
     "shift",
     "open_bound",
-    "is_beta_normal",
-    "is_eta_long",
     "beta_normalize",
-    "eta_long",
     "NormalForm",
     "normalize",
     "CLStep",
@@ -82,12 +79,6 @@ def open_bound(body: Term, arg: Term) -> Term:
 
 # ---------------------------------------------------------------------------
 # Beta normalization
-
-
-def is_beta_normal(t: Term) -> bool:
-    return not any(
-        isinstance(s, App) and isinstance(s.fn, Lam) for s in subterms(t)
-    )
 
 
 class _Budget:
@@ -143,27 +134,9 @@ def beta_normalize(t: Term, fuel: Optional[int] = None) -> Term:
 # Eta-long forms
 
 
-def is_eta_long(t: Term) -> bool:
-    """Every subterm of arrow sort outside function position is a lambda."""
-
-    def go(t: Term, fn_position: bool) -> bool:
-        if not fn_position and isinstance(t.sort, ArrowSort) and not isinstance(t, Lam):
-            return False
-        if isinstance(t, Lam):
-            return go(t.body, False)
-        if isinstance(t, App):
-            return go(t.fn, True) and go(t.arg, False)
-        return True
-
-    return go(t, False)
-
-
-def eta_long(t: Term) -> Term:
-    """Eta-long expansion of a beta-normal typed term."""
-    if t.sort is STAR:
-        raise SortError("eta-long forms exist only in the typed regime")
-    if not is_beta_normal(t):
-        raise PreconditionError("eta_long requires a beta-normal input")
+def _eta_long(t: Term) -> Term:
+    """Eta-long expansion of a beta-normal typed term, as normalize makes
+    it; the NormalForm that normalize builds re-checks the result."""
 
     def go(t: Term) -> Term:
         binders, core = _strip(t)
@@ -184,15 +157,29 @@ def eta_long(t: Term) -> Term:
 class NormalForm:
     """A term certified beta-normal (and eta-long when typed).
 
-    The certificate is re-checked by linear scans at construction time.
+    The certificate is re-checked at construction time, both conditions
+    in one walk on an explicit stack; beta is reported first.
     """
 
     term: Term
 
     def __post_init__(self) -> None:
-        if not is_beta_normal(self.term):
-            raise PreconditionError("term is not beta-normal")
-        if self.term.sort is not STAR and not is_eta_long(self.term):
+        # every node taken from the stack is outside function position,
+        # where eta-longness asks for a lambda at arrow sort
+        eta_long = True
+        stack = [self.term]
+        while stack:
+            t = stack.pop()
+            while isinstance(t, Lam):
+                t = t.body
+            if isinstance(t.sort, ArrowSort):
+                eta_long = False
+            while isinstance(t, App):
+                if isinstance(t.fn, Lam):
+                    raise PreconditionError("term is not beta-normal")
+                stack.append(t.arg)
+                t = t.fn
+        if not eta_long and self.term.sort is not STAR:
             raise PreconditionError("term is not eta-long")
 
     @property
@@ -204,7 +191,7 @@ def normalize(t: Term, fuel: Optional[int] = None) -> NormalForm:
     """Canonical representative of t's beta-eta class."""
     t = beta_normalize(t, fuel)
     if t.sort is not STAR:
-        t = eta_long(t)
+        t = _eta_long(t)
     return NormalForm(t)
 
 
@@ -312,29 +299,22 @@ def bracket_abstract(x: Var, t: Term) -> Term:
     """
     if any(isinstance(s, (Lam, Bound)) for s in subterms(t)):
         raise PreconditionError("bracket_abstract takes pure combinatory terms")
-    untyped = x.sort is STAR
+    # arrow(STAR, STAR) is STAR, so the sort formulas serve both regimes,
+    # and a mix of the two raises SortError
+    i = x.sort
 
     def lam_x(t: Term) -> Term:
         if t == x:
-            sort = STAR if untyped else arrow(x.sort, x.sort)
-            return Const("I", sort)
+            return Const("I", arrow(i, i))
         if x.name not in free_vars(t):
-            k_sort = STAR if untyped else arrow(t.sort, arrow(x.sort, t.sort))
-            return App(Const("K", k_sort), t)
+            return App(Const("K", arrow(t.sort, arrow(i, t.sort))), t)
         if isinstance(t, Var) and t.name == x.name:
             raise SortError(f"variable {x.name} occurs at two sorts")
         assert isinstance(t, App)
         left = lam_x(t.fn)
         right = lam_x(t.arg)
-        if untyped:
-            s_sort: Sort = STAR
-        else:
-            i = x.sort
-            j = t.arg.sort
-            k = t.sort
-            s_sort = arrow(
-                arrow(i, arrow(j, k)), arrow(arrow(i, j), arrow(i, k))
-            )
+        j, k = t.arg.sort, t.sort
+        s_sort = arrow(arrow(i, arrow(j, k)), arrow(arrow(i, j), arrow(i, k)))
         return App(App(Const("S", s_sort), left), right)
 
     return lam_x(t)

@@ -206,6 +206,49 @@ class Term:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, which is alpha-equivalence: bound variables
+        are indices and binder hints are left out.  One loop over node
+        pairs on an explicit stack, so term depth is unbounded.  The nodes
+        of a pair agree in kind and cached hash; a pair of children is
+        settled before it is pushed when it is one object, differs in kind
+        or hash, or is a pair of leaves."""
+        if self is other:
+            return True
+        kind = type(self)
+        if type(other) is not kind or self._hash != other._hash:
+            return False
+        if kind is not App and kind is not Lam:
+            return _same_leaf(self, other)
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is App:
+                pairs = ((a.arg, b.arg), (a.fn, b.fn))
+            elif a.var_sort != b.var_sort:
+                return False
+            else:
+                pairs = ((a.body, b.body),)
+            for x, y in pairs:
+                if x is y:
+                    continue
+                kind = type(x)
+                if kind is not type(y) or x._hash != y._hash:
+                    return False
+                if kind is App or kind is Lam:
+                    stack.append((x, y))
+                elif not _same_leaf(x, y):
+                    return False
+        return True
+
+
+def _same_leaf(a: Term, b: Term) -> bool:
+    """Two Var, Const, Bound or Bottom nodes of one kind are equal."""
+    kind = type(a)
+    if kind is Bound:
+        return a.index == b.index and a.sort == b.sort
+    return (kind is Bottom or a.name == b.name) and a.sort == b.sort
+
 
 class Var(Term):
     __slots__ = ("name",)
@@ -214,16 +257,6 @@ class Var(Term):
         self.name = name
         self.sort = sort
         self._hash = hash(("var", name, sort))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Var)
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.sort == other.sort
-        )
-
-    __hash__ = Term.__hash__
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -237,16 +270,6 @@ class Bound(Term):
         self.sort = sort
         self._hash = hash(("bound", index, sort))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Bound)
-            and self._hash == other._hash
-            and self.index == other.index
-            and self.sort == other.sort
-        )
-
-    __hash__ = Term.__hash__
-
     def __repr__(self) -> str:
         return f"Bound({self.index})"
 
@@ -258,16 +281,6 @@ class Const(Term):
         self.name = name
         self.sort = sort
         self._hash = hash(("const", name, sort))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Const)
-            and self._hash == other._hash
-            and self.name == other.name
-            and self.sort == other.sort
-        )
-
-    __hash__ = Term.__hash__
 
     def __repr__(self) -> str:
         return f"Const({self.name!r})"
@@ -281,11 +294,6 @@ class Bottom(Term):
             raise SortError("bottom only exists at base sorts")
         self.sort = sort
         self._hash = hash(("bottom", sort))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Bottom) and self.sort == other.sort
-
-    __hash__ = Term.__hash__
 
     def __repr__(self) -> str:
         return "Bottom()"
@@ -313,16 +321,6 @@ class App(Term):
         self.arg = arg
         self._hash = hash(("app", fn._hash, arg._hash))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and self.fn == other.fn
-            and self.arg == other.arg
-        )
-
-    __hash__ = Term.__hash__
-
     def __repr__(self) -> str:
         return f"App({self.fn!r}, {self.arg!r})"
 
@@ -337,16 +335,6 @@ class Lam(Term):
         self.sort = arrow(var_sort, body.sort)
         # hint deliberately left out: equality is alpha-equivalence
         self._hash = hash(("lam", var_sort, body._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, Lam)
-            and self._hash == other._hash
-            and self.var_sort == other.var_sort
-            and self.body == other.body
-        )
-
-    __hash__ = Term.__hash__
 
     def __repr__(self) -> str:
         return f"Lam({self.hint!r}, {self.body!r})"

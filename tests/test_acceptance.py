@@ -10,8 +10,6 @@ function turns the line red.
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from qlam.corpus import (
     FG,
     I01,
@@ -19,7 +17,6 @@ from qlam.corpus import (
     OO,
     church,
     corpus_algebras,
-    corpus_derivations,
     harness_corpus,
     remark25_terms,
     remark27_terms,

@@ -467,6 +467,39 @@ def test_deep_untyped_spine_is_exit_1_without_traceback():
     assert json.loads(res.stderr)["kind"] == "RecursionError"
 
 
+def test_bracket_mixed_regimes_is_exit_1():
+    # an untyped variable abstracted out of a typed term has no combinator
+    # sorts: the sort formulas of the two regimes are one and reject the mix
+    res = run("bracket", "--expr", "f:o->o y:o", "--var", "x:*")
+    assert res.exit_code == 1
+    assert json.loads(res.stderr) == {
+        "error": "cannot mix the untyped sort with typed sorts",
+        "kind": "SortError",
+    }
+
+
+def test_build_grid_emits_the_algebra():
+    unit = {
+        "points": ["0", "1/2", "1"],
+        "dist": [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]],
+    }
+    half = {"points": ["0", "1/2"], "dist": [["0", "1/2"], ["1/2", "0"]]}
+    res = run("build-grid", "--interval", "0:1:1/2")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {
+        "bases": {"[0,1]": unit},
+        "full_carriers": {"[0,1]": 3},
+        "name": "grid",
+    }
+    res = run("build-grid", "--interval", "0:1:1/2", "--interval", "0:1/2:1/2")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {
+        "bases": {"[0,1]": unit, "[0,1/2]": half},
+        "full_carriers": {"[0,1]": 3, "[0,1/2]": 2},
+        "name": "grid",
+    }
+
+
 @pytest.mark.parametrize("interval", ["0:1:0", "0:1:-1/2", "0:1:2/3"])
 def test_build_grid_bad_step_is_exit_1(interval):
     res = run("build-grid", "--interval", interval)

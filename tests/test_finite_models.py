@@ -12,7 +12,6 @@ from qlam.corpus import (
     O,
     OO,
     corpus_algebras,
-    corpus_theories,
     harness_corpus,
 )
 from qlam.errors import BudgetError, InterpretationError, StructuralError
@@ -39,7 +38,6 @@ from qlam.term_syntax import (
     STAR,
     Var,
     arrow,
-    parse_term,
     render_sort,
 )
 

@@ -1,7 +1,8 @@
 """Every public name of qlam is reached by the program, a criterion or a
 workload: each entry of a module's __all__ is loaded somewhere in src/qlam,
 perfbench/*.py, tests/test_acceptance.py or tests/test_cli.py.  A name
-that only its own unit tests reach should leave src/ instead.
+that only its own unit tests reach should leave src/ instead.  And every
+name a module of src/qlam or tests/ imports is loaded there.
 
 Stdlib only: the check reads source files and walks their ASTs.
 """
@@ -62,3 +63,24 @@ def test_every_public_name_is_reached():
         if name not in reached
     ]
     assert not unreached, f"public names that only unit tests reach: {unreached}"
+
+
+def test_every_imported_name_is_loaded():
+    unused = []
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            # a __future__ import is a compiler directive, never loaded
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.parent.name}/{path.name}: {name}")
+    assert not unused, f"imported names never loaded: {unused}"

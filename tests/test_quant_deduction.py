@@ -3,17 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from qlam.corpus import CL_TRIPLES, corpus_derivations, corpus_theories
+from qlam.corpus import corpus_derivations, corpus_theories
 from qlam.errors import PreconditionError, StructuralError
 from qlam.quant_deduction import (
+    CheckResult,
     Derivation,
     Inference,
     QuantEquation,
     Theory,
     builtin_theory,
     check_derivation,
-    d_axiom,
-    d_cut,
     d_refl,
     d_subst,
     derivation_from_json,
@@ -239,6 +238,167 @@ def test_checker_typechecks_equations():
     eq = QuantEquation(Const("zz", O), Const("zz", O), F(0), O)
     d = Derivation("Refl", Inference(frozenset(), eq))
     assert not check_derivation(d, th).ok
+
+
+def _side_condition_table():
+    """(theory, derivation, reason): the smallest derivation whose root
+    breaks exactly one side condition of its rule, one per reason."""
+    from qlam.corpus import I01
+
+    I, II = I01, arrow(I01, I01)
+    x, y, z, v, w = (Var(n, I) for n in "xyzvw")
+    f, g = Var("f", II), Var("g", II)
+    k0 = Const("k0", I)
+    ident = Lam("v", I, Bound(0, I))
+
+    def eq(left, right, eps=0, X=()):
+        return QuantEquation(left, right, F(eps), left.sort, frozenset(X))
+
+    def node(rule, hyps, concl, premises=(), **params):
+        return Derivation(rule, Inference(frozenset(hyps), concl), tuple(premises), params)
+
+    xy = eq(x, y, 1)
+    redex = App(ident, x)
+    # xi: from v ~1 y under X = {v}, abstract v on both sides
+    xi_hyp = eq(v, y, 1, {v})
+    xi = eq(Lam("v", I, Bound(0, I)), Lam("v", I, y), 1, {v})
+    # beta hygiene: (\x. \y. x) y names the free y as a binder hint
+    capture = App(Lam("x", I, Lam("y", I, Bound(1, I))), y)
+    eta = eq(f, Lam("v", I, App(f, Bound(0, I))))
+    symm = node("Symm", [xy], eq(y, x, 1))
+    refl_x = d_refl(x)
+    CL, PART, LAM, ETA = "U_CL_interval", "U_CL_partial", "U_lambda_interval", "U_lambda_eta_interval"
+    return [
+        (CL, node("Beta", [], eq(redex, x)), "Beta requires a lambda theory"),
+        (CL, d_refl(x, frozenset({x})), "quantified variables need a lambda theory"),
+        (ETA, node("Refl", [], eq(x, x), [refl_x]), "Refl is a leaf schema and takes no premises"),
+        (ETA, node("Assumpt", [xy], eq(y, x, 1)), "Assumpt conclusion is not among the hypotheses"),
+        (ETA, node("Refl", [xy], eq(x, x)), "Refl takes no hypotheses"),
+        (ETA, node("Refl", [], eq(x, x, 1)), "Refl requires epsilon 0"),
+        (ETA, node("Refl", [], eq(x, y)), "Refl requires identical sides"),
+        (ETA, node("PRefl", [xy], eq(x, x, 1)), "PRefl is only available in partial theories"),
+        (PART, node("PRefl", [], eq(x, x, 1)), "PRefl takes exactly one hypothesis"),
+        (PART, node("PRefl", [xy], eq(x, x, 2)), "PRefl conclusion must be t ~ t at the hypothesis epsilon"),
+        (PART, node("PRefl", [xy], xy), "PRefl requires identical sides"),
+        (ETA, node("Symm", [], xy), "Symm takes exactly one hypothesis"),
+        (ETA, node("Symm", [xy], xy), "Symm conclusion must flip the hypothesis"),
+        (
+            ETA,
+            node("Triang", [xy, eq(y, z, 1)], eq(x, z, 3)),
+            "Triang requires hypotheses t~s, s~u with epsilons summing exactly",
+        ),
+        (ETA, node("Max", [], xy), "Max takes exactly one hypothesis"),
+        (ETA, node("Max", [xy], eq(x, z, 1)), "Max must keep the equation sides"),
+        (ETA, node("Max", [xy], eq(x, y, F(1, 2))), "Max can only increase epsilon"),
+        (ETA, node("NExp", [], eq(ident, ident)), "NExp does not apply to binder symbols"),
+        (
+            ETA,
+            node("NExp", [eq(f, f, 1), eq(x, y, F(1, 2))], eq(App(f, x), App(f, y), 1)),
+            "NExp hypotheses must equate the components at the same epsilon",
+        ),
+        (ETA, node("NExp", [xy], eq(k0, k0)), "NExp on a constant takes no hypotheses"),
+        (ETA, node("NExp", [], eq(x, x)), "NExp applies to applications and constants"),
+        (ETA, node("Alpha", [xy], eq(ident, ident)), "Alpha takes no hypotheses"),
+        (ETA, node("Alpha", [], eq(ident, ident, 1)), "Alpha requires epsilon 0"),
+        (ETA, node("Alpha", [], eq(x, x)), "Alpha applies to abstractions"),
+        (ETA, node("Alpha", [], eq(ident, Lam("v", I, x))), "Alpha requires alpha-equivalent sides"),
+        (ETA, node("Xi", [], xi, var="v"), "Xi takes exactly one hypothesis"),
+        (ETA, node("Xi", [xi_hyp], eq(v, y, 1, {v}), var="v"), "Xi concludes between abstractions"),
+        (ETA, node("Xi", [xi_hyp], xi), "Xi needs the abstracted variable in params"),
+        (ETA, node("Xi", [eq(v, y, 1)], eq(xi.left, xi.right, 1), var="v"), "ξ requires x ∈ X"),
+        (ETA, node("Xi", [xi_hyp], eq(xi.left, xi.right, 2, {v}), var="v"), "Xi keeps epsilon and the quantified set"),
+        (
+            ETA,
+            node("Xi", [xi_hyp], eq(xi.left, Lam("v", I, x), 1, {v}), var="v"),
+            "Xi conclusion must abstract the hypothesis sides",
+        ),
+        (ETA, node("Beta", [xy], eq(redex, x)), "Beta takes no hypotheses"),
+        (ETA, node("Beta", [], eq(redex, x, 1)), "Beta requires epsilon 0"),
+        (ETA, node("Beta", [], eq(x, x)), "Beta left side must be a redex"),
+        (ETA, node("Beta", [], eq(capture, Lam("y", I, y))), "β hygiene violated"),
+        (ETA, node("Beta", [], eq(redex, y)), "Beta right side must be the contractum"),
+        (LAM, node("Eta", [], eta), "Eta is only available in extensional theories"),
+        (ETA, node("Eta", [xy], eta), "Eta takes no hypotheses"),
+        (ETA, node("Eta", [], eq(eta.left, eta.right, 1)), "Eta requires epsilon 0"),
+        (
+            ETA,
+            node("Eta", [], eq(f, Lam("v", I, App(g, Bound(0, I))))),
+            "Eta right side must be the expansion of the left",
+        ),
+        (ETA, node("Abstraction", [], eq(x, y, 1, {w})), "Abstraction takes exactly one hypothesis"),
+        (ETA, node("Abstraction", [xy], eq(x, y, 2, {w})), "Abstraction must keep the equation"),
+        (
+            ETA,
+            node("Abstraction", [eq(x, y, 1, {w})], xy),
+            "Abstraction can only grow the quantified set",
+        ),
+        (
+            ETA,
+            node("Abstraction", [xy], eq(x, y, 1, {x})),
+            "Abstraction requires the sides to avoid the quantified set",
+        ),
+        (ETA, node("Concretion", [], xy), "Concretion takes exactly one hypothesis"),
+        (ETA, node("Concretion", [eq(x, y, 1, {w})], eq(x, y, 2)), "Concretion must keep the equation"),
+        (ETA, node("Concretion", [xy], eq(x, y, 1, {w})), "Concretion can only shrink the quantified set"),
+        (CL, node("Axiom", [], xy), "Axiom node matches no theory axiom or schema"),
+        (ETA, node("Cut", [], eq(x, x)), "Cut needs at least the main premise"),
+        (ETA, node("Cut", [], eq(y, y), [refl_x]), "Cut conclusion must come from the main premise"),
+        (
+            ETA,
+            node("Cut", [], symm.conclusion.conclusion, [refl_x, symm]),
+            "Cut side premises must prove the main premise's hypotheses",
+        ),
+        (
+            ETA,
+            node("Cut", [], symm.conclusion.conclusion, [node("Assumpt", [xy], xy), symm]),
+            "Cut side premises must share the conclusion's hypotheses",
+        ),
+        (ETA, node("Subst", [], eq(y, y), env={"x": y}), "Subst takes exactly one premise"),
+        (ETA, node("Subst", [], eq(y, y), [refl_x]), "Subst needs a substitution in params"),
+        (ETA, node("Subst", [], eq(y, y), [refl_x], env={"x": "y"}), "Subst substitution must map names to terms"),
+        (
+            ETA,
+            node("Subst", [], eq(y, y, 0, {x}), [d_refl(x, frozenset({x}))], env={"x": y}),
+            "Subst must be the identity on the quantified set",
+        ),
+        (
+            ETA,
+            node("Subst", [], eq(Lam("y", I, x), Lam("y", I, x)), [d_refl(Lam("y", I, x))], env={"z": y}),
+            "Subst hygiene violated",
+        ),
+        (
+            ETA,
+            node("Subst", [], eq(x, x), [refl_x], env={"x": Bound(0, I)}),
+            "Subst substitution is malformed: substitution image for x has stray indices",
+        ),
+        (ETA, node("Subst", [], eq(z, z), [refl_x], env={"x": y}), "Subst conclusion must be the substituted premise"),
+        (ETA, node("Nope", [], eq(x, x)), "unknown rule 'Nope'"),
+        (ETA, node("Refl", [], eq(Const("zz", I), Const("zz", I))), "ill-typed equation: unknown constant zz"),
+    ]
+
+
+def test_every_side_condition_is_pinned():
+    """Each entry's root fails with exactly its reason, and the table has
+    one entry per reason that _check_node returns, plus the typecheck."""
+    import ast
+    import inspect
+
+    from qlam.quant_deduction import _check_node
+
+    table = _side_condition_table()
+    wrong = [
+        (reason, result)
+        for key, d, reason in table
+        if (result := check_derivation(d, THEORIES[key])) != CheckResult(False, (), reason)
+    ]
+    assert not wrong
+    returns = [
+        node.value
+        for node in ast.walk(ast.parse(inspect.getsource(_check_node)))
+        if isinstance(node, ast.Return)
+    ]
+    reasons = [v for v in returns if isinstance(v, ast.JoinedStr) or isinstance(getattr(v, "value", None), str)]
+    assert len({reason for _, _, reason in table}) == len(table) == len(reasons) + 1 == 61
 
 
 # ---------------------------------------------------------------------------

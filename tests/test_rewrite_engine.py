@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +13,15 @@ from qlam.rewrite_engine import (
     beta_normalize,
     bracket_abstract,
     cl_reduce,
-    eta_long,
-    is_beta_normal,
-    is_eta_long,
     normalize,
     open_bound,
     shift,
 )
+from qlam.term_metrics import enumerate_closed_nfs, project
 from qlam.term_syntax import (
     _TermTable,
     App,
+    ArrowSort,
     BaseSort,
     Bottom,
     Bound,
@@ -76,9 +74,19 @@ def test_normal_form_certificate_rejects_redex():
 def test_eta_long_certificate():
     f = Var("f", OO)
     assert not is_eta_long(f)
-    expanded = eta_long(f)
+    with pytest.raises(PreconditionError, match="^term is not eta-long$"):
+        NormalForm(f)
+    expanded = normalize(f).term
     assert is_eta_long(expanded)
     assert expanded == bind("e0", O, App(f, Var("e0", O)))
+
+
+def test_normal_form_reports_beta_before_eta():
+    # a redex of arrow sort in argument position breaks both conditions
+    redex = App(Lam("x", OO, Bound(0, OO)), Var("f", OO))
+    assert not is_beta_normal(redex) and not is_eta_long(redex)
+    with pytest.raises(PreconditionError, match="^term is not beta-normal$"):
+        NormalForm(redex)
 
 
 def test_normalize_eta_expands_typed_terms():
@@ -118,6 +126,72 @@ def test_normalize_takes_a_deep_untyped_spine():
     x = Var("x", STAR)
     t = app(x, *[x] * 10000)
     assert normalize(t).term == t
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the normal-form conditions by definition, which NormalForm
+# checks in one walk
+
+
+def is_beta_normal(t):
+    return not any(isinstance(s, App) and isinstance(s.fn, Lam) for s in subterms(t))
+
+
+def is_eta_long(t):
+    """Every subterm of arrow sort outside function position is a lambda."""
+
+    def go(t, fn_position):
+        if not fn_position and isinstance(t.sort, ArrowSort) and not isinstance(t, Lam):
+            return False
+        if isinstance(t, Lam):
+            return go(t.body, False)
+        if isinstance(t, App):
+            return go(t.fn, True) and go(t.arg, False)
+        return True
+
+    return go(t, False)
+
+
+def _certificate(t):
+    try:
+        NormalForm(t)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def _oracle_certificate(t):
+    if not is_beta_normal(t):
+        return "term is not beta-normal"
+    if t.sort is not STAR and not is_eta_long(t):
+        return "term is not eta-long"
+    return None
+
+
+def test_normal_form_agrees_with_oracles():
+    """On the criterion-07 corpora, their projections and every subterm of
+    both (open subterms and heads in function position included), and on
+    hand-built redexes and unexpanded variables."""
+    consts = {"c1": O, "c2": O}
+    cases = []
+    for sort, budget in ((arrow(OO, O), 140), (arrow(OO, OO), 120), (arrow(O, arrow(OO, O)), 140)):
+        nfs, _ = enumerate_closed_nfs(sort, budget, constants=consts)
+        for nf in nfs[:200]:
+            for t in (nf.term, project(nf, 1).term):
+                cases += subterms(t)
+                cases.append(App(Lam("z", sort, Bound(0, sort)), t))
+    f, g, x = Var("f", OO), Var("g", arrow(OO, O)), Var("x", STAR)
+    identity = Lam("y", O, Bound(0, O))
+    cases += [
+        f, g, App(g, f), App(identity, Const("c", O)), Lam("h", OO, App(identity, Var("y", O))),
+        App(x, Var("f", OO)), App(Lam("y", STAR, Bound(0, STAR)), x), Var("u", STAR),
+    ]
+    outcomes = set()
+    for t in cases:
+        want = _oracle_certificate(t)
+        assert _certificate(t) == want, t
+        outcomes.add(want)
+    assert outcomes == {None, "term is not beta-normal", "term is not eta-long"}
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from qlam.term_syntax import (
     Lam,
     Var,
     arrow,
-    bind,
     parse_sort,
     parse_term,
     print_term,

@@ -13,7 +13,6 @@ from qlam.term_syntax import (
     ArrowSort,
     BaseSort,
     Bottom,
-    Bound,
     Const,
     IntervalSort,
     Lam,
@@ -200,6 +199,27 @@ def test_typecheck_takes_a_deep_spine_at_the_default_recursion_limit():
         assert len(checked) == 10_001
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_equality_takes_deep_terms_at_the_default_recursion_limit():
+    # == walks node pairs on its own stack: spines, argument nests and
+    # binder nests built apart compare at any depth
+    assert sys.getrecursionlimit() <= 1000
+    x = Var("x", STAR)
+    assert app(x, *[x] * 100_000) == app(x, *[x] * 100_000)
+    assert app(x, *[x] * 100_000) != app(x, *[x] * 99_999, Var("y", STAR))
+
+    def nest(depth, leaf, wrap):
+        t = leaf
+        for _ in range(depth):
+            t = wrap(t)
+        return t
+
+    args = [nest(20_000, x, lambda t: App(x, t)) for _ in range(2)]
+    assert args[0] == args[1]
+    lams = [nest(20_000, x, lambda t: Lam("h", STAR, t)) for _ in range(2)]
+    assert lams[0] == lams[1]
+    assert lams[0] != nest(20_000, Var("y", STAR), lambda t: Lam("h", STAR, t))
 
 
 def test_typecheck_enforces_the_regime_of_the_signature():
