@@ -146,24 +146,33 @@ def agreement_level(t: NormalForm, s: NormalForm) -> Optional[int]:
         # a pair at this depth cannot lower best below depth - 1
         if a is b or (best is not None and depth > best):
             continue
-        binders_a, core_a = _strip(a)
-        binders_b, core_b = _strip(b)
-        head_a, args_a = _spine(core_a)
-        head_b, args_b = _spine(core_b)
-        # level 0 cuts a body to bottom unless it is bottom- or constant-headed
-        fixed_a = isinstance(head_a, (Bottom, Const))
-        fixed_b = isinstance(head_b, (Bottom, Const))
-        cut_a = core_a if fixed_a else Bottom(core_a.sort)
-        cut_b = core_b if fixed_b else Bottom(core_b.sort)
-        if cut_a != cut_b or [v for _, v in binders_a] != [v for _, v in binders_b]:
+        # the lambda prefixes must agree in length and binder sorts
+        while type(a) is Lam and type(b) is Lam and a.var_sort == b.var_sort:
+            a, b = a.body, b.body
+        if type(a) is Lam or type(b) is Lam:
             level = -1
-        elif fixed_a and fixed_b:
-            continue  # equal
-        elif head_a != head_b or len(args_a) != len(args_b):
-            level = 0
         else:
-            stack.extend((x, y, depth + 1) for x, y in zip(args_a, args_b))
-            continue
+            head_a, args_a = _spine(a)
+            head_b, args_b = _spine(b)
+            # level 0 cuts a body to bottom unless it is bottom- or
+            # constant-headed; such a bottom equals a kept body only when
+            # that body is a bare bottom
+            fixed_a = isinstance(head_a, (Bottom, Const))
+            fixed_b = isinstance(head_b, (Bottom, Const))
+            if fixed_a and fixed_b:
+                if a == b:
+                    continue
+                level = -1
+            elif fixed_a or fixed_b:
+                kept = a if fixed_a else b
+                level = 0 if type(kept) is Bottom and a.sort == b.sort else -1
+            elif a.sort != b.sort:
+                level = -1
+            elif head_a != head_b or len(args_a) != len(args_b):
+                level = 0
+            else:
+                stack.extend(zip(args_a, args_b, itertools.repeat(depth + 1)))
+                continue
         if best is None or depth + level < best:
             best = depth + level
     return best
