@@ -349,9 +349,8 @@ def build_fts_cmd(base_file, sorts, size_budget, human) -> None:
     metavar="LO:HI:STEP",
     help="One base interval sort per flag, in declaration order.",
 )
-@click.option("--size-budget", type=int, default=10**6, show_default=True)
 @_with([_human])
-def build_grid_cmd(intervals, size_budget, human) -> None:
+def build_grid_cmd(intervals, human) -> None:
     """Build a grid algebra over rational interval sorts."""
     parsed = []
     for spec in intervals:
@@ -362,7 +361,7 @@ def build_grid_cmd(intervals, size_budget, human) -> None:
             parsed.append(tuple(Fraction(p) for p in parts))
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"--interval needs rational LO:HI:STEP, got {spec!r}") from None
-    alg = build_grid_algebra(parsed, {}, size_budget=size_budget)
+    alg = build_grid_algebra(parsed, {})
     _emit(alg.to_json(), human)
 
 

@@ -46,6 +46,7 @@ from .term_syntax import (
     app,
     arrow,
     bind,
+    combinator_sort,
     substitute,
 )
 
@@ -262,11 +263,10 @@ def _weaken(premise: Derivation, hyps: frozenset) -> Derivation:
 
 
 def _skk_term() -> Term:
-    s_sort = arrow(arrow(O, arrow(OO, O)), arrow(arrow(O, OO), arrow(O, O)))
     return app(
-        Const("S", s_sort),
-        Const("K", arrow(O, arrow(OO, O))),
-        Const("K", arrow(O, arrow(O, O))),
+        Const("S", combinator_sort("S", O, OO, O)),
+        Const("K", combinator_sort("K", O, OO)),
+        Const("K", combinator_sort("K", O, O)),
         Var("x", O),
     )
 
@@ -304,7 +304,7 @@ def _cl_derivations(th: Theory) -> list[tuple[str, Derivation]]:
             ),
         )
     )
-    k_oo = Const("K", arrow(O, arrow(O, O)))
+    k_oo = Const("K", combinator_sort("K", O, O))
     out.append(("nexp_const", _leaf("NExp", (), _eq(k_oo, k_oo, F(1, 4)))))
 
     ax_i = next(a for a in th.axioms if isinstance(a.conclusion.left.fn, Const) and a.conclusion.left.fn.name == "I")
@@ -314,7 +314,7 @@ def _cl_derivations(th: Theory) -> list[tuple[str, Derivation]]:
     red = cl_reduce(_skk_term())
     out.append(("skk_reduction", derive_cl_reduction(red, th)))
 
-    i_o = Const("I", arrow(O, O))
+    i_o = Const("I", combinator_sort("I", O))
     red2 = cl_reduce(App(i_o, App(i_o, x)))
     out.append(("double_I", derive_cl_reduction(red2, th)))
 

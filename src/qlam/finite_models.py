@@ -33,6 +33,7 @@ from .term_syntax import (
     ArrowSort,
     Bottom,
     Bound,
+    COMBINATORS,
     Const,
     IntervalSort,
     Lam,
@@ -217,7 +218,7 @@ class FiniteQuantAlgebra:
         hit = self._sym.get(key)
         if hit is not None:
             return hit
-        if self.signature.combinators and name in ("I", "K", "S"):
+        if self.signature.combinators and name in COMBINATORS:
             hit = self._combinator(name, sort)
             self._sym[key] = hit
             return hit
@@ -308,7 +309,6 @@ def build_grid_algebra(
     constants: Optional[Mapping[str, tuple[Sort, object]]] = None,
     signature: Optional[Signature] = None,
     name: str = "grid",
-    size_budget: int = 10**6,
 ) -> FiniteQuantAlgebra:
     """Interval-grid algebra.
 
@@ -326,7 +326,7 @@ def build_grid_algebra(
         grids[sort] = [Fraction(p) for p in space.points]
         spaces[sort] = space
     sig = signature or Signature(combinators=False)
-    alg = FiniteQuantAlgebra(name, sig, spaces, size_budget)
+    alg = FiniteQuantAlgebra(name, sig, spaces)
 
     for cname, (sort, value) in (constants or {}).items():
         if isinstance(sort, IntervalSort):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SortError, StructuralError
-from .rewrite_engine import CLReduction, open_bound, shift
+from .rewrite_engine import _match_cl_redex, CLReduction, open_bound, shift
 from .term_syntax import (
     _entry_at,
     _fields_hash,
@@ -31,6 +31,7 @@ from .term_syntax import (
     App,
     Bottom,
     Bound,
+    COMBINATORS,
     Const,
     Lam,
     STAR,
@@ -39,9 +40,9 @@ from .term_syntax import (
     Term,
     Var,
     app,
-    arrow,
     bind,
     bound_hints,
+    combinator_sort,
     free_vars,
     print_term,
     render_sort,
@@ -127,9 +128,10 @@ class Theory:
     and derives the axioms and regime flags once; to_json/from_json write
     and read exactly the data.
 
-    An Axiom node is accepted when it matches a listed axiom up to
-    variable renaming, or, in an interval theory, when it is an interval
-    closeness axiom c ~eps c' with eps >= |value(c) - value(c')|.
+    An Axiom node is accepted when it is a listed axiom, or, in an
+    interval theory, when it is an interval closeness axiom c ~eps c'
+    with eps >= |value(c) - value(c')|.  An instance of a listed axiom
+    is a Subst node over it.
     """
 
     name: str
@@ -225,57 +227,6 @@ class CheckResult:
             "path": list(self.path) if self.path is not None else None,
             "reason": self.reason,
         }
-
-
-# ---------------------------------------------------------------------------
-# Axiom matching (variable-for-variable, sort-preserving)
-
-
-def _match_term(pattern: Term, term: Term, mapping: dict[str, Var]) -> bool:
-    if isinstance(pattern, Var):
-        if not isinstance(term, Var) or term.sort != pattern.sort:
-            return False
-        seen = mapping.get(pattern.name)
-        if seen is None:
-            mapping[pattern.name] = term
-            return True
-        return seen == term
-    if isinstance(pattern, App) and isinstance(term, App):
-        return _match_term(pattern.fn, term.fn, mapping) and _match_term(
-            pattern.arg, term.arg, mapping
-        )
-    if isinstance(pattern, Lam) and isinstance(term, Lam):
-        return pattern.var_sort == term.var_sort and _match_term(
-            pattern.body, term.body, mapping
-        )
-    return pattern == term
-
-
-def _match_equation(pattern: QuantEquation, eq: QuantEquation, mapping: dict) -> bool:
-    if pattern.eps != eq.eps or pattern.sort != eq.sort:
-        return False
-    if pattern.quantified != eq.quantified:
-        return False
-    return _match_term(pattern.left, eq.left, mapping) and _match_term(
-        pattern.right, eq.right, mapping
-    )
-
-
-def _is_axiom_instance(axiom: Inference, node: Inference) -> bool:
-    if len(axiom.hypotheses) != len(node.hypotheses):
-        return False
-    base: dict[str, Var] = {}
-    if not _match_equation(axiom.conclusion, node.conclusion, base):
-        return False
-    # every pairing of the two hypothesis sets is tried, and a pairing
-    # matches or not whatever order its pairs are taken in, so the
-    # axiom's hypotheses need no particular order
-    patterns = tuple(axiom.hypotheses)
-    for perm in itertools.permutations(node.hypotheses):
-        mapping = dict(base)
-        if all(_match_equation(p, h, mapping) for p, h in zip(patterns, perm)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +441,8 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
         return None
 
     if rule == "Axiom":
-        for ax in th.axioms:
-            if _is_axiom_instance(ax, inf):
-                return None
+        if inf in th.axioms:
+            return None
         # an interval closeness axiom; both sides live at eq.sort
         l, r = eq.left, eq.right
         values = th.interval_values
@@ -546,7 +496,7 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             sub = _substituter(env)
             want_eq = _subst_eq(peq, sub)
             want_hyps = frozenset(_subst_eq(h, sub) for h in p.conclusion.hypotheses)
-        except StructuralError as exc:
+        except (SortError, StructuralError) as exc:
             return f"Subst substitution is malformed: {exc}"
         if eq != want_eq or hyps != want_hyps:
             return "Subst conclusion must be the substituted premise"
@@ -608,58 +558,23 @@ def interval_constant_name(value: Fraction) -> str:
     return "k" + text.replace("-", "m")
 
 
-def _cl_axioms_typed(triples: Sequence[tuple[Sort, Sort, Sort]]) -> list[Inference]:
+def _cl_axioms(triples: Sequence[tuple[Sort, Sort, Sort]]) -> list[Inference]:
+    """I x ~0 x, K x y ~0 x and S z y x ~0 z x (y x) at each instance
+    (i, j, k), each left side once: the head applied to its variables,
+    and the contractum that weak reduction gives it."""
     axioms: list[Inference] = []
     seen = set()
-    for i, j, k in triples:
-        x, y, z = Var("x", i), Var("y", arrow(i, j)), Var("z", arrow(i, arrow(j, k)))
-        items = [
-            (("I", i), QuantEquation(App(Const("I", arrow(i, i)), x), x, Fraction(0), i)),
-            (
-                ("K", i, j),
-                QuantEquation(
-                    app(Const("K", arrow(i, arrow(j, i))), x, Var("v", j)),
-                    x,
-                    Fraction(0),
-                    i,
-                ),
-            ),
-            (
-                ("S", i, j, k),
-                QuantEquation(
-                    app(
-                        Const(
-                            "S",
-                            arrow(
-                                arrow(i, arrow(j, k)),
-                                arrow(arrow(i, j), arrow(i, k)),
-                            ),
-                        ),
-                        z,
-                        y,
-                        x,
-                    ),
-                    App(App(z, x), App(y, x)),
-                    Fraction(0),
-                    k,
-                ),
-            ),
-        ]
-        for key, eq in items:
-            if key not in seen:
-                seen.add(key)
+    for triple in triples:
+        for name, variables in zip(COMBINATORS, ("x", "xy", "zyx")):
+            left = Const(name, combinator_sort(name, *triple))
+            for v in variables:
+                left = App(left, Var(v, left.sort if left.sort is STAR else left.sort.dom))
+            if left not in seen:
+                seen.add(left)
+                _, right = _match_cl_redex(left)
+                eq = QuantEquation(left, right, Fraction(0), left.sort)
                 axioms.append(Inference(frozenset(), eq))
     return axioms
-
-
-def _cl_axioms_untyped() -> list[Inference]:
-    x, y, z = Var("x", STAR), Var("y", STAR), Var("z", STAR)
-    i_eq = QuantEquation(App(Const("I", STAR), x), x, Fraction(0), STAR)
-    k_eq = QuantEquation(app(Const("K", STAR), x, y), x, Fraction(0), STAR)
-    s_eq = QuantEquation(
-        app(Const("S", STAR), z, y, x), App(App(z, x), App(y, x)), Fraction(0), STAR
-    )
-    return [Inference(frozenset(), eq) for eq in (i_eq, k_eq, s_eq)]
 
 
 _THEORY_NAMES = (
@@ -702,10 +617,7 @@ def builtin_theory(
             raise PreconditionError(f"interval value for undeclared constant {cname}")
     axioms: list[Inference] = []
     if name in ("U_CL", "U_CL_interval"):
-        if sig.untyped:
-            axioms += _cl_axioms_untyped()
-        else:
-            axioms += _cl_axioms_typed(sig.combinator_sorts)
+        axioms += _cl_axioms([(STAR, STAR, STAR)] if sig.untyped else sig.combinator_sorts)
     by_value = {v: Const(k, sig.constants[k]) for k, v in values.items()}
 
     def grid_const(value: Fraction) -> Const:

@@ -26,7 +26,7 @@ from .term_syntax import (
     Term,
     Var,
     app,
-    arrow,
+    combinator_sort,
     free_vars,
     sort_spine,
     subterms,
@@ -299,22 +299,21 @@ def bracket_abstract(x: Var, t: Term) -> Term:
     """
     if any(isinstance(s, (Lam, Bound)) for s in subterms(t)):
         raise PreconditionError("bracket_abstract takes pure combinatory terms")
-    # arrow(STAR, STAR) is STAR, so the sort formulas serve both regimes,
-    # and a mix of the two raises SortError
+    # combinator_sort serves both regimes, and a mix of the two raises
+    # SortError
     i = x.sort
 
     def lam_x(t: Term) -> Term:
         if t == x:
-            return Const("I", arrow(i, i))
+            return Const("I", combinator_sort("I", i))
         if x.name not in free_vars(t):
-            return App(Const("K", arrow(t.sort, arrow(i, t.sort))), t)
+            return App(Const("K", combinator_sort("K", t.sort, i)), t)
         if isinstance(t, Var) and t.name == x.name:
             raise SortError(f"variable {x.name} occurs at two sorts")
         assert isinstance(t, App)
         left = lam_x(t.fn)
         right = lam_x(t.arg)
-        j, k = t.arg.sort, t.sort
-        s_sort = arrow(arrow(i, arrow(j, k)), arrow(arrow(i, j), arrow(i, k)))
+        s_sort = combinator_sort("S", i, t.arg.sort, t.sort)
         return App(App(Const("S", s_sort), left), right)
 
     return lam_x(t)

@@ -44,6 +44,8 @@ __all__ = [
     "print_term",
     "term_to_json",
     "term_from_json",
+    "COMBINATORS",
+    "combinator_sort",
     "combinator_schema_matches",
 ]
 
@@ -144,38 +146,38 @@ def sort_spine(s: Sort) -> tuple[list[Sort], Sort]:
 # Signature
 
 
-def combinator_schema_matches(name: str, sort: Sort) -> bool:
-    """Check a sort against the I / K / S shapes (any instance)."""
-    if sort is STAR:
-        return name in ("I", "K", "S")
+COMBINATORS = ("I", "K", "S")
+
+
+def combinator_sort(name: str, i: Sort, j: Optional[Sort] = None, k: Optional[Sort] = None) -> Sort:
+    """The sort of combinator name at the instance (i, j, k): I is i->i,
+    K is i->j->i and S is (i->j->k)->(i->j)->i->k.  I reads only i and
+    K only i and j.  arrow(STAR, STAR) is STAR, so the untyped instance
+    is (STAR, STAR, STAR), and a mix of the regimes raises SortError."""
     if name == "I":
-        return isinstance(sort, ArrowSort) and sort.dom == sort.cod
+        return arrow(i, i)
     if name == "K":
-        # i -> j -> i
-        return (
-            isinstance(sort, ArrowSort)
-            and isinstance(sort.cod, ArrowSort)
-            and sort.dom == sort.cod.cod
-        )
-    if name == "S":
-        # (i -> j -> k) -> (i -> j) -> i -> k
-        if not (
-            isinstance(sort, ArrowSort)
-            and isinstance(sort.dom, ArrowSort)
-            and isinstance(sort.dom.cod, ArrowSort)
-            and isinstance(sort.cod, ArrowSort)
-            and isinstance(sort.cod.dom, ArrowSort)
-            and isinstance(sort.cod.cod, ArrowSort)
-        ):
-            return False
-        i = sort.dom.dom
-        j = sort.dom.cod.dom
-        k = sort.dom.cod.cod
-        return (
-            sort.cod.dom == ArrowSort(i, j)
-            and sort.cod.cod == ArrowSort(i, k)
-        )
-    return False
+        return arrow(i, arrow(j, i))
+    return arrow(arrow(i, arrow(j, k)), arrow(arrow(i, j), arrow(i, k)))
+
+
+def combinator_schema_matches(name: str, sort: Sort) -> bool:
+    """Whether sort is an instance of combinator name's sort: (i, j, k)
+    are read off sort, which must then equal combinator_sort at them."""
+    if name not in COMBINATORS:
+        return False
+    if sort is STAR:
+        return True
+    try:
+        if name == "I":
+            i, j, k = sort.dom, None, None
+        elif name == "K":
+            i, j, k = sort.dom, sort.cod.dom, None
+        else:
+            i, j, k = sort.dom.dom, sort.dom.cod.dom, sort.dom.cod.cod
+    except AttributeError:  # a part that is not an arrow
+        return False
+    return sort == combinator_sort(name, i, j, k)
 
 
 @dataclass
@@ -305,6 +307,8 @@ class App(Term):
     def __init__(self, fn: Term, arg: Term):
         fsort = fn.sort
         if isinstance(fsort, StarSort):
+            if arg.sort is not STAR:
+                raise SortError("cannot mix the untyped sort with typed sorts")
             self.sort: Sort = STAR
         elif isinstance(fsort, ArrowSort):
             if fsort.dom != arg.sort:
@@ -691,7 +695,7 @@ class _Parser:
                     f"constant {name} is declared at {render_sort(declared)}", tok.offset
                 )
             return Const(name, declared)
-        if self.sig.combinators and name in ("I", "K", "S"):
+        if self.sig.combinators and name in COMBINATORS:
             if self.untyped:
                 return Const(name, STAR)
             if annotated is None:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,8 +11,15 @@ from qlam import corpus
 from qlam.cli import SCENARIOS, _dumps, main
 from qlam.corpus import I01, corpus_derivations, corpus_theories, theta_xi_maps
 from qlam.finite_models import satisfies_inference
-from qlam.quant_deduction import Inference, QuantEquation, d_cut, d_refl, derivation_to_json
-from qlam.term_syntax import STAR, Const, Var, render_sort, term_to_json
+from qlam.quant_deduction import (
+    Derivation,
+    Inference,
+    QuantEquation,
+    d_cut,
+    d_refl,
+    derivation_to_json,
+)
+from qlam.term_syntax import STAR, Const, Var, arrow, render_sort, term_to_json
 
 runner = CliRunner()
 
@@ -181,6 +190,22 @@ def test_check_proof_valid_and_invalid(tmp_path):
     res = run("check-proof", str(p), "--theory", "U_CL")
     assert res.exit_code == 1
     assert not json.loads(res.output)["ok"]
+
+
+def test_check_proof_reports_an_ill_sorted_subst(tmp_path):
+    x, f = Var("x", I01), Var("f", arrow(I01, I01))
+    refl = d_refl(x)
+    d = Derivation("Subst", refl.conclusion, (refl,), {"env": {"x": f}})
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(derivation_to_json(d)))
+    res = run("check-proof", str(p), "--theory", "U_lambda_eta_interval")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {
+        "ok": False,
+        "path": [],
+        "reason": "Subst substitution is malformed: substitution for x has sort "
+        "[0,1]->[0,1], expected [0,1]",
+    }
 
 
 @pytest.mark.parametrize("key", sorted(corpus_derivations()))
@@ -478,6 +503,16 @@ def test_bracket_mixed_regimes_is_exit_1():
     }
 
 
+@pytest.mark.parametrize("verb", ["normalize", "typecheck"])
+def test_untyped_head_on_a_typed_argument_is_exit_1(verb):
+    res = run(verb, "--expr", "x:* f:o->o")
+    assert res.exit_code == 1
+    assert json.loads(res.stderr) == {
+        "error": "cannot mix the untyped sort with typed sorts",
+        "kind": "SortError",
+    }
+
+
 def test_build_grid_emits_the_algebra():
     unit = {
         "points": ["0", "1/2", "1"],
@@ -512,6 +547,10 @@ def test_build_grid_malformed_interval_is_usage_error(interval):
     res = run("build-grid", "--interval", interval)
     assert res.exit_code == 2
     assert "Traceback" not in res.output
+
+
+def test_build_grid_has_no_size_budget_option():
+    assert run("build-grid", "--interval", "0:1:1/2", "--size-budget", "1").exit_code == 2
 
 
 def test_harness_has_no_jobs_option():
@@ -628,3 +667,16 @@ def test_space_json_accepts_fraction_strings_inf_and_integers(tmp_path):
     assert json.loads(res.output)["metric"]
     res = run("exp-check", args[1], "--mode", "image_restricted")
     assert json.loads(res.output) == {"ok": True}
+
+
+def test_readme_cli_examples_are_valid_command_lines():
+    """Each qlam line of the README's CLI block, its backslash continuations
+    joined, builds the click context of main and then of its verb."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    lines = [argv for argv in lines if argv]
+    assert len(lines) == 17 and all(argv[0] == "qlam" for argv in lines)
+    for argv in lines:
+        with main.make_context("qlam", argv[1:]) as ctx:
+            main.get_command(ctx, argv[1]).make_context(argv[1], argv[2:], parent=ctx)

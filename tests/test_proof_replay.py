@@ -630,7 +630,7 @@ def test_corpus_derivation_documents_are_pinned():
     assert len(CORPUS) == 45
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "b57a83ce6cabef866acf885411365798e1fc782f7172c3883ea4b382bb7710df"
+        == "0f27ef482184180b23f99670fe0085abed72f1c06bbac2212c55bf4d90dd99b7"
     )
 
 

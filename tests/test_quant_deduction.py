@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qlam.corpus import corpus_derivations, corpus_theories
+from qlam.corpus import CL_TRIPLES, corpus_derivations, corpus_theories
 from qlam.errors import PreconditionError, StructuralError
 from qlam.quant_deduction import (
     CheckResult,
@@ -13,6 +13,7 @@ from qlam.quant_deduction import (
     Theory,
     builtin_theory,
     check_derivation,
+    d_axiom,
     d_refl,
     d_subst,
     derivation_from_json,
@@ -174,7 +175,9 @@ def cl_theory():
     return THEORIES["U_CL"]
 
 
-def test_axiom_matching_is_renaming_invariant():
+def test_axiom_leaf_is_a_member_and_its_instances_come_through_subst():
+    """An Axiom leaf is a listed axiom: a renamed instance is rejected as a
+    leaf and checks as a Subst over the axiom."""
     th = cl_theory()
     ax = next(
         a
@@ -182,14 +185,70 @@ def test_axiom_matching_is_renaming_invariant():
         if isinstance(a.conclusion.left.fn, Const)
         and a.conclusion.left.fn.name == "I"
     )
-    renamed = QuantEquation(
-        App(ax.conclusion.left.fn, Var("fresh", O)),
-        Var("fresh", O),
-        F(0),
-        O,
-    )
+    fresh = Var("fresh", O)
+    renamed = QuantEquation(App(ax.conclusion.left.fn, fresh), fresh, F(0), O)
     d = Derivation("Axiom", Inference(frozenset(), renamed))
-    assert check_derivation(d, th).ok
+    assert check_derivation(d, th) == CheckResult(
+        False, (), "Axiom node matches no theory axiom or schema"
+    )
+    instance = d_subst(d_axiom(ax), {"x": fresh})
+    assert instance.conclusion.conclusion == renamed
+    assert check_derivation(instance, th).ok
+
+
+def oracle_cl_axioms_typed(triples):
+    """The typed I, K and S axioms written out by hand, each instance once."""
+    axioms = []
+    seen = set()
+    for i, j, k in triples:
+        x, y, z = Var("x", i), Var("y", arrow(i, j)), Var("z", arrow(i, arrow(j, k)))
+        s_sort = arrow(arrow(i, arrow(j, k)), arrow(arrow(i, j), arrow(i, k)))
+        items = [
+            (("I", i), QuantEquation(App(Const("I", arrow(i, i)), x), x, F(0), i)),
+            (("K", i, j), QuantEquation(app(Const("K", arrow(i, arrow(j, i))), x, Var("v", j)), x, F(0), i)),
+            (("S", i, j, k), QuantEquation(app(Const("S", s_sort), z, y, x), App(App(z, x), App(y, x)), F(0), k)),
+        ]
+        for key, eq in items:
+            if key not in seen:
+                seen.add(key)
+                axioms.append(Inference(frozenset(), eq))
+    return axioms
+
+
+def oracle_cl_axioms_untyped():
+    x, y, z = Var("x", STAR), Var("y", STAR), Var("z", STAR)
+    i_eq = QuantEquation(App(Const("I", STAR), x), x, F(0), STAR)
+    k_eq = QuantEquation(app(Const("K", STAR), x, y), x, F(0), STAR)
+    s_eq = QuantEquation(app(Const("S", STAR), z, y, x), App(App(z, x), App(y, x)), F(0), STAR)
+    return [Inference(frozenset(), eq) for eq in (i_eq, k_eq, s_eq)]
+
+
+def test_cl_axioms_are_the_contractions_at_the_combinator_sorts():
+    """The CL axioms agree with the hand-written lists, in order, except
+    that typed K's second variable is y, as in the untyped regime; and
+    each left side takes exactly one root reduction step to its right."""
+    # a repeated instance gives its axioms once
+    triples = CL_TRIPLES + CL_TRIPLES[:1]
+    typed = builtin_theory("U_CL", Signature(combinator_sorts=triples))
+    untyped = builtin_theory("U_CL", Signature(untyped=True))
+    assert list(untyped.axioms) == oracle_cl_axioms_untyped()
+    oracle = oracle_cl_axioms_typed(triples)
+    assert len(typed.axioms) == len(oracle) == 8
+    renamed_k = 0
+    for new, old in zip(typed.axioms, oracle):
+        if new != old:
+            left = old.conclusion.left
+            assert left.fn.fn.name == "K"
+            y = Var("y", left.arg.sort)
+            want = QuantEquation(substitute(left, {"v": y}), old.conclusion.right, F(0), left.sort)
+            assert new == Inference(frozenset(), want)
+            renamed_k += 1
+    assert renamed_k == 3
+    for ax in typed.axioms + untyped.axioms:
+        eq = ax.conclusion
+        red = cl_reduce(eq.left)
+        assert red.step_count == 1 and red.steps[0].path == ()
+        assert red.result == eq.right and eq.eps == 0 and eq.sort == eq.left.sort
 
 
 def test_axiom_rejects_non_variable_instantiation():
@@ -371,6 +430,11 @@ def _side_condition_table():
             node("Subst", [], eq(x, x), [refl_x], env={"x": Bound(0, I)}),
             "Subst substitution is malformed: substitution image for x has stray indices",
         ),
+        (
+            ETA,
+            node("Subst", [], eq(x, x), [refl_x], env={"x": f}),
+            "Subst substitution is malformed: substitution for x has sort [0,1]->[0,1], expected [0,1]",
+        ),
         (ETA, node("Subst", [], eq(z, z), [refl_x], env={"x": y}), "Subst conclusion must be the substituted premise"),
         (ETA, node("Nope", [], eq(x, x)), "unknown rule 'Nope'"),
         (ETA, node("Refl", [], eq(Const("zz", I), Const("zz", I))), "ill-typed equation: unknown constant zz"),
@@ -379,7 +443,8 @@ def _side_condition_table():
 
 def test_every_side_condition_is_pinned():
     """Each entry's root fails with exactly its reason, and the table has
-    one entry per reason that _check_node returns, plus the typecheck."""
+    one entry per reason that _check_node returns, plus the typecheck and
+    a second malformed substitution."""
     import ast
     import inspect
 
@@ -398,7 +463,9 @@ def test_every_side_condition_is_pinned():
         if isinstance(node, ast.Return)
     ]
     reasons = [v for v in returns if isinstance(v, ast.JoinedStr) or isinstance(getattr(v, "value", None), str)]
-    assert len({reason for _, _, reason in table}) == len(table) == len(reasons) + 1 == 61
+    # the malformed substitution is pinned twice, by a StructuralError
+    # (stray indices) and a SortError (an image of another sort)
+    assert len({reason for _, _, reason in table}) == len(table) == len(reasons) + 2 == 62
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,12 @@ def test_normal_form_agrees_with_oracles():
     identity = Lam("y", O, Bound(0, O))
     cases += [
         f, g, App(g, f), App(identity, Const("c", O)), Lam("h", OO, App(identity, Var("y", O))),
-        App(x, Var("f", OO)), App(Lam("y", STAR, Bound(0, STAR)), x), Var("u", STAR),
+        App(Lam("y", STAR, Bound(0, STAR)), x), Var("u", STAR),
     ]
+    # an untyped head takes no typed argument, so no mixed term reaches
+    # the certificate
+    with pytest.raises(SortError):
+        App(x, Var("f", OO))
     outcomes = set()
     for t in cases:
         want = _oracle_certificate(t)
