@@ -11,6 +11,7 @@ whether the value is exact or only a lower bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -196,75 +197,93 @@ def _min_size(sort: Sort) -> int:
 
 
 class _Enumerator:
-    """Closed eta-long normal forms of a sort, size-bounded.
+    """Closed eta-long normal forms of a sort, by exact size.
 
-    Tracks whether any construction was cut off by the budget, so an
-    untruncated run certifies that the witness sort is exhausted.
+    Each list of one exact size is built once, from the lists of strictly
+    smaller sizes (size-indexed enumeration, as in Duregard, Jansson and
+    Wang's FEAT).  A binder at depth k is hinted w{k}, so a memo key names
+    only the enclosing binders' sorts and binders share entries.
     """
 
     def __init__(self, constants: Mapping[str, Sort]):
         self.constants = dict(constants)
-        self.truncated = False
         self._memo: dict = {}
-        self._fresh = itertools.count()
+        self._max: dict = {}
 
     def generate(self, sort: Sort, budget: int) -> list[tuple[Term, int, int]]:
-        """(term, size, bottom count) triples; size counts the nodes of term."""
-        return self._gen(sort, (), budget)
+        """(term, size, bottom count) triples up to the budget; size counts
+        the nodes of term."""
+        return [e for n in range(1, budget + 1) for e in self._exact(sort, (), n)]
 
-    def _gen(
-        self, sort: Sort, pool: tuple[tuple[str, Sort], ...], budget: int
-    ) -> list[tuple[Term, int, int]]:
-        key = (sort, pool, budget)
+    def exhaustive(self, sort: Sort, budget: int) -> bool:
+        """Whether no closed normal form of the sort is larger than budget."""
+        return self._max_size(sort, frozenset()) <= budget
+
+    def _exact(self, sort: Sort, ctx: tuple[Sort, ...], n: int) -> list[tuple[Term, int, int]]:
+        if n < 1:
+            return []
+        key = (sort, ctx, n)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         out: list[tuple[Term, int, int]] = []
         if isinstance(sort, ArrowSort):
-            if budget < _min_size(sort):
-                self.truncated = True
-            else:
-                name = f"w{next(self._fresh)}"
-                for body, size, bots in self._gen(sort.cod, pool + ((name, sort.dom),), budget - 1):
-                    out.append((Lam(name, sort.dom, body), 1 + size, bots))
+            name = f"w{len(ctx)}"
+            for body, _, bots in self._exact(sort.cod, ctx + (sort.dom,), n - 1):
+                out.append((Lam(name, sort.dom, body), n, bots))
         else:
-            if budget >= 1:
+            if n == 1:
                 out.append((Bottom(sort), 1, 1))
                 for cname, csort in self.constants.items():
                     if csort == sort:
                         out.append((Const(cname, sort), 1, 0))
-            else:
-                self.truncated = True
-            # pool lists the enclosing binders, outermost first
-            for p, (_, psort) in enumerate(pool):
+            # ctx lists the enclosing binders' sorts, outermost first
+            for p, psort in enumerate(ctx):
                 arg_sorts, base = sort_spine(psort)
-                if base != sort:
-                    continue
-                k = len(arg_sorts)
-                head_cost = 1 + k
-                if budget < head_cost + sum(_min_size(a) for a in arg_sorts):
-                    self.truncated = True
-                    continue
-                for args, size, bots in self._tuples(arg_sorts, pool, budget - head_cost):
-                    head = Bound(len(pool) - 1 - p, psort)
-                    out.append((app(head, *args), head_cost + size, bots))
+                if base == sort:
+                    head = Bound(len(ctx) - 1 - p, psort)
+                    for args, bots in self._tuples(arg_sorts, ctx, n - 1 - len(arg_sorts)):
+                        out.append((app(head, *args), n, bots))
         self._memo[key] = out
         return out
 
     def _tuples(
-        self,
-        sorts: Sequence[Sort],
-        pool: tuple[tuple[str, Sort], ...],
-        budget: int,
-    ) -> Iterable[tuple[tuple[Term, ...], int, int]]:
-        """Argument tuples with their summed sizes and bottom counts."""
+        self, sorts: Sequence[Sort], ctx: tuple[Sort, ...], n: int
+    ) -> Iterable[tuple[tuple[Term, ...], int]]:
+        """Argument tuples of summed size exactly n, with their bottom
+        counts; the last argument takes what the others leave."""
         if not sorts:
-            yield (), 0, 0
+            if n == 0:
+                yield (), 0
+            return
+        if len(sorts) == 1:
+            for last, _, bots in self._exact(sorts[0], ctx, n):
+                yield (last,), bots
             return
         rest_min = sum(_min_size(s) for s in sorts[1:])
-        for first, size, bots in self._gen(sorts[0], pool, budget - rest_min):
-            for rest, rest_size, rest_bots in self._tuples(sorts[1:], pool, budget - size):
-                yield (first,) + rest, size + rest_size, bots + rest_bots
+        for size in range(_min_size(sorts[0]), n - rest_min + 1):
+            for first, _, bots in self._exact(sorts[0], ctx, size):
+                for rest, rest_bots in self._tuples(sorts[1:], ctx, n - size):
+                    yield (first,) + rest, bots + rest_bots
+
+    def _max_size(self, sort: Sort, ctx: frozenset) -> float:
+        """The largest normal form of the sort over binders of the sorts in
+        ctx; inf when a form of its base recurs over the same binder sorts,
+        found as a key met again while it is being computed."""
+        arg_sorts, base = sort_spine(sort)
+        ctx = ctx.union(arg_sorts)
+        key = (base, ctx)
+        best = self._max.get(key)
+        if best is None:
+            self._max[key] = math.inf
+            best = 1
+            for psort in ctx:
+                p_args, p_base = sort_spine(psort)
+                if p_base == base:
+                    size = 1 + len(p_args) + sum(self._max_size(a, ctx) for a in p_args)
+                    best = max(best, size)
+            self._max[key] = best
+        return len(arg_sorts) + best
 
 
 def enumerate_closed_nfs(
@@ -275,15 +294,16 @@ def enumerate_closed_nfs(
     """All closed eta-long normal forms of the sort up to the size budget.
 
     Ordered with maximal-information witnesses first: fewest bottom
-    leaves, then size, then printed form.  The second component reports
-    whether the set is exhaustive (no construction hit the budget).
+    leaves, then size, then printed form; a binder at depth k is hinted
+    w{k}.  The second component reports whether the set is exhaustive:
+    no closed normal form of the sort is larger than the budget.
     """
     if isinstance(sort, type(STAR)):
         raise SortError("witness enumeration is typed-only")
     enum = _Enumerator(constants or {})
     entries = enum.generate(sort, budget)
     entries.sort(key=lambda e: (e[2], e[1], print_term(e[0])))
-    return [NormalForm(t) for t, _, _ in entries], not enum.truncated
+    return [NormalForm(t) for t, _, _ in entries], enum.exhaustive(sort, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -695,9 +695,15 @@ class _Parser:
                     f"constant {name} is declared at {render_sort(declared)}", tok.offset
                 )
             return Const(name, declared)
-        if self.sig.combinators and name in COMBINATORS:
-            if self.untyped:
-                return Const(name, STAR)
+        combinator = self.sig.combinators and name in COMBINATORS
+        if self.untyped:
+            if annotated is not None and annotated != STAR:
+                raise ParseError(
+                    f"{name} is untyped: its annotation must be *, not {render_sort(annotated)}",
+                    tok.offset,
+                )
+            return Const(name, STAR) if combinator else Var(name, STAR)
+        if combinator:
             if annotated is None:
                 raise ParseError(
                     f"typed combinator {name} needs a sort annotation", tok.offset
@@ -708,8 +714,6 @@ class _Parser:
                     tok.offset,
                 )
             return Const(name, annotated)
-        if self.untyped:
-            return Var(name, STAR)
         sort = annotated or self.var_sorts.get(name)
         if sort is None:
             raise ParseError(f"unknown symbol {name}", tok.offset)

@@ -513,6 +513,26 @@ def test_untyped_head_on_a_typed_argument_is_exit_1(verb):
     }
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("x:* f:o->o", "f is untyped: its annotation must be *, not o->o (at offset 4)"),
+        ("K:o->o->o x", "K is untyped: its annotation must be *, not o->o->o (at offset 0)"),
+    ],
+)
+def test_untyped_symbol_with_a_typed_annotation_is_exit_1(text, error):
+    res = run("parse", "--expr", "--untyped", text)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr) == {"error": error, "kind": "ParseError"}
+
+
+def test_untyped_symbol_annotated_star_parses():
+    res = run("parse", "--expr", "--untyped", "x:* K:* y")
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert (data["printed"], data["sort"]) == ("x K y", "*")
+
+
 def test_build_grid_emits_the_algebra():
     unit = {
         "points": ["0", "1/2", "1"],

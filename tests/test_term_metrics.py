@@ -17,6 +17,7 @@ from qlam.term_metrics import (
     DYADIC_ZERO,
     DnfContext,
     _Enumerator,
+    _min_size,
     agreement_level,
     approx_apply,
     dnf_distance,
@@ -36,11 +37,13 @@ from qlam.term_syntax import (
     Const,
     Lam,
     Var,
+    app,
     arrow,
     parse_sort,
     parse_term,
     print_term,
     Signature,
+    sort_spine,
     subterms,
 )
 
@@ -522,12 +525,132 @@ def test_enumerator_carries_sizes_and_bottoms(sort):
         assert (size, bots) == (term_size(t), _bottoms(t))
 
 
-# printed output of enumerate_closed_nfs at the criterion-07 sorts, frozen
-# before sizes were carried through the enumeration
+class _BudgetEnumerator:
+    """The enumerator by definition: every list is keyed by its size budget
+    and built from scratch, and truncated records whether any construction
+    was cut off by the budget.  Binders are named by depth, w{k}, as in
+    _Enumerator."""
+
+    def __init__(self, constants):
+        self.constants = dict(constants)
+        self.truncated = False
+        self._memo = {}
+
+    def _gen(self, sort, pool, budget):
+        key = (sort, pool, budget)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        out = []
+        if isinstance(sort, ArrowSort):
+            if budget < _min_size(sort):
+                self.truncated = True
+            else:
+                name = f"w{len(pool)}"
+                for body, size, bots in self._gen(sort.cod, pool + ((name, sort.dom),), budget - 1):
+                    out.append((Lam(name, sort.dom, body), 1 + size, bots))
+        else:
+            if budget >= 1:
+                out.append((Bottom(sort), 1, 1))
+                for cname, csort in self.constants.items():
+                    if csort == sort:
+                        out.append((Const(cname, sort), 1, 0))
+            else:
+                self.truncated = True
+            # pool lists the enclosing binders, outermost first
+            for p, (_, psort) in enumerate(pool):
+                arg_sorts, base = sort_spine(psort)
+                if base != sort:
+                    continue
+                k = len(arg_sorts)
+                head_cost = 1 + k
+                if budget < head_cost + sum(_min_size(a) for a in arg_sorts):
+                    self.truncated = True
+                    continue
+                for args, size, bots in self._tuples(arg_sorts, pool, budget - head_cost):
+                    head = Bound(len(pool) - 1 - p, psort)
+                    out.append((app(head, *args), head_cost + size, bots))
+        self._memo[key] = out
+        return out
+
+    def _tuples(self, sorts, pool, budget):
+        if not sorts:
+            yield (), 0, 0
+            return
+        rest_min = sum(_min_size(s) for s in sorts[1:])
+        for first, size, bots in self._gen(sorts[0], pool, budget - rest_min):
+            for rest, rest_size, rest_bots in self._tuples(sorts[1:], pool, budget - size):
+                yield (first,) + rest, size + rest_size, bots + rest_bots
+
+
+def _enumerate_by_budget(sort, budget, constants):
+    """Printed output and exhaustiveness of enumerate_closed_nfs, by the
+    budget-keyed oracle."""
+    enum = _BudgetEnumerator(constants)
+    entries = sorted(enum._gen(sort, (), budget), key=lambda e: (e[2], e[1], print_term(e[0])))
+    return [print_term(t) for t, _, _ in entries], not enum.truncated
+
+
+# sort, largest budget: orders 0 to 4 over o, then sorts over o and p;
+# budgets stay small where the count of argument trees grows like the
+# Catalan numbers
+ORACLE_SWEEP = (
+    ("o", 16),
+    ("o->o", 16),
+    ("o->o->o", 16),
+    ("(o->o)->o", 16),
+    ("(o->o)->o->o", 16),
+    ("o->(o->o)->o", 16),
+    ("(o->o->o)->o", 13),
+    ("(o->o)->(o->o)->o", 16),
+    ("((o->o)->o)->o", 16),
+    ("((o->o)->o)->o->o", 16),
+    ("(((o->o)->o)->o)->o", 16),
+    ("(o->p)->p", 9),
+    ("(o->p)->o", 9),
+    ("(p->o)->(o->p)->o", 9),
+)
+
+
+@pytest.mark.parametrize("sort_text, top", ORACLE_SWEEP)
+def test_enumeration_matches_budget_oracle(sort_text, top):
+    sort = parse_sort(sort_text)
+    for constants in ({}, REMARK25_CONSTANTS):
+        for budget in range(top + 1):
+            terms, exhaustive = enumerate_closed_nfs(sort, budget, constants)
+            got = [print_term(t.term) for t in terms], exhaustive
+            assert got == _enumerate_by_budget(sort, budget, constants), budget
+
+
+@pytest.mark.parametrize(
+    "sort_text, budget, count, exhaustive",
+    [
+        ("o->o->o", 2, 0, False),
+        ("o->o->o", 3, 3, True),
+        ("(o->p)->p", 3, 1, False),
+        ("(o->p)->p", 4, 2, True),
+        ("(o->p)->p", 9, 2, True),
+        ("(o->p)->o", 1, 0, False),
+        ("(o->p)->o", 2, 1, True),
+        ("(o->p)->o", 9, 1, True),
+    ]
+    + [("(o->o)->o", b, c, False) for b, c in ((0, 0), (1, 0), (2, 1), (5, 2), (10, 5), (30, 15))],
+)
+def test_exhaustive_means_no_larger_normal_form(sort_text, budget, count, exhaustive):
+    terms, got = enumerate_closed_nfs(parse_sort(sort_text), budget)
+    assert (len(terms), got) == (count, exhaustive)
+
+
+# printed output of enumerate_closed_nfs at the criterion-07 sorts, at a
+# third-order sort, and at the s4 corpus whose pairs
+# test_memoized_dnf_matches_definition_on_uncertain_witness_pairs picks by
+# index
 ENUMERATION_DIGESTS = {
     "(o->o)->o": (60, 90, "25cff1e53b3c49b6ee06b141b2e653a50b5dd4e9b3e92a071147b9f7bdfe120d"),
     "(o->o)->o->o": (50, 96, "d5f0376db15290788ee806adfb8592a4355055c61c51bd6c8629db6bc88a7ca4"),
     "o->(o->o)->o": (60, 116, "0c3336a624b9f0eb74726eef2f5491f0315b898386dc2487209dd832ada0cd97"),
+    "((o->o)->o)->o": (16, 25, "f07dfc06eaa0b5c10556da5f63546c7cd240ccb80225f65fe8dc2c885c858c41"),
+    "(((o->o)->o)->o)->o": (14, 120, "b8d69ad6c3a11cd56c8827aec4f37c8c94ecc467ed4ce44e471e9a219a42883b"),
 }
 
 
