@@ -115,26 +115,16 @@ class FiniteQuantAlgebra:
         cod = self.populate_arrow(sort.cod) if isinstance(sort.cod, ArrowSort) else self.carrier(sort.cod)
         if len(cod) ** len(dom) > self.size_budget:
             raise BudgetError(f"carrier at {render_sort(sort)} exceeds the size budget")
-        tables = itertools.product(cod, repeat=len(dom))
-        # every table is non-expansive when no two codomain elements are
-        # farther apart than the closest two domain elements (a discrete
-        # base, for one)
-        if len(dom) > 1:
-            am, cm = self._matrix(sort.dom), self._matrix(sort.cod)
-            closest = min(am[i][j] for i, j in itertools.combinations(range(len(dom)), 2))
-            if any(cm[i][j] > closest for i, j in itertools.combinations(range(len(cod)), 2)):
-                tables = (tuple(cod[c] for c in t) for t in nonexpansive_tables(am, cm))
-        out = list(tables)
+        out = nonexpansive_tables(self._matrix(sort.dom), self._matrix(sort.cod), cod)
         self._carriers[sort] = out
         self._index[sort] = {f: i for i, f in enumerate(out)}
         return out
 
     def _table_nonexpansive(self, sort: ArrowSort, f: tuple) -> bool:
+        """Every ordered pair, as PointMap.is_nonexpansive tests."""
+        dist = functools.partial(self._idist, sort.cod)
         am = self._matrix(sort.dom)
-        for i, j in itertools.combinations(range(len(am)), 2):
-            if self._idist(sort.cod, f[i], f[j]) > am[i][j]:
-                return False
-        return True
+        return all(dist(f[i], f[j]) <= v for i, row in enumerate(am) for j, v in enumerate(row))
 
     # distances ----------------------------------------------------------
     def dist(self, sort: Sort, x, y) -> ExtReal:

@@ -13,6 +13,7 @@ exponentiability check.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -312,29 +313,41 @@ class PointMap:
         return PointMap(domain, codomain, tuple(fn(p) for p in domain.points))
 
 
-def nonexpansive_tables(am: Sequence[Sequence], bm: Sequence[Sequence]) -> list[tuple[int, ...]]:
-    """Index tables c with bm[c[i]][c[j]] <= am[i][j] for all i < j.
+def nonexpansive_tables(
+    am: Sequence[Sequence], bm: Sequence[Sequence], points: Sequence
+) -> list[tuple]:
+    """The tables f over points with bm[f_i][f_j] <= am[i][j] for every
+    ordered pair (i, j), the diagonal included, as is_nonexpansive tests;
+    f_i indexes points and f lists points[f_i].  They come out as
+    itertools.product(points, repeat=len(am)) would list them.
 
-    am and bm are distance matrices at one scale.  Position j takes
-    index c when the test holds against every earlier position; the
-    search extends prefixes in order, so the tables come out as
-    itertools.product(range(len(bm)), repeat=len(am)) would list them.
-    One candidate iterator per position stands in for recursion.
+    am and bm are distance matrices at one scale.  Position j offers the
+    indices c with bm[c][c] <= am[j][j].  If each offers every index and
+    no bm distance exceeds one between two positions, every table passes
+    (a discrete base, for one).  Otherwise prefixes are extended in order,
+    with one candidate iterator per position in place of recursion, and
+    j takes c when the test holds both ways against each earlier position.
     """
-    if not am:
-        return [()]
-    tables: list[tuple[int, ...]] = []
+    n, m = len(am), len(bm)
+    offers = [[c for c in range(m) if bm[c][c] <= am[j][j]] for j in range(n)]
+    if all(len(cs) == m for cs in offers) and (
+        n < 2
+        or max(map(max, bm), default=0)
+        <= min(am[i][j] for i in range(n) for j in range(n) if i != j)
+    ):
+        return list(itertools.product(points, repeat=n))
+    tables: list[tuple] = []
     combo: list[int] = []
-    stack = [iter(range(len(bm)))]
+    stack = [iter(offers[0])]
     while stack:
         j = len(combo)
         for c in stack[-1]:
-            if all(bm[ci][c] <= am[i][j] for i, ci in enumerate(combo)):
-                if j + 1 == len(am):
-                    tables.append((*combo, c))
+            if all(bm[ci][c] <= am[i][j] and bm[c][ci] <= am[j][i] for i, ci in enumerate(combo)):
+                if j + 1 == n:
+                    tables.append(tuple(points[ci] for ci in (*combo, c)))
                 else:
                     combo.append(c)
-                    stack.append(iter(range(len(bm))))
+                    stack.append(iter(offers[j + 1]))
                     break
         else:
             stack.pop()
@@ -350,10 +363,7 @@ def enumerate_nonexpansive(
     fa, fb = _factors(a, b)
     am = [[v * fa for v in row] for row in a.m]
     bm = [[v * fb for v in row] for row in b.m]
-    return [
-        PointMap(a, b, tuple(b.points[c] for c in table))
-        for table in nonexpansive_tables(am, bm)
-    ]
+    return [PointMap(a, b, table) for table in nonexpansive_tables(am, bm, b.points)]
 
 
 HomKind = Literal["phi", "xi", "xi_prime", "theta"]

@@ -22,6 +22,7 @@ from .term_syntax import (
     _fields_hash,
     _json_field,
     _leaf_from_json,
+    _print,
     _sort_from_json,
     _spine,
     _substituter,
@@ -29,7 +30,6 @@ from .term_syntax import (
     _terms_from_json,
     _typecheck,
     App,
-    Bottom,
     Bound,
     COMBINATORS,
     Const,
@@ -44,7 +44,6 @@ from .term_syntax import (
     bound_hints,
     combinator_sort,
     free_vars,
-    print_term,
     render_sort,
 )
 
@@ -812,9 +811,7 @@ class _Writer:
         self.equations: list[dict] = []
         self._keys: dict[tuple, int] = {}
         self._ids: dict[int, int] = {}
-        # id -> text, one dict per regime of the side, which decides how
-        # bottom prints: typed, untyped
-        self._texts: tuple[dict, dict] = ({}, {})
+        self._texts: dict[int, str] = {}  # the printer's texts of side nodes
 
     def derivation(self, d: Derivation) -> list[dict]:
         """The proof table of d: each node's entry after its premises'."""
@@ -865,34 +862,7 @@ class _Writer:
     def _order(self, eq: QuantEquation) -> tuple[str, str, str]:
         """The order of hypotheses in a document, a function of their
         values: eps, then the printed sides."""
-        return (str(eq.eps), self._text(eq.left), self._text(eq.right))
-
-    def _text(self, t: Term) -> str:
-        """print_term(t).  A node without binders or bound variables prints
-        the same wherever it sits, so each such node of the document is
-        printed once, from its children's texts; a side that reaches a Lam
-        or a Bound, whose text depends on the binders above it, is printed
-        by print_term."""
-        untyped = t.sort is STAR
-        texts = self._texts[untyped]
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            if id(s) in texts:
-                continue
-            if isinstance(s, App):
-                fn, arg = texts.get(id(s.fn)), texts.get(id(s.arg))
-                if fn is None or arg is None:
-                    stack += (s, s.arg, s.fn)
-                    continue
-                texts[id(s)] = f"{fn} ({arg})" if isinstance(s.arg, App) else f"{fn} {arg}"
-            elif isinstance(s, (Var, Const)):
-                texts[id(s)] = s.name
-            elif isinstance(s, Bottom):
-                texts[id(s)] = "bot" if untyped else f"bot:{render_sort(s.sort)}"
-            else:
-                return print_term(t)
-        return texts[id(t)]
+        return (str(eq.eps), _print(eq.left, self._texts), _print(eq.right, self._texts))
 
 
 def _fraction_from_json(value, what: str) -> Fraction:

@@ -88,11 +88,7 @@ class Dyadic:
         return cls(Fraction(1, 2**m))
 
     def render(self) -> str:
-        if not self.value:
-            return "0"
-        if self.value.denominator == 1:
-            return str(self.value.numerator)
-        return f"{self.value.numerator}/{self.value.denominator}"
+        return str(self.value)
 
 
 DYADIC_ZERO = Dyadic(Fraction(0))

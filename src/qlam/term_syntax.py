@@ -393,7 +393,7 @@ def _rebuild(t: Term, leaf: Callable[[Term, int], Term], k: int = 0) -> Term:
     return t
 
 
-def bind(name: str, sort: Sort, body: Term, hint: Optional[str] = None) -> Lam:
+def bind(name: str, sort: Sort, body: Term) -> Lam:
     """Abstract the free variable `name` out of body."""
 
     def leaf(u: Term, k: int) -> Term:
@@ -403,7 +403,7 @@ def bind(name: str, sort: Sort, body: Term, hint: Optional[str] = None) -> Lam:
             raise SortError(f"variable {name} bound at a different sort")
         return Bound(k, sort)
 
-    return Lam(hint or name, sort, _rebuild(body, leaf))
+    return Lam(name, sort, _rebuild(body, leaf))
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -631,17 +631,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lam":
             self.next()
-            name = self.expect("name").text
-            if self.peek().kind == "colon":
-                self.next()
-                var_sort = self.sort()
-            elif self.untyped:
+            name = self.expect("name")
+            var_sort = self.annotation(name)
+            if var_sort is None:
+                if not self.untyped:
+                    raise ParseError(f"binder {name.text} needs a sort annotation", tok.offset)
                 var_sort = STAR
-            else:
-                raise ParseError(f"binder {name} needs a sort annotation", tok.offset)
             self.expect("dot")
-            body = self.term([(name, var_sort)] + ctx)
-            return Lam(name, var_sort, body)
+            body = self.term([(name.text, var_sort)] + ctx)
+            return Lam(name.text, var_sort, body)
         return self.application(ctx)
 
     def application(self, ctx: list[tuple[str, Sort]]) -> Term:
@@ -662,25 +660,31 @@ class _Parser:
             return t
         if tok.kind == "name":
             self.next()
-            annotated: Optional[Sort] = None
-            if self.peek().kind == "colon":
-                self.next()
-                annotated = self.sort()
-            return self.resolve(tok, annotated, ctx)
+            return self.resolve(tok, self.annotation(tok), ctx)
         raise ParseError(
             f"expected a term, found {tok.text or 'end of input'}", tok.offset
         )
+
+    def annotation(self, tok: _Token) -> Optional[Sort]:
+        """The sort annotating the name tok, if one follows; under the
+        untyped regime it must be *."""
+        if self.peek().kind != "colon":
+            return None
+        self.next()
+        annotated = self.sort()
+        if self.untyped and annotated is not STAR:
+            sort = render_sort(annotated)
+            raise ParseError(f"{tok.text} is untyped: its annotation must be *, not {sort}", tok.offset)
+        return annotated
 
     def resolve(
         self, tok: _Token, annotated: Optional[Sort], ctx: list[tuple[str, Sort]]
     ) -> Term:
         name = tok.text
         if name == "bot":
-            if annotated is not None:
-                return Bottom(annotated)
-            if self.untyped:
-                return Bottom(STAR)
-            raise ParseError("bot needs a sort annotation in the typed regime", tok.offset)
+            if annotated is None and not self.untyped:
+                raise ParseError("bot needs a sort annotation in the typed regime", tok.offset)
+            return Bottom(annotated or STAR)
         for depth, (bound_name, bound_sort) in enumerate(ctx):
             if bound_name == name:
                 if annotated is not None and annotated != bound_sort:
@@ -697,11 +701,6 @@ class _Parser:
             return Const(name, declared)
         combinator = self.sig.combinators and name in COMBINATORS
         if self.untyped:
-            if annotated is not None and annotated != STAR:
-                raise ParseError(
-                    f"{name} is untyped: its annotation must be *, not {render_sort(annotated)}",
-                    tok.offset,
-                )
             return Const(name, STAR) if combinator else Var(name, STAR)
         if combinator:
             if annotated is None:
@@ -742,45 +741,77 @@ def parse_term(
 # Printing
 
 
-def _fresh(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    k = 1
-    while f"{base}{k}" in used:
-        k += 1
-    return f"{base}{k}"
-
-
 def print_term(t: Term) -> str:
-    untyped = t.sort is STAR
-    root = t
-    used: Optional[set[str]] = None  # free names of root, found at the first binder
+    return _print(t, None)
 
-    def go(t: Term, ctx: list[str], prec: int) -> str:
-        nonlocal used
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Bound):
-            return ctx[t.index]
-        if isinstance(t, Const):
-            return t.name
-        if isinstance(t, Bottom):
-            if untyped:
-                return "bot"
-            return f"bot:{render_sort(t.sort)}"
-        if isinstance(t, App):
-            s = f"{go(t.fn, ctx, 1)} {go(t.arg, ctx, 2)}"
-            return f"({s})" if prec >= 2 else s
-        if isinstance(t, Lam):
-            if used is None:
-                used = set(free_vars(root))
-            name = _fresh(t.hint, used | set(ctx))
-            ann = "" if untyped else f":{render_sort(t.var_sort)}"
-            s = f"\\{name}{ann}. {go(t.body, [name] + ctx, 0)}"
-            return f"({s})" if prec >= 1 else s
-        raise StructuralError(f"unknown term node {t!r}")
 
-    return go(t, [], 0)
+def _print(t: Term, texts: Optional[dict[int, str]]) -> str:
+    """The text of t, built by one walk on an explicit stack.  A binder
+    prints as its hint, made fresh against the free names of t and the
+    enclosing binders.  App and Lam reject mixed regimes, so a node's own
+    sort says whether ⊥ and binders print a sort.
+
+    texts, when given, maps id(node) to the text of each application with
+    no Lam or Bound below it, which prints the same wherever it sits; the
+    walk reads and fills it, so terms that share nodes print each such
+    node once.  The nodes must outlive texts."""
+    parts: list[str] = []
+    names: list[str] = []  # the enclosing binders' names, innermost last
+    used: Optional[set[str]] = None  # free names of t, found at the first binder
+    scoped = 0  # Lam and Bound nodes printed so far
+    # an entry is a piece of text, (node, precedence) to print, None to
+    # leave a binder, or (node, start, scoped) to store the node's text
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+        elif item is None:
+            names.pop()
+        elif len(item) == 3:
+            s, start, before = item
+            if before == scoped:
+                text = texts[id(s)] = "".join(parts[start:])
+                parts[start:] = [text]
+        else:
+            s, prec = item
+            kind = type(s)
+            if kind is App:  # parenthesised as an argument (precedence 2)
+                text = None if texts is None else texts.get(id(s))
+                if prec == 2:
+                    parts.append("(")
+                    stack.append(")")
+                if text is not None:
+                    parts.append(text)
+                elif texts is None:
+                    stack += ((s.arg, 2), " ", (s.fn, 1))
+                else:
+                    stack += ((s, len(parts), scoped), (s.arg, 2), " ", (s.fn, 1))
+            elif kind is Var or kind is Const:
+                parts.append(s.name)
+            elif kind is Bound:
+                scoped += 1
+                parts.append(names[-1 - s.index])
+            elif kind is Bottom:
+                parts.append("bot" if s.sort is STAR else f"bot:{render_sort(s.sort)}")
+            elif kind is Lam:  # parenthesised as a function or an argument
+                scoped += 1
+                if used is None:
+                    used = set(free_vars(t))
+                taken, name, k = used.union(names), s.hint, 0
+                while name in taken:
+                    k += 1
+                    name = f"{s.hint}{k}"
+                if prec:
+                    parts.append("(")
+                    stack.append(")")
+                ann = "" if s.var_sort is STAR else f":{render_sort(s.var_sort)}"
+                parts.append(f"\\{name}{ann}. ")
+                names.append(name)
+                stack += (None, (s.body, 0))
+            else:
+                raise StructuralError(f"unknown term node {s!r}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

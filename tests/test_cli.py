@@ -485,8 +485,17 @@ def test_typecheck_takes_a_deep_untyped_spine():
     assert json.loads(res.output) == {"sort": "*"}
 
 
-def test_deep_untyped_spine_is_exit_1_without_traceback():
-    res = run("parse", "--expr", "--untyped", " ".join(["x"] * 1201))
+@pytest.mark.parametrize("verb", ["parse", "normalize"])
+def test_deep_untyped_spine_prints(verb):
+    text = " ".join(["x"] * 10_001)
+    res = run(verb, "--expr", "--untyped", text)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["printed"] == text
+
+
+def test_deep_untyped_spine_reduction_is_exit_1_without_traceback():
+    # the CL redex search still recurses once per argument
+    res = run("reduce-cl", "--expr", "--untyped", " ".join(["x"] * 1201))
     assert res.exit_code == 1
     assert "Traceback" not in res.output
     assert json.loads(res.stderr)["kind"] == "RecursionError"
@@ -524,6 +533,28 @@ def test_untyped_symbol_with_a_typed_annotation_is_exit_1(text, error):
     res = run("parse", "--expr", "--untyped", text)
     assert res.exit_code == 1
     assert json.loads(res.stderr) == {"error": error, "kind": "ParseError"}
+
+
+@pytest.mark.parametrize("verb", ["parse", "normalize", "typecheck"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("bot:o", "bot is untyped: its annotation must be *, not o (at offset 0)"),
+        ("\\x:o. x", "x is untyped: its annotation must be *, not o (at offset 1)"),
+        ("\\x:o->o. x", "x is untyped: its annotation must be *, not o->o (at offset 1)"),
+    ],
+)
+def test_untyped_bottom_or_binder_with_a_typed_annotation_is_exit_1(verb, text, error):
+    res = run(verb, "--expr", "--untyped", text)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr) == {"error": error, "kind": "ParseError"}
+
+
+@pytest.mark.parametrize("text", ["bot:*", "\\x:*. x", "bot", "\\x. x"])
+def test_untyped_bottom_or_binder_annotated_star_parses(text):
+    res = run("parse", "--expr", "--untyped", text)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["sort"] == "*"
 
 
 def test_untyped_symbol_annotated_star_parses():

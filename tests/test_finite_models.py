@@ -13,9 +13,11 @@ from qlam.corpus import (
     OO,
     corpus_algebras,
     harness_corpus,
+    remark25_space,
 )
-from qlam.errors import BudgetError, InterpretationError, StructuralError
+from qlam.errors import BudgetError, InterpretationError, PreconditionError, StructuralError
 from qlam.finite_models import (
+    FiniteQuantAlgebra,
     _envs,
     _inference_vars,
     build_full_type_structure,
@@ -24,7 +26,7 @@ from qlam.finite_models import (
     satisfies_inference,
     soundness_harness,
 )
-from qlam.metric_core import INF, ExtReal, FiniteMetricSpace, ZERO
+from qlam.metric_core import INF, ExtReal, FiniteMetricSpace, PointMap, ZERO
 from qlam.quant_deduction import Inference, QuantEquation
 from qlam.rewrite_engine import beta_normalize
 from qlam.term_syntax import (
@@ -36,6 +38,7 @@ from qlam.term_syntax import (
     IntervalSort,
     Lam,
     STAR,
+    Signature,
     Var,
     arrow,
     render_sort,
@@ -58,6 +61,51 @@ def test_arrow_carrier_holds_only_nonexpansive_tables():
                 fa = alg.apply(OO, table, a)
                 fb = alg.apply(OO, table, b)
                 assert alg.dist(O, fa, fb) <= alg.dist(O, a, b)
+
+
+def space_at(alg, sort):
+    """The carrier at sort as a metric space, each point named by its
+    position in the carrier."""
+    elems = alg.carrier(sort)
+    return FiniteMetricSpace(
+        tuple(str(i) for i in range(len(elems))),
+        tuple(tuple(alg.dist(sort, x, y) for y in elems) for x in elems),
+    )
+
+
+@pytest.mark.parametrize(
+    "base, sizes",
+    [
+        # d(b, b) = 1: a may not go to b, which is farther from itself
+        (FiniteMetricSpace(["a", "b"], [[0, 1], [1, 1]]), [2, 1, 4]),
+        (FiniteMetricSpace(["a", "b"], [[0, 1], [2, 0]]), [3, 4, 6]),  # asymmetric
+        (remark25_space(), [12, 16, 1728]),
+    ],
+    ids=["self-far", "asymmetric", "remark25"],
+)
+def test_arrow_carriers_are_the_maps_is_nonexpansive_accepts(base, sizes):
+    sorts = [OO, arrow(OO, O), arrow(O, OO)]
+    alg = build_full_type_structure(base, sorts)
+    for sort in sorts:
+        dom, cod = space_at(alg, sort.dom), space_at(alg, sort.cod)
+        want = [
+            table
+            for table in itertools.product(cod.points, repeat=dom.size)
+            if PointMap(dom, cod, table).is_nonexpansive()
+        ]
+        got = [tuple(str(alg.index(sort.cod, c)) for c in f) for f in alg.carrier(sort)]
+        assert got == want, render_sort(sort)
+    assert [len(alg.carrier(sort)) for sort in sorts] == sizes
+
+
+def test_symbols_at_arrow_sorts_are_checked_on_every_ordered_pair():
+    # b is 1 from itself: a |-> b stretches d(a, a) = 0, though no pair of
+    # distinct points is stretched
+    base = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 1]])
+    alg = FiniteQuantAlgebra("self-far", Signature(combinators=False), {O: base})
+    alg.set_symbol("f", OO, (0, 1))
+    with pytest.raises(PreconditionError, match="expansive"):
+        alg.set_symbol("g", OO, (1, 1))
 
 
 def test_grid_carrier_size():
@@ -311,7 +359,7 @@ def test_algebra_carriers_and_arrow_distances_match_extreal_oracle(base, data):
             if all(
                 dist_oracle(alg, base, sort.cod, f[i], f[j], memo)
                 <= dist_oracle(alg, base, sort.dom, dom[i], dom[j], memo)
-                for i, j in itertools.combinations(range(len(dom)), 2)
+                for i, j in itertools.product(range(len(dom)), repeat=2)
             )
         ]
         assert alg.carrier(sort) == want, render_sort(sort)

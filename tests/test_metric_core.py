@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from qlam.corpus import remark25_space
 from qlam.errors import PreconditionError, StructuralError
 from qlam.metric_core import (
     ExpCheckResult,
@@ -343,14 +344,11 @@ def classify_oracle(space):
 
 
 def nonexpansive_oracle(a, b):
+    """Every table whose map passes is_nonexpansive, in product order."""
     return [
-        tuple(b.points[k] for k in combo)
-        for combo in itertools.product(range(b.size), repeat=a.size)
-        if all(
-            b.d(combo[i], combo[j]) <= a.d(i, j)
-            for i in range(a.size)
-            for j in range(i + 1, a.size)
-        )
+        table
+        for table in itertools.product(b.points, repeat=a.size)
+        if PointMap(a, b, table).is_nonexpansive()
     ]
 
 
@@ -459,7 +457,7 @@ def test_classify_matches_extreal_oracle(space):
 def test_enumerate_nonexpansive_matches_product_oracle(a, b):
     maps = enumerate_nonexpansive(a, b)
     assert [h.table for h in maps] == nonexpansive_oracle(a, b)
-    # enumeration tests pairs i < j; is_nonexpansive tests every pair
+    # is_nonexpansive tests every ordered pair, the diagonal included
     for table in itertools.islice(itertools.product(b.points, repeat=a.size), 50):
         h = PointMap(a, b, table)
         idx = h._indices()
@@ -556,3 +554,36 @@ def test_enumerate_nonexpansive_is_not_bounded_by_the_recursion_limit():
     (only,) = enumerate_nonexpansive(a, one)
     assert only.table == ("p",) * a.size
     assert [h.table for h in enumerate_nonexpansive(one, a)] == [(p,) for p in a.points]
+    # two points 2 apart: no shortcut, the search backtracks through every position
+    ends = grid(0, 2, 2)
+    assert [h.table for h in enumerate_nonexpansive(a, ends)] == [
+        (p,) * a.size for p in ends.points
+    ]
+
+
+ONE_POINT = FiniteMetricSpace(["p"], [[0]])
+SELF_FAR = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 1]])  # d(b, b) = 1
+ASYMMETRIC = FiniteMetricSpace(["a", "b"], [[0, 1], [2, 0]])
+
+
+@pytest.mark.parametrize(
+    "a, b, count",
+    [
+        (ONE_POINT, remark25_space(), 2),  # not p |-> u: u is 1 from itself
+        (remark25_space(), remark25_space(), 12),
+        (SELF_FAR, SELF_FAR, 2),
+        (ONE_POINT, SELF_FAR, 1),
+        (ASYMMETRIC, ASYMMETRIC, 3),
+        (ASYMMETRIC, SELF_FAR, 1),
+        (SELF_FAR, ASYMMETRIC, 2),
+    ],
+)
+def test_enumerate_nonexpansive_tests_every_ordered_pair(a, b, count):
+    """A point may sit at a positive distance from itself, and a distance
+    need not be symmetric: the enumeration lists exactly the maps that
+    is_nonexpansive accepts, and hom_distance takes each of them."""
+    maps = enumerate_nonexpansive(a, b)
+    assert [h.table for h in maps] == nonexpansive_oracle(a, b)
+    assert len(maps) == count
+    for f in maps:
+        hom_distance("phi", a, b, f, f)  # raises on a map it refuses

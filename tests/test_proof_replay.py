@@ -60,6 +60,7 @@ from qlam.term_syntax import (
 )
 
 from test_mutants import _node, _resides, all_mutants, paths, replace_at
+from test_term_syntax import oracle_print_term
 
 THEORIES = corpus_theories()
 CORPUS = [
@@ -110,7 +111,7 @@ def oracle_equation_to_json(eq):
 def oracle_to_json(d):
     hyps = sorted(
         d.conclusion.hypotheses,
-        key=lambda e: (str(e.eps), print_term(e.left), print_term(e.right)),
+        key=lambda e: (str(e.eps), oracle_print_term(e.left), oracle_print_term(e.right)),
     )
     params = dict(d.params)
     if "env" in params:

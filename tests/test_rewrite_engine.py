@@ -232,7 +232,7 @@ def oracle_open_bound(body, arg):
     return go(body, 0)
 
 
-def oracle_bind(name, sort, body, hint=None):
+def oracle_bind(name, sort, body):
     def go(t, depth):
         if isinstance(t, Var):
             if t.name == name:
@@ -246,7 +246,7 @@ def oracle_bind(name, sort, body, hint=None):
             return Lam(t.hint, t.var_sort, go(t.body, depth + 1))
         return t
 
-    return Lam(hint or name, sort, go(body, 0))
+    return Lam(name, sort, go(body, 0))
 
 
 def _locally_closed(t, depth):
@@ -362,8 +362,7 @@ def _agree_on(t, rng, names, images):
     assert _outcome(open_bound, body, arg) == _outcome(oracle_open_bound, body, arg)
     name = rng.choice(names)
     sort = rng.choice(images).sort
-    hint = rng.choice([None, "h"])
-    assert _outcome(bind, name, sort, t, hint) == _outcome(oracle_bind, name, sort, t, hint)
+    assert _outcome(bind, name, sort, t) == _outcome(oracle_bind, name, sort, t)
     env = {n: rng.choice(images) for n in rng.sample(names, rng.randint(1, len(names)))}
     assert _outcome(substitute, t, env) == _outcome(oracle_substitute, t, env)
     for fuel in FUELS:
