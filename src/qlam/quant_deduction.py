@@ -713,30 +713,39 @@ def _axiom_for_step(rule: str, redex: Term, th: Theory) -> Derivation:
 
 
 def derive_cl_reduction(red: CLReduction, th: Theory) -> Derivation:
-    """Proof of start ~0 result replaying a combinatory reduction trace."""
+    """Proof of start ~0 result replaying a combinatory reduction trace: a
+    root step is its axiom instance, a maximal run of steps below the root
+    one NExp over its function and argument parts, and Triang joins them."""
     if red.out_of_fuel:
         raise PreconditionError("cannot derive an unfinished reduction")
-    current = red.start
-    proof: Optional[Derivation] = None
-    for step in red.steps:
-        # equate the whole terms by wrapping the axiom instance in NExp
-        step_proof = _axiom_for_step(step.rule, step.redex, th)
-        node = current
-        wrappers: list[tuple[str, Term]] = []
-        for direction in step.path:
-            assert isinstance(node, App)
-            wrappers.append((direction, node))
-            node = node.fn if direction == "fn" else node.arg
-        for direction, parent in reversed(wrappers):
-            if direction == "fn":
-                step_proof = _d_app(step_proof, d_refl(parent.arg))
-            else:
-                step_proof = _d_app(d_refl(parent.fn), step_proof)
-        proof = step_proof if proof is None else _d_triang(proof, step_proof)
-        current = step_proof.conclusion.conclusion.right
-    if proof is None:
-        return d_refl(red.start)
-    return proof
+    steps = red.steps
+    # a frame (term, i, end, depth, proof, run) replays steps[i:end] from term,
+    # which their paths pass at depth; run ends the run whose parts are on done
+    stack: list[tuple] = [(red.start, 0, len(steps), 0, None, None)]
+    done: list[Derivation] = []
+    while stack:
+        term, i, end, depth, proof, run = stack.pop()
+        if run is not None:
+            piece, i = _d_app(done.pop(-2), done.pop()), run
+        elif i == end:
+            done.append(d_refl(term) if proof is None else proof)
+            continue
+        elif len(steps[i].path) == depth:
+            piece, i = _axiom_for_step(steps[i].rule, steps[i].redex, th), i + 1
+        else:
+            assert isinstance(term, App)
+            mid = i
+            while mid < end and len(steps[mid].path) > depth and steps[mid].path[depth] == "fn":
+                mid += 1
+            run = mid
+            while run < end and len(steps[run].path) > depth and steps[run].path[depth] == "arg":
+                run += 1
+            stack += [(term, i, end, depth, proof, run), (term.arg, mid, run, depth + 1, None, None),
+                      (term.fn, i, mid, depth + 1, None, None)]
+            continue
+        proof = piece if proof is None else _d_triang(proof, piece)
+        stack.append((piece.conclusion.conclusion.right, i, end, depth, proof, None))
+    return done[0]
 
 
 def derive_equal_reducts(r1: CLReduction, r2: CLReduction, th: Theory) -> Derivation:

@@ -13,6 +13,7 @@ exactly.
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qlam.corpus import corpus_derivations, corpus_theories
-from qlam.errors import SortError, StructuralError
+from qlam.errors import PreconditionError, SortError, StructuralError
 from qlam.quant_deduction import (
     CheckResult,
     Derivation,
     Inference,
     QuantEquation,
+    _axiom_for_step,
     _check_node,
+    _d_app,
+    _d_triang,
     builtin_theory,
     check_derivation,
     d_cut,
@@ -36,7 +40,7 @@ from qlam.quant_deduction import (
     derive_cl_reduction,
     derive_equal_reducts,
 )
-from qlam.rewrite_engine import bracket_abstract, cl_reduce
+from qlam.rewrite_engine import CLReduction, CLStep, bracket_abstract, cl_reduce
 from qlam.term_syntax import (
     App,
     ArrowSort,
@@ -310,6 +314,29 @@ def oracle_check(d, th):
     return walk(d, ()) or CheckResult(True)
 
 
+def oracle_derive_cl_reduction(red, th):
+    """One proof per step: its axiom instance wrapped in one NExp (with
+    Refl on the other side) per level of its path, the steps joined by
+    Triang."""
+    current = red.start
+    proof = None
+    for step in red.steps:
+        step_proof = _axiom_for_step(step.rule, step.redex, th)
+        node = current
+        wrappers = []
+        for direction in step.path:
+            wrappers.append((direction, node))
+            node = node.fn if direction == "fn" else node.arg
+        for direction, parent in reversed(wrappers):
+            if direction == "fn":
+                step_proof = _d_app(step_proof, d_refl(parent.arg))
+            else:
+                step_proof = _d_app(d_refl(parent.fn), step_proof)
+        proof = step_proof if proof is None else _d_triang(proof, step_proof)
+        current = step_proof.conclusion.conclusion.right
+    return d_refl(red.start) if proof is None else proof
+
+
 # ---------------------------------------------------------------------------
 # Helpers
 
@@ -376,6 +403,19 @@ def assert_replay_matches_oracles(d, th):
     assert check_derivation(copy, th) == expected
 
 
+def assert_builder_matches_oracle(red, th):
+    """The run-by-run derivation and the step-by-step oracle both check,
+    conclude the same inference, and the first has no more nodes."""
+    d, expected = derive_cl_reduction(red, th), oracle_derive_cl_reduction(red, th)
+    assert check_derivation(d, th).ok and check_derivation(expected, th).ok
+    assert d.conclusion == expected.conclusion
+    assert sum(1 for _ in nodes(d)) <= sum(1 for _ in nodes(expected))
+
+
+def rule_counts(d):
+    return dict(Counter(node.rule for node in nodes(d)))
+
+
 # ---------------------------------------------------------------------------
 # Tests
 
@@ -383,6 +423,24 @@ def assert_replay_matches_oracles(d, th):
 @pytest.mark.parametrize("th,name,d", CORPUS, ids=[name for _, name, _ in CORPUS])
 def test_corpus_replay_matches_oracles(th, name, d):
     assert_replay_matches_oracles(d, th)
+
+
+def test_corpus_reductions_match_builder_oracle():
+    """Every conclusion side of a corpus derivation that cl_reduce takes
+    and reduces in at least one step: the run-by-run derivation of that
+    reduction agrees with the step-by-step oracle."""
+    reductions = 0
+    for th, name, d in CORPUS:
+        eq = d.conclusion.conclusion
+        for side in (eq.left, eq.right):
+            try:
+                red = cl_reduce(side, fuel=1000)
+            except PreconditionError:
+                continue  # a lambda term
+            if red.steps:
+                assert_builder_matches_oracle(red, th)
+                reductions += 1
+    assert reductions == 9
 
 
 def test_checker_matches_oracle_on_every_mutant():
@@ -551,7 +609,7 @@ def test_term_documents_match_oracle():
             copy = term_from_json(json.loads(text))
             assert copy == t and json.dumps(term_to_json(copy)) == text, name
             seen += 1
-    assert seen == 591, seen
+    assert seen == 471, seen
 
 
 def cl_tree(names, depth):
@@ -581,14 +639,15 @@ def test_bracket_simulation_replay_matches_oracles(t_tree, u_tree):
     lhs = cl_reduce(App(bracket_abstract(Var("x", STAR), t), u), fuel=2000)
     rhs = cl_reduce(substitute(t, {"x": u}), fuel=2000)
     assume(not lhs.out_of_fuel and not rhs.out_of_fuel)
+    assert_builder_matches_oracle(lhs, CL_THEORY)
+    assert_builder_matches_oracle(rhs, CL_THEORY)
     assert_replay_matches_oracles(derive_equal_reducts(lhs, rhs, CL_THEORY), CL_THEORY)
 
 
 def test_deep_terms_round_trip_without_recursion():
     """A 10,000-argument spine applied to 10,000 nested binders goes
     through derivation and term documents, json.dumps and json.loads.
-    Term == still recurses, so copies are compared by their re-encoded
-    text."""
+    Copies equal the original, and re-encode to the same text."""
     x = Var("x", STAR)
     nest = x
     for _ in range(10_000):
@@ -600,6 +659,7 @@ def test_deep_terms_round_trip_without_recursion():
     copy = derivation_from_json(data)
     assert json.dumps(derivation_to_json(copy)) == text
     term_copy = term_from_json(json.loads(json.dumps(term_to_json(t))))
+    assert term_copy == t and copy.conclusion.conclusion.left == t
     assert json.dumps(derivation_to_json(d_refl(term_copy))) == text
 
 
@@ -624,6 +684,50 @@ def test_deep_proofs_round_trip_and_check():
         assert json.dumps(derivation_to_json(copy)) == text
 
 
+@pytest.mark.parametrize("direction", ["fn", "arg"])
+def test_deep_step_paths_derive_check_and_round_trip(direction):
+    """One I x step 5,000 levels down the function or the argument side,
+    built by hand (cl_reduce's redex search recurses at that depth): the
+    derivation builder, the checker and the codec need no recursion."""
+    x, y = Var("x", STAR), Var("y", STAR)
+    redex = App(Const("I", STAR), x)
+    start, result = redex, x
+    for _ in range(5_000):
+        if direction == "fn":
+            start, result = App(start, y), App(result, y)
+        else:
+            start, result = App(y, start), App(y, result)
+    step = CLStep((direction,) * 5_000, "I", redex, x)
+    d = derive_cl_reduction(CLReduction(start, result, (step,), False), CL_THEORY)
+    assert check_derivation(d, CL_THEORY).ok
+    assert d.conclusion.conclusion.left == start and d.conclusion.conclusion.right == result
+    copy = derivation_from_json(json.loads(json.dumps(derivation_to_json(d))))
+    assert copy.conclusion == d.conclusion
+    assert check_derivation(copy, CL_THEORY).ok
+
+
+def test_cl_derivation_shapes_are_pinned():
+    """One NExp per maximal run of steps below the root, Refl only for a
+    side without steps: S K K x takes two root steps; f (I x) one step
+    under the argument; I (I f) (g (I x)) two steps in the function part
+    and then one in the argument part, which is a run one level down."""
+    x, f, g = Var("x", STAR), Var("f", STAR), Var("g", STAR)
+    s, k, i = Const("S", STAR), Const("K", STAR), Const("I", STAR)
+    skk = derive_cl_reduction(cl_reduce(app(s, k, k, x)), CL_THEORY)
+    assert rule_counts(skk) == {"Cut": 1, "Triang": 1, "Subst": 2, "Axiom": 2}
+    ((th, _, nexp_under_arg),) = [c for c in CORPUS if c[1] == "nexp_under_arg"]
+    assert rule_counts(nexp_under_arg) == {"Cut": 1, "NExp": 1, "Refl": 1, "Subst": 1, "Axiom": 1}
+    red = cl_reduce(app(i, App(i, f), App(g, App(i, x))))
+    assert [step.path for step in red.steps] == [("fn",), ("fn",), ("arg", "arg")]
+    runs = derive_cl_reduction(red, CL_THEORY)
+    assert rule_counts(runs) == {
+        "Cut": 3, "NExp": 2, "Refl": 1, "Triang": 1, "Subst": 3, "Axiom": 3,
+    }
+    assert rule_counts(oracle_derive_cl_reduction(red, CL_THEORY)) == {
+        "Cut": 6, "NExp": 4, "Refl": 4, "Triang": 2, "Subst": 3, "Axiom": 3,
+    }
+
+
 def test_corpus_derivation_documents_are_pinned():
     """The documents of the 45 corpus derivations, byte for byte, so that
     any change to the derivation document shows here."""
@@ -631,7 +735,7 @@ def test_corpus_derivation_documents_are_pinned():
     assert len(CORPUS) == 45
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "0f27ef482184180b23f99670fe0085abed72f1c06bbac2212c55bf4d90dd99b7"
+        == "f1450fa51063af29145736fe487e871ab843a5cd8512f98651f61df8e7ec3571"
     )
 
 
