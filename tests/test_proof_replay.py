@@ -715,7 +715,7 @@ def test_cl_derivation_shapes_are_pinned():
     s, k, i = Const("S", STAR), Const("K", STAR), Const("I", STAR)
     skk = derive_cl_reduction(cl_reduce(app(s, k, k, x)), CL_THEORY)
     assert rule_counts(skk) == {"Cut": 1, "Triang": 1, "Subst": 2, "Axiom": 2}
-    ((th, _, nexp_under_arg),) = [c for c in CORPUS if c[1] == "nexp_under_arg"]
+    ((_, _, nexp_under_arg),) = [c for c in CORPUS if c[1] == "nexp_under_arg"]
     assert rule_counts(nexp_under_arg) == {"Cut": 1, "NExp": 1, "Refl": 1, "Subst": 1, "Axiom": 1}
     red = cl_reduce(app(i, App(i, f), App(g, App(i, x))))
     assert [step.path for step in red.steps] == [("fn",), ("fn",), ("arg", "arg")]
@@ -726,6 +726,13 @@ def test_cl_derivation_shapes_are_pinned():
     assert rule_counts(oracle_derive_cl_reduction(red, CL_THEORY)) == {
         "Cut": 6, "NExp": 4, "Refl": 4, "Triang": 2, "Subst": 3, "Axiom": 3,
     }
+    # a function step after an argument step, which cl_reduce never
+    # emits, starts a second run
+    f_redex, x_redex = App(i, f), App(i, x)
+    steps = (CLStep(("arg",), "I", x_redex, x), CLStep(("fn",), "I", f_redex, f))
+    red = CLReduction(App(f_redex, x_redex), App(f, x), steps, False)
+    assert_builder_matches_oracle(red, CL_THEORY)
+    assert rule_counts(derive_cl_reduction(red, CL_THEORY))["NExp"] == 2
 
 
 def test_corpus_derivation_documents_are_pinned():
