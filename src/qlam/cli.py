@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-Every verb maps to one library operation; output is JSON by default
-(pretty, sorted keys) or human-readable with -H.  Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.  The repro verb runs a
-named scenario and diffs the result against the shipped golden file.
+Every verb maps to one library operation and prints JSON (pretty,
+sorted keys) on stdout.  Exit codes: 0 on success, 1 on domain errors
+(the error JSON on stderr), 2 on usage errors.  check-proof (a failed
+check), repro (FAIL or MISSING_GOLDEN) and harness (a violated record)
+also exit 1, with their JSON on stdout.  The repro verb runs a named
+scenario and diffs the result against the shipped golden file.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .finite_models import (
 )
 from .quant_deduction import (
     Inference,
+    QuantEquation,
     Theory,
     check_derivation,
     derivation_from_json,
@@ -44,9 +47,13 @@ from .term_metrics import (
     fth_distance,
     nf_depth,
     order_distance,
+    project,
 )
 from .term_syntax import (
+    App,
+    Bound,
     Const,
+    Lam,
     Signature,
     Sort,
     STAR,
@@ -69,12 +76,13 @@ def _dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _emit(data: dict, human: bool) -> None:
-    if human:
-        for key in sorted(data):
-            click.echo(f"{key}: {json.dumps(data[key], sort_keys=True)}")
-    else:
-        click.echo(_dumps(data))
+def _emit(data: dict) -> None:
+    click.echo(_dumps(data))
+
+
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 class _Group(click.Group):
@@ -91,7 +99,6 @@ def main() -> None:
     """Workbench for quantitative reasoning over CL and lambda terms."""
 
 
-_human = click.option("-H", "--human", is_flag=True, help="Human-readable output.")
 _sig_opts = [
     click.option("--untyped", is_flag=True, help="Parse in the single-sorted regime."),
     click.option(
@@ -126,14 +133,11 @@ def _signature(untyped: bool, consts) -> Signature:
 def _load_term(source: str, expr: bool, sig: Signature) -> Term:
     if expr:
         return parse_term(source, sig)
-    with open(source, encoding="utf-8") as handle:
-        data = json.load(handle)
-    return term_from_json(data)
+    return term_from_json(_read_json(source))
 
 
 def _load_space(path: str) -> FiniteMetricSpace:
-    with open(path, encoding="utf-8") as handle:
-        return FiniteMetricSpace.from_json(json.load(handle))
+    return FiniteMetricSpace.from_json(_read_json(path))
 
 
 _term_input = [
@@ -143,30 +147,26 @@ _term_input = [
 
 
 @main.command()
-@_with(_term_input + _sig_opts + [_human])
-def parse(source, expr, untyped, consts, human) -> None:
+@_with(_term_input + _sig_opts)
+def parse(source, expr, untyped, consts) -> None:
     """Parse a term and report its JSON form and sort."""
     t = _load_term(source, expr, _signature(untyped, consts))
-    _emit(
-        {"printed": print_term(t), "sort": render_sort(t.sort), "term": term_to_json(t)},
-        human,
-    )
+    _emit({"printed": print_term(t), "sort": render_sort(t.sort), "term": term_to_json(t)})
 
 
 @main.command("typecheck")
-@_with(_term_input + _sig_opts + [_human])
-def typecheck_cmd(source, expr, untyped, consts, human) -> None:
+@_with(_term_input + _sig_opts)
+def typecheck_cmd(source, expr, untyped, consts) -> None:
     """Check a term against a signature and report its sort."""
     sig = _signature(untyped, consts)
     t = _load_term(source, expr, sig)
-    _emit({"sort": render_sort(typecheck(t, sig))}, human)
+    _emit({"sort": render_sort(typecheck(t, sig))})
 
 
 @main.command("normalize")
 @_with(_term_input + _sig_opts)
 @click.option("--fuel", type=int, default=None, help="Reduction step budget.")
-@_with([_human])
-def normalize_cmd(source, expr, untyped, consts, fuel, human) -> None:
+def normalize_cmd(source, expr, untyped, consts, fuel) -> None:
     """Beta-normalize and eta-expand a term."""
     t = _load_term(source, expr, _signature(untyped, consts))
     nf = normalize(t, fuel=fuel)
@@ -175,16 +175,14 @@ def normalize_cmd(source, expr, untyped, consts, fuel, human) -> None:
             "printed": print_term(nf.term),
             "depth": nf_depth(nf.term),
             "term": term_to_json(nf.term),
-        },
-        human,
+        }
     )
 
 
 @main.command("reduce-cl")
 @_with(_term_input + _sig_opts)
 @click.option("--fuel", type=int, default=None, help="Reduction step budget.")
-@_with([_human])
-def reduce_cl_cmd(source, expr, untyped, consts, fuel, human) -> None:
+def reduce_cl_cmd(source, expr, untyped, consts, fuel) -> None:
     """Reduce a combinator term, reporting the full trace."""
     t = _load_term(source, expr, _signature(untyped, consts))
     red = cl_reduce(t, fuel=fuel)
@@ -203,16 +201,14 @@ def reduce_cl_cmd(source, expr, untyped, consts, fuel, human) -> None:
                 }
                 for s in red.steps
             ],
-        },
-        human,
+        }
     )
 
 
 @main.command("bracket")
 @_with(_term_input + _sig_opts)
 @click.option("--var", "var_spec", required=True, metavar="NAME[:SORT]")
-@_with([_human])
-def bracket_cmd(source, expr, untyped, consts, var_spec, human) -> None:
+def bracket_cmd(source, expr, untyped, consts, var_spec) -> None:
     """Bracket-abstract a variable out of a combinator term."""
     sig = _signature(untyped, consts)
     t = _load_term(source, expr, sig)
@@ -226,20 +222,17 @@ def bracket_cmd(source, expr, untyped, consts, var_spec, human) -> None:
         if sort is None:
             raise click.UsageError(f"--var {name} needs a sort annotation")
     out = bracket_abstract(Var(name, sort), t)
-    _emit({"printed": print_term(out), "term": term_to_json(out)}, human)
+    _emit({"printed": print_term(out), "term": term_to_json(out)})
 
 
 @main.command("project")
 @_with(_term_input + _sig_opts)
 @click.option("--level", type=int, required=True)
-@_with([_human])
-def project_cmd(source, expr, untyped, consts, level, human) -> None:
+def project_cmd(source, expr, untyped, consts, level) -> None:
     """Cut a normal form at the given depth."""
-    from .term_metrics import project
-
     t = normalize(_load_term(source, expr, _signature(untyped, consts)))
     p = project(t, level)
-    _emit({"printed": print_term(p.term), "term": term_to_json(p.term)}, human)
+    _emit({"printed": print_term(p.term), "term": term_to_json(p.term)})
 
 
 @main.command("dist")
@@ -255,30 +248,28 @@ def project_cmd(source, expr, untyped, consts, level, human) -> None:
 @_with(_sig_opts)
 @click.option("--witness-budget", type=int, default=12, show_default=True)
 @click.option("--n-max", type=int, default=3, show_default=True)
-@_with([_human])
-def dist_cmd(metric, left, right, expr, untyped, consts, witness_budget, n_max, human) -> None:
+def dist_cmd(metric, left, right, expr, untyped, consts, witness_budget, n_max) -> None:
     """Distance between two normal forms under the chosen metric."""
     sig = _signature(untyped, consts)
     t = normalize(_load_term(left, expr, sig))
     s = normalize(_load_term(right, expr, sig))
     if metric == "e":
-        _emit({"value": e_distance(t, s).render()}, human)
+        _emit({"value": e_distance(t, s).render()})
     elif metric == "dnf":
         cert = dnf_distance(t, s, witness_budget=witness_budget, constants=sig.constants)
-        _emit(cert.to_json(), human)
+        _emit(cert.to_json())
     elif metric == "order":
         value, result = order_distance(t, s)
         out = {"value": value.render()}
         out.update(result.to_json())
-        _emit(out, human)
+        _emit(out)
     else:
         value, status = fth_distance(t, s, n_max=n_max)
-        _emit({"value": value.render(), "status": status}, human)
+        _emit({"value": value.render(), "status": status})
 
 
 def _load_map(path: str, dom: FiniteMetricSpace, cod: FiniteMetricSpace) -> PointMap:
-    with open(path, encoding="utf-8") as handle:
-        table = json.load(handle)
+    table = _read_json(path)
     if not isinstance(table, list):
         raise click.UsageError(f"{path} must hold a JSON list of codomain points")
     return PointMap(dom, cod, tuple(table))
@@ -294,22 +285,20 @@ def _load_map(path: str, dom: FiniteMetricSpace, cod: FiniteMetricSpace) -> Poin
 @click.argument("codomain_file")
 @click.argument("f_file")
 @click.argument("g_file")
-@_with([_human])
-def hom_dist_cmd(kind, domain_file, codomain_file, f_file, g_file, human) -> None:
+def hom_dist_cmd(kind, domain_file, codomain_file, f_file, g_file) -> None:
     """Distance between two non-expansive maps between finite spaces."""
     a = _load_space(domain_file)
     b = _load_space(codomain_file)
     f = _load_map(f_file, a, b)
     g = _load_map(g_file, a, b)
-    _emit({"value": hom_distance(kind, a, b, f, g).render()}, human)
+    _emit({"value": hom_distance(kind, a, b, f, g).render()})
 
 
 @main.command("classify")
 @click.argument("space_file")
-@_with([_human])
-def classify_cmd(space_file, human) -> None:
+def classify_cmd(space_file) -> None:
     """Report which distance laws a finite space satisfies."""
-    _emit(classify_space(_load_space(space_file)).to_json(), human)
+    _emit(classify_space(_load_space(space_file)).to_json())
 
 
 @main.command("exp-check")
@@ -320,24 +309,22 @@ def classify_cmd(space_file, human) -> None:
     default="full",
     show_default=True,
 )
-@_with([_human])
-def exp_check_cmd(space_file, mode, human) -> None:
+def exp_check_cmd(space_file, mode) -> None:
     """Check the midpoint condition for exponentiability."""
-    _emit(check_exponentiable(_load_space(space_file), mode).to_json(), human)
+    _emit(check_exponentiable(_load_space(space_file), mode).to_json())
 
 
 @main.command("build-fts")
 @click.argument("base_file")
 @click.option("--sort", "sorts", multiple=True, required=True, metavar="SORT")
 @click.option("--size-budget", type=int, default=10**6, show_default=True)
-@_with([_human])
-def build_fts_cmd(base_file, sorts, size_budget, human) -> None:
+def build_fts_cmd(base_file, sorts, size_budget) -> None:
     """Build the full type structure over a finite base space."""
     base = _load_space(base_file)
     alg = build_full_type_structure(
         base, [parse_sort(s) for s in sorts], size_budget=size_budget
     )
-    _emit(alg.to_json(), human)
+    _emit(alg.to_json())
 
 
 @main.command("build-grid")
@@ -349,8 +336,7 @@ def build_fts_cmd(base_file, sorts, size_budget, human) -> None:
     metavar="LO:HI:STEP",
     help="One base interval sort per flag, in declaration order.",
 )
-@_with([_human])
-def build_grid_cmd(intervals, human) -> None:
+def build_grid_cmd(intervals) -> None:
     """Build a grid algebra over rational interval sorts."""
     parsed = []
     for spec in intervals:
@@ -362,7 +348,7 @@ def build_grid_cmd(intervals, human) -> None:
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"--interval needs rational LO:HI:STEP, got {spec!r}") from None
     alg = build_grid_algebra(parsed, {})
-    _emit(alg.to_json(), human)
+    _emit(alg.to_json())
 
 
 def _load_theory(spec: str) -> Theory:
@@ -375,8 +361,7 @@ def _load_theory(spec: str) -> Theory:
             f"--theory takes a corpus theory ({', '.join(theories)}) "
             f"or a theory JSON file, got {spec!r}"
         )
-    with open(spec, encoding="utf-8") as handle:
-        return Theory.from_json(json.load(handle))
+    return Theory.from_json(_read_json(spec))
 
 
 @main.command("check-proof")
@@ -388,14 +373,11 @@ def _load_theory(spec: str) -> Theory:
     metavar="NAME|FILE",
     help="A corpus theory name, or else a theory JSON file.",
 )
-@_with([_human])
-def check_proof_cmd(proof_file, theory_spec, human) -> None:
+def check_proof_cmd(proof_file, theory_spec) -> None:
     """Validate a derivation tree against a corpus theory or a theory file."""
     th = _load_theory(theory_spec)
-    with open(proof_file, encoding="utf-8") as handle:
-        d = derivation_from_json(json.load(handle))
-    result = check_derivation(d, th)
-    _emit(result.to_json(), human)
+    result = check_derivation(derivation_from_json(_read_json(proof_file)), th)
+    _emit(result.to_json())
     if not result.ok:
         sys.exit(1)
 
@@ -408,13 +390,11 @@ def check_proof_cmd(proof_file, theory_spec, human) -> None:
     required=True,
     type=click.Choice(sorted(_corpus.ALGEBRAS)),
 )
-@_with([_human])
-def model_check_cmd(inference_file, algebra_name, human) -> None:
+def model_check_cmd(inference_file, algebra_name) -> None:
     """Check an inference in one of the shipped finite algebras."""
-    with open(inference_file, encoding="utf-8") as handle:
-        inf = Inference.from_json(json.load(handle))
+    inf = Inference.from_json(_read_json(inference_file))
     alg = _corpus.ALGEBRAS[algebra_name]()
-    _emit(satisfies_inference(alg, inf).to_json(), human)
+    _emit(satisfies_inference(alg, inf).to_json())
 
 
 @main.command("harness")
@@ -434,13 +414,11 @@ def harness_cmd() -> None:
 
 
 def _remark25_payload() -> dict:
-    from .term_syntax import App as _App
-
     terms = _corpus.remark25_terms()
     t, s, u = terms["t"], terms["s"], terms["u"]
     consts = _corpus.REMARK25_CONSTANTS
-    ut = normalize(_App(u.term, t.term))
-    us = normalize(_App(u.term, s.term))
+    ut = normalize(App(u.term, t.term))
+    us = normalize(App(u.term, s.term))
     space = _corpus.remark25_space()
     return {
         "d_ts": dnf_distance(t, s, constants=consts).to_json(),
@@ -451,12 +429,10 @@ def _remark25_payload() -> dict:
 
 
 def _remark27_payload() -> dict:
-    from .term_syntax import App as _App
-
     terms = _corpus.remark27_terms()
     t, s, u = terms["t"], terms["s"], terms["u"]
-    ut = normalize(_App(u.term, t.term))
-    us = normalize(_App(u.term, s.term))
+    ut = normalize(App(u.term, t.term))
+    us = normalize(App(u.term, s.term))
     return {
         "e_ts": e_distance(t, s).render(),
         "e_ut_us": e_distance(ut, us).render(),
@@ -464,9 +440,6 @@ def _remark27_payload() -> dict:
 
 
 def _example15_payload() -> dict:
-    from .quant_deduction import QuantEquation
-    from .term_syntax import App as _App, Bound, Lam
-
     alg = _corpus.ALGEBRAS["ex15"]()
     f = Const("f", _corpus.FG)
     g = Const("g", _corpus.FG)
@@ -478,9 +451,9 @@ def _example15_payload() -> dict:
     arrow_dist = alg.dist(
         _corpus.FG, alg.symbol("f", _corpus.FG), alg.symbol("g", _corpus.FG)
     )
-    lam_f = Lam("x", _corpus.I01, _App(f, Bound(0, _corpus.I01)))
-    lam_g = Lam("x", _corpus.I01, _App(g, Bound(0, _corpus.I01)))
-    hyp = QuantEquation(_App(f, x), _App(g, x), eps, _corpus.I054, frozenset({x}))
+    lam_f = Lam("x", _corpus.I01, App(f, Bound(0, _corpus.I01)))
+    lam_g = Lam("x", _corpus.I01, App(g, Bound(0, _corpus.I01)))
+    hyp = QuantEquation(App(f, x), App(g, x), eps, _corpus.I054, frozenset({x}))
     concl = QuantEquation(lam_f, lam_g, eps, lam_f.sort)
     sat_report = satisfies_inference(alg, Inference(frozenset(), concl))
     star_report = satisfies_inference(alg, Inference(frozenset(), hyp))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SortError, StructuralError
-from .rewrite_engine import _match_cl_redex, CLReduction, open_bound, shift
+from .rewrite_engine import _match_cl_redex, CLReduction, CLStep, open_bound, shift
 from .term_syntax import (
     _entry_at,
     _fields_hash,
@@ -697,19 +697,34 @@ def _d_app(p_fn: Derivation, p_arg: Derivation) -> Derivation:
     return d_cut([p_fn, p_arg], leaf)
 
 
-def _axiom_for_step(rule: str, redex: Term, th: Theory) -> Derivation:
-    """Derivation of redex ~ contractum from the matching CL axiom."""
-    head, args = _spine(redex)
-    assert isinstance(head, Const) and head.name == rule
+def _cl_axiom_index(th: Theory) -> dict[Term, tuple[Derivation, tuple[str, ...]]]:
+    """The theory's CL axioms by head constant, each as its Axiom leaf and
+    its variables' names: an axiom without hypotheses whose left side is
+    I, K or S applied to distinct variables and whose right side, at
+    distance 0, is the contractum weak reduction gives it."""
+    index: dict[Term, tuple[Derivation, tuple[str, ...]]] = {}
     for ax in th.axioms:
-        ax_head, ax_args = _spine(ax.conclusion.left)
-        if ax_head != head or len(ax_args) != len(args):
+        left = ax.conclusion.left
+        head, args = _spine(left)
+        names = tuple(v.name for v in args if isinstance(v, Var))
+        match = _match_cl_redex(left)
+        if match is None or len(set(names)) != len(args):
             continue
-        env = {v.name: arg for v, arg in zip(ax_args, args) if isinstance(v, Var)}
-        if len(env) != len(ax_args):
-            continue
-        return d_subst(d_axiom(ax), env)
-    raise PreconditionError(f"theory has no {rule} axiom at the needed sorts")
+        if ax == Inference(frozenset(), QuantEquation(left, match[1], Fraction(0), left.sort)):
+            index.setdefault(head, (d_axiom(ax), names))
+    return index
+
+
+def _axiom_for_step(step: CLStep, axioms: Mapping[Term, tuple]) -> Derivation:
+    """The Subst instance of the step's CL axiom: redex ~0 contractum, with
+    the redex's arguments for the axiom's variables."""
+    head, args = _spine(step.redex)
+    if head not in axioms:
+        raise PreconditionError(f"theory has no {step.rule} axiom at the needed sorts")
+    axiom, names = axioms[head]
+    eq = QuantEquation(step.redex, step.contractum, Fraction(0), step.redex.sort)
+    env = dict(zip(names, args))
+    return Derivation("Subst", Inference(frozenset(), eq), (axiom,), {"env": env})
 
 
 def derive_cl_reduction(red: CLReduction, th: Theory) -> Derivation:
@@ -718,7 +733,7 @@ def derive_cl_reduction(red: CLReduction, th: Theory) -> Derivation:
     one NExp over its function and argument parts, and Triang joins them."""
     if red.out_of_fuel:
         raise PreconditionError("cannot derive an unfinished reduction")
-    steps = red.steps
+    steps, axioms = red.steps, _cl_axiom_index(th)
     # a frame (term, i, end, depth, proof, run) replays steps[i:end] from term,
     # which their paths pass at depth; run ends the run whose parts are on done
     stack: list[tuple] = [(red.start, 0, len(steps), 0, None, None)]
@@ -731,7 +746,7 @@ def derive_cl_reduction(red: CLReduction, th: Theory) -> Derivation:
             done.append(d_refl(term) if proof is None else proof)
             continue
         elif len(steps[i].path) == depth:
-            piece, i = _axiom_for_step(steps[i].rule, steps[i].redex, th), i + 1
+            piece, i = _axiom_for_step(steps[i], axioms), i + 1
         else:
             assert isinstance(term, App)
             mid = i

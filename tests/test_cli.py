@@ -40,10 +40,19 @@ def test_typecheck_untyped():
     assert json.loads(res.output)["sort"] == "*"
 
 
-def test_normalize_human_flag():
-    res = run("normalize", "--expr", "(\\x:o. x)", "-H")
-    assert res.exit_code == 0
-    assert "printed" in res.output
+@pytest.mark.parametrize("flag", ["-H", "--human"])
+def test_human_flag_is_a_usage_error(flag):
+    """JSON is the one output: the removed human rendering is an unknown
+    option."""
+    res = runner.invoke(main, ["normalize", "--expr", "(\\x:o. x)", flag])
+    assert res.exit_code == 2
+    assert f"No such option '{flag}'" in res.output
+
+
+def test_no_verb_declares_a_human_option():
+    for name, command in main.commands.items():
+        for param in command.params:
+            assert not {"-H", "--human"} & set(param.opts + param.secondary_opts), (name, param)
 
 
 def test_reduce_cl_trace():

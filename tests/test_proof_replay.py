@@ -14,6 +14,7 @@ exactly.
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,12 +30,15 @@ from qlam.quant_deduction import (
     QuantEquation,
     _axiom_for_step,
     _check_node,
+    _cl_axiom_index,
     _d_app,
     _d_triang,
     builtin_theory,
     check_derivation,
+    d_axiom,
     d_cut,
     d_refl,
+    d_subst,
     derivation_from_json,
     derivation_to_json,
     derive_cl_reduction,
@@ -52,9 +56,11 @@ from qlam.term_syntax import (
     Signature,
     StarSort,
     Var,
+    _spine,
     app,
     arrow,
     combinator_schema_matches,
+    combinator_sort,
     parse_sort,
     print_term,
     render_sort,
@@ -314,6 +320,22 @@ def oracle_check(d, th):
     return walk(d, ()) or CheckResult(True)
 
 
+def oracle_axiom_for_step(rule, redex, th):
+    """The step's axiom instance by substitution: the first axiom of th
+    whose left side is the redex's head applied to distinct variables,
+    with the redex's arguments substituted into the whole axiom."""
+    head, args = _spine(redex)
+    for ax in th.axioms:
+        ax_head, ax_args = _spine(ax.conclusion.left)
+        if ax_head != head or len(ax_args) != len(args):
+            continue
+        env = {v.name: arg for v, arg in zip(ax_args, args) if isinstance(v, Var)}
+        if len(env) != len(ax_args):
+            continue
+        return d_subst(d_axiom(ax), env)
+    raise PreconditionError(f"theory has no {rule} axiom at the needed sorts")
+
+
 def oracle_derive_cl_reduction(red, th):
     """One proof per step: its axiom instance wrapped in one NExp (with
     Refl on the other side) per level of its path, the steps joined by
@@ -321,7 +343,7 @@ def oracle_derive_cl_reduction(red, th):
     current = red.start
     proof = None
     for step in red.steps:
-        step_proof = _axiom_for_step(step.rule, step.redex, th)
+        step_proof = oracle_axiom_for_step(step.rule, step.redex, th)
         node = current
         wrappers = []
         for direction in step.path:
@@ -403,9 +425,25 @@ def assert_replay_matches_oracles(d, th):
     assert check_derivation(copy, th) == expected
 
 
+def assert_axiom_steps_match_oracle(red, th):
+    """Each step's Subst node, built from the step, has the conclusion,
+    the env (in order) and the Axiom premise that substituting into the
+    axiom gives."""
+    axioms = _cl_axiom_index(th)
+    for step in red.steps:
+        node = _axiom_for_step(step, axioms)
+        expected = oracle_axiom_for_step(step.rule, step.redex, th)
+        assert node.rule == expected.rule == "Subst"
+        assert node.conclusion == expected.conclusion
+        assert list(node.params["env"].items()) == list(expected.params["env"].items())
+        assert node.premises == expected.premises
+
+
 def assert_builder_matches_oracle(red, th):
     """The run-by-run derivation and the step-by-step oracle both check,
-    conclude the same inference, and the first has no more nodes."""
+    conclude the same inference, and the first has no more nodes; each
+    step's axiom instance matches the substitution oracle."""
+    assert_axiom_steps_match_oracle(red, th)
     d, expected = derive_cl_reduction(red, th), oracle_derive_cl_reduction(red, th)
     assert check_derivation(d, th).ok and check_derivation(expected, th).ok
     assert d.conclusion == expected.conclusion
@@ -428,8 +466,9 @@ def test_corpus_replay_matches_oracles(th, name, d):
 def test_corpus_reductions_match_builder_oracle():
     """Every conclusion side of a corpus derivation that cl_reduce takes
     and reduces in at least one step: the run-by-run derivation of that
-    reduction agrees with the step-by-step oracle."""
-    reductions = 0
+    reduction agrees with the step-by-step oracle, and so does each
+    step's axiom instance."""
+    reductions = steps = 0
     for th, name, d in CORPUS:
         eq = d.conclusion.conclusion
         for side in (eq.left, eq.right):
@@ -440,7 +479,8 @@ def test_corpus_reductions_match_builder_oracle():
             if red.steps:
                 assert_builder_matches_oracle(red, th)
                 reductions += 1
-    assert reductions == 9
+                steps += len(red.steps)
+    assert (reductions, steps) == (9, 21)
 
 
 def test_checker_matches_oracle_on_every_mutant():
@@ -733,6 +773,37 @@ def test_cl_derivation_shapes_are_pinned():
     red = CLReduction(App(f_redex, x_redex), App(f, x), steps, False)
     assert_builder_matches_oracle(red, CL_THEORY)
     assert rule_counts(derive_cl_reduction(red, CL_THEORY))["NExp"] == 2
+
+
+def test_missing_cl_axiom_is_a_precondition_error():
+    """A step whose axiom the theory lacks raises PreconditionError, as
+    the substitution oracle does: an untyped theory without K, one whose
+    K axiom repeats its variable (K x x ~0 x), and a typed theory without
+    the needed instance.  An I axiom at a positive distance is no CL
+    axiom, so the builder raises where the oracle would substitute into
+    it."""
+    x, k, s = Var("x", STAR), Const("K", STAR), Const("S", STAR)
+    others = tuple(ax for ax in CL_THEORY.axioms if _spine(ax.conclusion.left)[0] != k)
+    no_k = replace(CL_THEORY, axioms=others)
+    kxx = Inference(frozenset(), QuantEquation(app(k, x, x), x, Fraction(0), STAR))
+    repeated_k = replace(CL_THEORY, axioms=(kxx,) + others)
+    o = parse_sort("o")
+    typed = builtin_theory("U_CL", Signature(combinator_sorts=((o, o, o),)))
+    oo = arrow(o, o)
+    typed_red = cl_reduce(App(Const("I", combinator_sort("I", oo)), Var("f", oo)))
+    skk = cl_reduce(app(s, k, k, x))
+    for red, th, rule in [(skk, no_k, "K"), (skk, repeated_k, "K"), (typed_red, typed, "I")]:
+        message = f"theory has no {rule} axiom at the needed sorts"
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            derive_cl_reduction(red, th)
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            oracle_derive_cl_reduction(red, th)
+    (i_axiom,) = [ax for ax in CL_THEORY.axioms if _spine(ax.conclusion.left)[0].name == "I"]
+    eq = i_axiom.conclusion
+    far = Inference(frozenset(), QuantEquation(eq.left, eq.right, Fraction(1, 2), eq.sort))
+    far_i = replace(CL_THEORY, axioms=tuple(far if ax == i_axiom else ax for ax in CL_THEORY.axioms))
+    with pytest.raises(PreconditionError, match="^theory has no I axiom at the needed sorts$"):
+        derive_cl_reduction(cl_reduce(App(Const("I", STAR), x)), far_i)
 
 
 def test_corpus_derivation_documents_are_pinned():
