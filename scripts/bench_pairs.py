@@ -17,7 +17,9 @@ is better comes from BENCHMARK.json.  The last line of standard output
 is one JSON object holding every run; with --out PATH it is also
 written to PATH, together with the Python version, both commits (and
 whether the working tree differs from HEAD), `nproc` and the line
-count of the tree's src/.  Nothing under perfbench/ is changed.
+count of the tree's src/.  Each run records its pass count, read from
+run.py's metadata line, next to its metrics.  Nothing under perfbench/
+is changed.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ def run_once(root: Path, args) -> dict:
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
+        # the pass count: peak_rss_mib grows with it at equal program memory
+        "passes": json.loads(lines[-2])["meta"]["passes"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -157,7 +161,8 @@ def main(argv=None) -> int:
         b, t = record["base"], record["tree"]
         print(
             f"pair {pair + 1} ({order[0]} first): correct {b['correct']}/{t['correct']}, "
-            f"failed {b['failed']}/{t['failed']} of {b['attempted']}",
+            f"failed {b['failed']}/{t['failed']} of {b['attempted']}, "
+            f"passes {b['passes']}/{t['passes']}",
             flush=True,
         )
         for name in sorted(b["metrics"]):
@@ -172,6 +177,8 @@ def main(argv=None) -> int:
             f"  tree {tq[0]:.6g} / {tq[1]:.6g} / {tq[2]:.6g}"
             f"  tree wins {s['tree_wins']}/{len(runs)}{'  GAIN' if s['gain'] else ''}"
         )
+    passes = {side: statistics.median(r[side]["passes"] for r in runs) for side in ("base", "tree")}
+    print(f"  passes per run (median): base {passes['base']:g}  tree {passes['tree']:g}")
     final = {
         "base": args.base, "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace, "runs": runs, "summary": summary,

@@ -10,6 +10,7 @@ condition decidable and every failure attributable to one node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -697,13 +698,15 @@ def _d_app(p_fn: Derivation, p_arg: Derivation) -> Derivation:
     return d_cut([p_fn, p_arg], leaf)
 
 
-def _cl_axiom_index(th: Theory) -> dict[Term, tuple[Derivation, tuple[str, ...]]]:
-    """The theory's CL axioms by head constant, each as its Axiom leaf and
-    its variables' names: an axiom without hypotheses whose left side is
-    I, K or S applied to distinct variables and whose right side, at
-    distance 0, is the contractum weak reduction gives it."""
+@functools.lru_cache(maxsize=8)
+def _cl_axiom_index(axioms: tuple) -> dict[Term, tuple[Derivation, tuple[str, ...]]]:
+    """A theory's CL axioms, built once per axioms tuple, by head constant,
+    each as its Axiom leaf and its variables' names: an axiom without
+    hypotheses whose left side is I, K or S applied to distinct variables
+    and whose right side, at distance 0, is the contractum weak reduction
+    gives it.  Callers only read the shared dict."""
     index: dict[Term, tuple[Derivation, tuple[str, ...]]] = {}
-    for ax in th.axioms:
+    for ax in axioms:
         left = ax.conclusion.left
         head, args = _spine(left)
         names = tuple(v.name for v in args if isinstance(v, Var))
@@ -733,7 +736,7 @@ def derive_cl_reduction(red: CLReduction, th: Theory) -> Derivation:
     one NExp over its function and argument parts, and Triang joins them."""
     if red.out_of_fuel:
         raise PreconditionError("cannot derive an unfinished reduction")
-    steps, axioms = red.steps, _cl_axiom_index(th)
+    steps, axioms = red.steps, _cl_axiom_index(th.axioms)
     # a frame (term, i, end, depth, proof, run) replays steps[i:end] from term,
     # which their paths pass at depth; run ends the run whose parts are on done
     stack: list[tuple] = [(red.start, 0, len(steps), 0, None, None)]

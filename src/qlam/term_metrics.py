@@ -26,6 +26,7 @@ from .finite_models import build_full_type_structure, interpret
 from .metric_core import ExtReal, FiniteMetricSpace
 from .rewrite_engine import NormalForm, normalize
 from .term_syntax import (
+    _print,
     _rewrap,
     _spine,
     _strip,
@@ -93,6 +94,11 @@ class Dyadic:
 
 DYADIC_ZERO = Dyadic(Fraction(0))
 DYADIC_ONE = Dyadic(Fraction(1))
+
+
+def _level(d: Dyadic) -> float:
+    """m for d = 1/2^m; inf for 0."""
+    return d.value.denominator.bit_length() - 1 if d.value else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +304,8 @@ def enumerate_closed_nfs(
         raise SortError("witness enumeration is typed-only")
     enum = _Enumerator(constants or {})
     entries = enum.generate(sort, budget)
-    entries.sort(key=lambda e: (e[2], e[1], print_term(e[0])))
+    # the terms are closed: the printer need not look for free names
+    entries.sort(key=lambda e: (e[2], e[1], _print(e[0], None, frozenset())))
     return [NormalForm(t) for t, _, _ in entries], enum.exhaustive(sort, budget)
 
 
@@ -375,51 +382,51 @@ class DnfContext:
         witnesses, exhausted = self.witnesses(sort.dom)
         stabilize = max(nf_depth(t.term), nf_depth(s.term))
         level = agreement_level(t, s)
-        all_levels_certified = True
-        best: Optional[int] = None
-
-        n = 0
-        while True:
-            threshold = Fraction(1, 2**n)
-            if level is not None and n > level:
-                return self._fail_cert(best, None, True, all_levels_certified)
-            level_certified = exhausted or n == 0
-            failing: Optional[tuple[Term, Term]] = None
-            fail_certified = False
-            if n > 0:
-                # level 0 is vacuous: every distance is at most 1
-                for v, w in itertools.combinations_with_replacement(witnesses, 2):
-                    pair = self.distance(v, w)
-                    if pair.value.value > threshold:
-                        continue
-                    for side in (t, s):
-                        out = self.distance(self._apply(side, v), self._apply(side, w))
-                        if out.value.value > threshold:
-                            failing = (v.term, w.term)
-                            fail_certified = pair.status == "exact"
-                            break
-                        if out.status != "exact":
-                            level_certified = False
-                    if failing is not None:
+        # the first failing level by projection, and by a witness pair
+        agree = math.inf if level is None else level + 1
+        fail, failing, fail_certified = math.inf, None, False
+        all_exact = True  # every output examined was exact
+        # level 0 is vacuous (every distance is at most 1), so the witnesses
+        # are read only when level 1 is reached
+        if agree > 1 and stabilize > 0:
+            for v, w in itertools.combinations_with_replacement(witnesses, 2):
+                pair = self.distance(v, w)
+                p = _level(pair.value)
+                if p == 0:
+                    continue
+                # the pair fails level n when q < n <= p, with 1/2^q the
+                # farther of the two sides' outputs
+                q = math.inf
+                for side in (t, s):
+                    out = self.distance(self._apply(side, v), self._apply(side, w))
+                    q = min(q, _level(out.value))
+                    if q == 0:
                         break
-            if failing is not None:
-                return self._fail_cert(best, failing, fail_certified, all_levels_certified)
-            best = n
-            all_levels_certified = all_levels_certified and level_certified
-            if n >= stabilize:
-                status = "exact" if all_levels_certified else "lower_bound"
-                return DistCertificate(DYADIC_ZERO, status, self.witness_budget)
-            n += 1
+                    all_exact = all_exact and out.status == "exact"
+                if q < p and q + 1 < fail:
+                    fail, failing, fail_certified = q + 1, (v.term, w.term), pair.status == "exact"
+                    if fail == 1:
+                        break
+        # a level from 1 on is certified when the witnesses are exhaustive and
+        # every output examined is exact; ties go to agreement, then witnesses
+        certified = exhausted and all_exact
+        if agree <= min(fail, stabilize):
+            return self._fail_cert(agree, None, True, certified)
+        if fail <= stabilize:
+            return self._fail_cert(fail, failing, fail_certified, certified)
+        status = "exact" if stabilize == 0 or certified else "lower_bound"
+        return DistCertificate(DYADIC_ZERO, status, self.witness_budget)
 
     def _fail_cert(
         self,
-        best: Optional[int],
+        n: int,
         failing: Optional[tuple[Term, Term]],
         fail_certified: bool,
-        prior_certified: bool,
+        certified: bool,
     ) -> DistCertificate:
-        value = DYADIC_ONE if best is None else Dyadic.from_level(best)
-        exact = fail_certified and (best is None or prior_certified)
+        """Level n is the first to fail: the value is 1/2^(n-1), 1 below."""
+        value = DYADIC_ONE if n <= 1 else Dyadic.from_level(n - 1)
+        exact = fail_certified and (n <= 1 or certified)
         status = "exact" if exact else "lower_bound"
         return DistCertificate(value, status, self.witness_budget, failing)
 

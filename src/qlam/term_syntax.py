@@ -745,11 +745,12 @@ def print_term(t: Term) -> str:
     return _print(t, None)
 
 
-def _print(t: Term, texts: Optional[dict[int, str]]) -> str:
+def _print(t: Term, texts: Optional[dict[int, str]], used: Optional[frozenset] = None) -> str:
     """The text of t, built by one walk on an explicit stack.  A binder
-    prints as its hint, made fresh against the free names of t and the
-    enclosing binders.  App and Lam reject mixed regimes, so a node's own
-    sort says whether ⊥ and binders print a sort.
+    prints as its hint, made fresh against the enclosing binders and used,
+    the free names of t, found at the first binder when not given.  App
+    and Lam reject mixed regimes, so a node's own sort says whether ⊥ and
+    binders print a sort.
 
     texts, when given, maps id(node) to the text of each application with
     no Lam or Bound below it, which prints the same wherever it sits; the
@@ -757,7 +758,6 @@ def _print(t: Term, texts: Optional[dict[int, str]]) -> str:
     node once.  The nodes must outlive texts."""
     parts: list[str] = []
     names: list[str] = []  # the enclosing binders' names, innermost last
-    used: Optional[set[str]] = None  # free names of t, found at the first binder
     scoped = 0  # Lam and Bound nodes printed so far
     # an entry is a piece of text, (node, precedence) to print, None to
     # leave a binder, or (node, start, scoped) to store the node's text
@@ -797,9 +797,9 @@ def _print(t: Term, texts: Optional[dict[int, str]]) -> str:
             elif kind is Lam:  # parenthesised as a function or an argument
                 scoped += 1
                 if used is None:
-                    used = set(free_vars(t))
-                taken, name, k = used.union(names), s.hint, 0
-                while name in taken:
+                    used = frozenset(free_vars(t))
+                name, k = s.hint, 0
+                while name in used or name in names:
                     k += 1
                     name = f"{s.hint}{k}"
                 if prec:

@@ -429,7 +429,7 @@ def assert_axiom_steps_match_oracle(red, th):
     """Each step's Subst node, built from the step, has the conclusion,
     the env (in order) and the Axiom premise that substituting into the
     axiom gives."""
-    axioms = _cl_axiom_index(th)
+    axioms = _cl_axiom_index(th.axioms)
     for step in red.steps:
         node = _axiom_for_step(step, axioms)
         expected = oracle_axiom_for_step(step.rule, step.redex, th)

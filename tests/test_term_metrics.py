@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from qlam.term_metrics import (
     Dyadic,
     DYADIC_ONE,
     DYADIC_ZERO,
+    DistCertificate,
     DnfContext,
     _Enumerator,
     _min_size,
@@ -39,6 +41,7 @@ from qlam.term_syntax import (
     Var,
     app,
     arrow,
+    free_vars,
     parse_sort,
     parse_term,
     print_term,
@@ -509,6 +512,117 @@ def test_dnf_oracle_sees_both_statuses():
     assert any(c[2] is not None for c in certs)
 
 
+def oracle_dnf_per_level(ctx, t, s):
+    """DnfContext._compute as a scan per level: at each level n from 0 it
+    checks agreement, then every witness pair within 1/2^n against a
+    Fraction threshold, then stabilization.  Inner distances and
+    applications go through ctx's memo tables."""
+    sort, budget = t.sort, ctx.witness_budget
+    if not isinstance(sort, ArrowSort):
+        return DistCertificate(DYADIC_ZERO if t.term == s.term else DYADIC_ONE, "exact", budget)
+    witnesses, exhausted = ctx.witnesses(sort.dom)
+    stabilize = max(nf_depth(t.term), nf_depth(s.term))
+    level = agreement_level(t, s)
+    best, prior_certified = None, True
+
+    def fail(failing, fail_certified):
+        value = DYADIC_ONE if best is None else Dyadic.from_level(best)
+        exact = fail_certified and (best is None or prior_certified)
+        return DistCertificate(value, "exact" if exact else "lower_bound", budget, failing)
+
+    n = 0
+    while True:
+        threshold = F(1, 2**n)
+        if level is not None and n > level:
+            return fail(None, True)
+        certified = exhausted or n == 0
+        # level 0 is vacuous: every distance is at most 1
+        for v, w in itertools.combinations_with_replacement(witnesses if n else [], 2):
+            pair = ctx.distance(v, w)
+            if pair.value.value > threshold:
+                continue
+            for side in (t, s):
+                out = ctx.distance(ctx._apply(side, v), ctx._apply(side, w))
+                if out.value.value > threshold:
+                    return fail((v.term, w.term), pair.status == "exact")
+                certified = certified and out.status == "exact"
+        best, prior_certified = n, prior_certified and certified
+        if n >= stabilize:
+            status = "exact" if prior_certified else "lower_bound"
+            return DistCertificate(DYADIC_ZERO, status, budget)
+        n += 1
+
+
+class _PerLevelContext(DnfContext):
+    def _compute(self, t, s):
+        return oracle_dnf_per_level(self, t, s)
+
+
+NF_CONSTANTS = {"c1": O, "c2": O}
+# sort, enumeration budget, terms kept, witness budget: the nf-distances
+# corpora, a third-order sort whose pairs reach lower bounds, and one
+# whose pairs fail above level 1
+PER_LEVEL_CORPORA = (
+    ("(o->o)->o", 140, 200, 12),
+    ("(o->o)->o->o", 120, 200, 12),
+    ("o->(o->o)->o", 140, 200, 12),
+    ("((o->o)->o)->o", 16, 25, 7),
+    ("((o->o)->o)->(o->o)->o", 16, 400, 8),
+)
+
+
+def test_one_pass_dnf_matches_per_level_oracle():
+    statuses, failing = set(), 0
+    for sort_text, budget, keep, witness_budget in PER_LEVEL_CORPORA:
+        terms, _ = enumerate_closed_nfs(parse_sort(sort_text), budget, NF_CONSTANTS)
+        terms = terms[:keep]
+        rng = random.Random(sort_text)
+        pairs = [(rng.randrange(len(terms)), rng.randrange(len(terms))) for _ in range(40)]
+        fast = DnfContext(witness_budget, NF_CONSTANTS)
+        slow = _PerLevelContext(witness_budget, NF_CONSTANTS)
+        for i, j in pairs + [(i, i) for i, _ in pairs[:5]]:
+            got, want = fast.distance(terms[i], terms[j]), slow.distance(terms[i], terms[j])
+            got, want = ((c.value, c.status, c.failing_witness) for c in (got, want))
+            assert got == want, (sort_text, i, j)
+            statuses.add(got[1])
+            failing += got[2] is not None
+        # the same applications normalized, the same distances memoized
+        assert fast._applied == slow._applied, sort_text
+        assert fast._memo == slow._memo, sort_text
+    assert statuses == {"exact", "lower_bound"} and failing
+
+
+# the nf-distances corpora and two higher-order sorts whose pairs reach
+# lower bounds, with their enumeration budgets
+MONOTONE_SORTS = (
+    ("(o->o)->o", 140),
+    ("(o->o)->o->o", 120),
+    ("o->(o->o)->o", 140),
+    ("((o->o)->o)->o", 20),
+    ("(((o->o)->o)->o)->o", 14),
+)
+
+
+def test_dnf_is_monotone_in_the_witness_budget():
+    """More witnesses never move a value certified exact, and never lower
+    a value: a lower bound can only rise."""
+    contexts = [DnfContext(b, NF_CONSTANTS) for b in (4, 6, 8, 10, 12)]
+    compared = risen = 0
+    for sort_text, budget in MONOTONE_SORTS:
+        terms, _ = enumerate_closed_nfs(parse_sort(sort_text), budget, NF_CONSTANTS)
+        terms = terms[:100]
+        rng = random.Random(sort_text)
+        for t, s in [(rng.choice(terms), rng.choice(terms)) for _ in range(150)]:
+            certs = [ctx.distance(t, s) for ctx in contexts]
+            for low, high in zip(certs, certs[1:]):
+                exact = low.status == "exact"
+                ok = high.value == low.value if exact else high.value >= low.value
+                assert ok, (sort_text, print_term(t.term), print_term(s.term))
+                compared += 1
+                risen += high.value > low.value
+    assert compared == 3000 and risen
+
+
 def term_size(t):
     return sum(1 for _ in subterms(t))
 
@@ -664,6 +778,26 @@ def test_enumeration_output_unchanged(sort_text):
     # the order is the walking sort key the carried sizes replace
     key = [(_bottoms(t.term), term_size(t.term), p) for t, p in zip(terms, printed)]
     assert key == sorted(key)
+
+
+# the enumerations of the nf-distances workload: sort, budget, constants
+NF_ENUMERATIONS = (
+    ("(o->o)->o", 140, NF_CONSTANTS),
+    ("(o->o)->o->o", 120, NF_CONSTANTS),
+    ("o->(o->o)->o", 140, NF_CONSTANTS),
+    ("o->o", 30, NF_CONSTANTS),
+    ("(o->o)->o->o", 40, {}),
+)
+
+
+@pytest.mark.parametrize("sort_text, budget, constants", NF_ENUMERATIONS)
+def test_witnesses_are_closed_and_sorted_by_printed_key(sort_text, budget, constants):
+    # the sort key prints the terms as closed, with no look for free names
+    terms, _ = enumerate_closed_nfs(parse_sort(sort_text), budget, constants)
+    assert terms and not any(free_vars(t.term) for t in terms)
+    assert terms == sorted(
+        terms, key=lambda t: (_bottoms(t.term), term_size(t.term), print_term(t.term))
+    )
 
 
 def _subterms_by_recursion(t):
