@@ -20,11 +20,20 @@ whether the working tree differs from HEAD), `nproc` and the line
 count of the tree's src/.  Each run records its pass count, read from
 run.py's metadata line, next to its metrics.  Nothing under perfbench/
 is changed.
+
+With --ops, each side also runs one untraced pass of the workload's item
+list in a fresh interpreter, loaded as `run.py --setup-probe` loads it,
+with every item run under `sys.settrace` and `f_trace_opcodes`.  The
+executed bytecode instructions per item kind, base against tree, are
+printed and added to the final JSON under "ops".  A count does not move
+with the host's speed, so it backs a timing claim on a noisy host; it
+costs minutes per side.  --pairs 0 --ops gives the counts alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -48,9 +57,10 @@ def parse_args(argv):
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", type=Path, help="where the base export goes (default: a new temporary directory)")
     ap.add_argument("--out", type=Path, help="also write the final JSON, with the host and source metadata, here")
+    ap.add_argument("--ops", action="store_true", help="also count executed bytecode instructions per item kind")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    if args.pairs < (0 if args.ops else 1):
+        ap.error("--pairs must be at least 1, or 0 with --ops")
     args.seconds = bench["run_seconds"]
     args.better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     return args
@@ -109,6 +119,63 @@ def run_once(root: Path, args) -> dict:
     }
 
 
+def count_ops(root: Path, args) -> dict:
+    """{kind: {"items", "failed", "instructions"}} from one pass in a fresh
+    interpreter over the checkout at root."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--ops-child", str(root), args.workload, str(args.seed)]
+    # string hashes order sets, and so some loops: fix them
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"op count in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def ops_child(root: str, workload: str, seed: str) -> int:
+    """The child of count_ops: load qlam.cli and the workload from root as
+    the set-up probe does, then run each item once under an opcode
+    counter and print the counts per kind as one JSON line."""
+    root_path = Path(root)
+    sys.path[:0] = [str(root_path / "src"), str(root_path / "perfbench")]
+    import qlam.cli  # loaded first, as perfbench/run.py loads it
+
+    run = importlib.import_module("run")
+    wl = importlib.import_module(run.WORKLOADS[workload])
+    from layers import Layers
+
+    with tempfile.TemporaryDirectory() as wd:
+        items, ctx = wl.setup(int(seed), Path(wd))
+        layers = Layers(False)
+        state = wl.new_pass(ctx)
+        counts: dict[str, dict] = {}
+        executed = [0]
+
+        def tracer(frame, event, _arg):
+            if event == "call":
+                frame.f_trace_opcodes = True
+            elif event == "opcode":
+                executed[0] += 1
+            return tracer
+
+        for index, (kind, payload) in enumerate(items):
+            layers.item = index
+            executed[0] = 0
+            failed = 0
+            sys.settrace(tracer)
+            try:
+                wl.RUNNERS[kind](layers, state, payload)
+            except Exception:
+                failed = 1
+            finally:
+                sys.settrace(None)
+            row = counts.setdefault(kind, {"items": 0, "failed": 0, "instructions": 0})
+            row["items"] += 1
+            row["failed"] += failed
+            row["instructions"] += executed[0]
+    print(json.dumps(counts))
+    return 0
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -117,6 +184,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    if not runs:
+        return {}
     names = sorted(set(runs[0]["base"]["metrics"]) & set(runs[0]["tree"]["metrics"]))
     outcomes_hold = all(
         r["tree"]["correct"] and r["tree"]["failed"] <= r["base"]["failed"] for r in runs
@@ -147,6 +216,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--ops-child"]:
+        return ops_child(*argv[1:])
     args = parse_args(argv)
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     base_root = export(args.base, workdir)
@@ -177,12 +249,22 @@ def main(argv=None) -> int:
             f"  tree {tq[0]:.6g} / {tq[1]:.6g} / {tq[2]:.6g}"
             f"  tree wins {s['tree_wins']}/{len(runs)}{'  GAIN' if s['gain'] else ''}"
         )
-    passes = {side: statistics.median(r[side]["passes"] for r in runs) for side in ("base", "tree")}
-    print(f"  passes per run (median): base {passes['base']:g}  tree {passes['tree']:g}")
+    if runs:
+        passes = {side: statistics.median(r[side]["passes"] for r in runs) for side in ("base", "tree")}
+        print(f"  passes per run (median): base {passes['base']:g}  tree {passes['tree']:g}")
     final = {
         "base": args.base, "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace, "runs": runs, "summary": summary,
     }
+    if args.ops:
+        ops = {side: count_ops(base_root if side == "base" else ROOT, args) for side in ("base", "tree")}
+        print(f"{args.workload}, seed {args.seed}: executed bytecode instructions, one untraced pass")
+        for kind in sorted(ops["base"]):
+            b, t = ops["base"][kind]["instructions"], ops["tree"][kind]["instructions"]
+            print(
+                f"  {kind} ({ops['tree'][kind]['items']} items): base {b}  tree {t}  tree/base {t / b:.4f}"
+            )
+        final["ops"] = ops
     print(json.dumps(final))
     if args.out:
         args.out.write_text(json.dumps({"meta": metadata(args.base), **final}, indent=1) + "\n")

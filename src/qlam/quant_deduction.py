@@ -11,7 +11,6 @@ condition decidable and every failure attributable to one node.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -46,6 +45,7 @@ from .term_syntax import (
     combinator_sort,
     free_vars,
     render_sort,
+    subterms,
 )
 
 __all__ = [
@@ -233,56 +233,46 @@ class CheckResult:
 # Node-local rule checks
 
 
-def _same_x(*eqs: QuantEquation) -> bool:
-    xs = {eq.quantified for eq in eqs}
-    return len(xs) == 1
-
-
 def _subst_eq(eq: QuantEquation, sub: Callable[[Term], Term]) -> QuantEquation:
-    return QuantEquation(
-        sub(eq.left),
-        sub(eq.right),
-        eq.eps,
-        eq.sort,
-        eq.quantified,
-    )
+    return QuantEquation(sub(eq.left), sub(eq.right), eq.eps, eq.sort, eq.quantified)
 
 
 _LAMBDA_RULES = frozenset({"Alpha", "Xi", "Beta", "Eta", "Abstraction", "Concretion"})
-_LEAF_RULES = _LAMBDA_RULES | {
-    "Assumpt",
-    "Refl",
-    "PRefl",
-    "Symm",
-    "Triang",
-    "Max",
-    "NExp",
-    "Axiom",
-}
+_LEAF_RULES = _LAMBDA_RULES | {"Assumpt", "Refl", "PRefl", "Symm", "Triang", "Max", "NExp", "Axiom"}
 
 
-def _check_node(node: Derivation, th: Theory) -> Optional[str]:
-    rule = node.rule
-    inf = node.conclusion
-    eq = inf.conclusion
-    hyps = inf.hypotheses
+class _RuleChecks:
+    """The node checks of one check_derivation call: check runs the checks
+    all rules share, then the method named after the node's rule in lower
+    case.  Each returns the first failure's reason, or None.  The checks of
+    the CL rules compare the node with the rule's pattern and build no term
+    or equation."""
 
-    if not th.is_lambda:
-        if rule in _LAMBDA_RULES:
-            return f"{rule} requires a lambda theory"
-        if eq.quantified or any(h.quantified for h in hyps):
-            return "quantified variables need a lambda theory"
+    def __init__(self, th: Theory) -> None:
+        self.th = th
+        self.listed: set[tuple] = set()  # the keys of Axiom nodes found listed
+        self.clean: set[int] = set()  # ids of Subst images without stray indices
 
-    if rule in _LEAF_RULES:
-        if node.premises:
+    def check(self, node: Derivation) -> Optional[str]:
+        rule, eq, hyps = node.rule, node.conclusion.conclusion, node.conclusion.hypotheses
+        if not self.th.is_lambda:
+            if rule in _LAMBDA_RULES:
+                return f"{rule} requires a lambda theory"
+            if eq.quantified or hyps and any(h.quantified for h in hyps):
+                return "quantified variables need a lambda theory"
+        if rule in _LEAF_RULES and node.premises:
             return f"{rule} is a leaf schema and takes no premises"
+        method = _RULE_METHODS.get(rule)
+        if method is None:
+            return f"unknown rule {rule!r}"
+        return method(self, node, eq, hyps)
 
-    if rule == "Assumpt":
+    def assumpt(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if eq not in hyps:
             return "Assumpt conclusion is not among the hypotheses"
         return None
 
-    if rule == "Refl":
+    def refl(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if hyps:
             return "Refl takes no hypotheses"
         if eq.eps != 0:
@@ -291,69 +281,66 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Refl requires identical sides"
         return None
 
-    if rule == "PRefl":
-        if not th.partial:
+    def prefl(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
+        if not self.th.partial:
             return "PRefl is only available in partial theories"
         if len(hyps) != 1:
             return "PRefl takes exactly one hypothesis"
         (h,) = hyps
-        if h.left != eq.left or h.eps != eq.eps or not _same_x(h, eq):
+        if h.left != eq.left or h.eps != eq.eps or h.quantified != eq.quantified:
             return "PRefl conclusion must be t ~ t at the hypothesis epsilon"
         if eq.left != eq.right:
             return "PRefl requires identical sides"
         return None
 
-    if rule == "Symm":
+    def symm(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if len(hyps) != 1:
             return "Symm takes exactly one hypothesis"
         (h,) = hyps
-        if h.left != eq.right or h.right != eq.left or h.eps != eq.eps or not _same_x(h, eq):
+        if (h.left, h.right, h.eps, h.quantified) != (eq.right, eq.left, eq.eps, eq.quantified):
             return "Symm conclusion must flip the hypothesis"
         return None
 
-    if rule == "Triang":
-        for h1, h2 in itertools.product(hyps, repeat=2):
-            if (
-                h1.left == eq.left
-                and h2.right == eq.right
-                and h1.right == h2.left
-                and h1.eps + h2.eps == eq.eps
-                and _same_x(h1, h2, eq)
-                and hyps == frozenset({h1, h2})
-            ):
+    def triang(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
+        hs = tuple(hyps)
+        # the hypotheses in either order; a lone one is both t~s and s~u
+        for h1, h2 in ((hs[0], hs[-1]), (hs[-1], hs[0])) if len(hs) in (1, 2) else ():
+            if (h1.left, h2.right, h1.right, h1.quantified, h2.quantified) == (
+                eq.left, eq.right, h2.left, eq.quantified, eq.quantified
+            ) and (h2.eps if h1.eps == 0 else h1.eps + h2.eps) == eq.eps:
                 return None
         return "Triang requires hypotheses t~s, s~u with epsilons summing exactly"
 
-    if rule == "Max":
+    def max(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if len(hyps) != 1:
             return "Max takes exactly one hypothesis"
         (h,) = hyps
-        if h.left != eq.left or h.right != eq.right or not _same_x(h, eq):
+        if h.left != eq.left or h.right != eq.right or h.quantified != eq.quantified:
             return "Max must keep the equation sides"
         if eq.eps < h.eps:
             return "Max can only increase epsilon"
         return None
 
-    if rule == "NExp":
-        if isinstance(eq.left, Lam) or isinstance(eq.right, Lam):
+    def nexp(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
+        l, r = eq.left, eq.right
+        if isinstance(l, Lam) or isinstance(r, Lam):
             return "NExp does not apply to binder symbols"
-        if isinstance(eq.left, App) and isinstance(eq.right, App):
-            expected = frozenset(
-                {
-                    QuantEquation(eq.left.fn, eq.right.fn, eq.eps, eq.left.fn.sort, eq.quantified),
-                    QuantEquation(eq.left.arg, eq.right.arg, eq.eps, eq.left.arg.sort, eq.quantified),
-                }
-            )
-            if hyps != expected:
+        if isinstance(l, App) and isinstance(r, App):
+            # one hypothesis per distinct component pair, at eq's epsilon and X
+            parts = ((l.fn, r.fn), (l.arg, r.arg))
+            if len(hyps) != 2 - (parts[0] == parts[1]) or not all(
+                (h.left, h.right) in parts and (h.eps, h.quantified) == (eq.eps, eq.quantified)
+                for h in hyps
+            ):
                 return "NExp hypotheses must equate the components at the same epsilon"
             return None
-        if isinstance(eq.left, Const) and eq.left == eq.right:
+        if isinstance(l, Const) and l == r:
             if hyps:
                 return "NExp on a constant takes no hypotheses"
             return None
         return "NExp applies to applications and constants"
 
-    if rule == "Alpha":
+    def alpha(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if hyps:
             return "Alpha takes no hypotheses"
         if eq.eps != 0:
@@ -364,7 +351,7 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Alpha requires alpha-equivalent sides"
         return None
 
-    if rule == "Xi":
+    def xi(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if len(hyps) != 1:
             return "Xi takes exactly one hypothesis"
         (h,) = hyps
@@ -376,7 +363,7 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
         var = Var(name, eq.left.var_sort)
         if var not in eq.quantified:
             return "ξ requires x ∈ X"
-        if h.eps != eq.eps or not _same_x(h, eq):
+        if h.eps != eq.eps or h.quantified != eq.quantified:
             return "Xi keeps epsilon and the quantified set"
         try:
             want = (bind(name, var.sort, h.left), bind(name, var.sort, h.right))
@@ -386,7 +373,7 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Xi conclusion must abstract the hypothesis sides"
         return None
 
-    if rule == "Beta":
+    def beta(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if hyps:
             return "Beta takes no hypotheses"
         if eq.eps != 0:
@@ -400,8 +387,8 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Beta right side must be the contractum"
         return None
 
-    if rule == "Eta":
-        if not th.has_eta:
+    def eta(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
+        if not self.th.has_eta:
             return "Eta is only available in extensional theories"
         if hyps:
             return "Eta takes no hypotheses"
@@ -417,7 +404,7 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Eta right side must be the expansion of the left"
         return None
 
-    if rule == "Abstraction":
+    def abstraction(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if len(hyps) != 1:
             return "Abstraction takes exactly one hypothesis"
         (h,) = hyps
@@ -430,7 +417,7 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Abstraction requires the sides to avoid the quantified set"
         return None
 
-    if rule == "Concretion":
+    def concretion(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if len(hyps) != 1:
             return "Concretion takes exactly one hypothesis"
         (h,) = hyps
@@ -440,12 +427,14 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Concretion can only shrink the quantified set"
         return None
 
-    if rule == "Axiom":
-        if inf in th.axioms:
+    def axiom(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
+        key = (id(eq), hyps)  # eq is kept alive by the checked derivation
+        if key in self.listed or node.conclusion in self.th.axioms:
+            self.listed.add(key)
             return None
         # an interval closeness axiom; both sides live at eq.sort
         l, r = eq.left, eq.right
-        values = th.interval_values
+        values = self.th.interval_values
         if (
             not hyps
             and not eq.quantified
@@ -458,22 +447,20 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return None
         return "Axiom node matches no theory axiom or schema"
 
-    if rule == "Cut":
+    def cut(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if not node.premises:
             return "Cut needs at least the main premise"
         *sides, main = node.premises
-        if main.conclusion.conclusion != eq:
+        if main.conclusion.conclusion is not eq and main.conclusion.conclusion != eq:
             return "Cut conclusion must come from the main premise"
-        if main.conclusion.hypotheses != frozenset(
-            p.conclusion.conclusion for p in sides
-        ):
+        if main.conclusion.hypotheses != frozenset(p.conclusion.conclusion for p in sides):
             return "Cut side premises must prove the main premise's hypotheses"
         for p in sides:
             if p.conclusion.hypotheses != hyps:
                 return "Cut side premises must share the conclusion's hypotheses"
         return None
 
-    if rule == "Subst":
+    def subst(self, node: Derivation, eq: QuantEquation, hyps: frozenset) -> Optional[str]:
         if len(node.premises) != 1:
             return "Subst takes exactly one premise"
         (p,) = node.premises
@@ -482,61 +469,104 @@ def _check_node(node: Derivation, th: Theory) -> Optional[str]:
             return "Subst needs a substitution in params"
         if not isinstance(env, dict) or not all(isinstance(t, Term) for t in env.values()):
             return "Subst substitution must map names to terms"
-        peq = p.conclusion.conclusion
-        if th.is_lambda:
+        peq, phyps = p.conclusion.conclusion, p.conclusion.hypotheses
+        if self.th.is_lambda:
             if set(env) & peq.names():
                 return "Subst must be the identity on the quantified set"
             bd = bound_hints(peq.left) | bound_hints(peq.right)
-            for h in p.conclusion.hypotheses:
+            for h in phyps:
                 bd |= bound_hints(h.left) | bound_hints(h.right)
             for image in env.values():
                 if set(free_vars(image)) & bd:
                     return "Subst hygiene violated"
-        try:
-            sub = _substituter(env)
-            want_eq = _subst_eq(peq, sub)
-            want_hyps = frozenset(_subst_eq(h, sub) for h in p.conclusion.hypotheses)
-        except (SortError, StructuralError) as exc:
-            return f"Subst substitution is malformed: {exc}"
-        if eq != want_eq or hyps != want_hyps:
+        for name, image in env.items():
+            if id(image) not in self.clean:
+                stack = [(image, 0)]
+                while stack:
+                    t, k = stack.pop()
+                    if type(t) is App:
+                        stack += ((t.fn, k), (t.arg, k))
+                    elif type(t) is Lam:
+                        stack.append((t.body, k + 1))
+                    elif type(t) is Bound and t.index >= k:
+                        return f"Subst substitution is malformed: substitution image for {name} has stray indices"
+                self.clean.add(id(image))
+        # each premise side against the conclusion's, left first, function
+        # before argument, up to the first disagreement
+        same, todo = True, [(peq.right, eq.right), (peq.left, eq.left)]
+        while same and todo:
+            a, b = todo.pop()
+            kind = type(a)
+            if kind is App or kind is Lam:
+                same = type(b) is kind and (kind is App or b.var_sort == a.var_sort)
+                if same:
+                    todo += ((a.arg, b.arg), (a.fn, b.fn)) if kind is App else ((a.body, b.body),)
+            elif kind is Var and a.name in env:
+                image = env[a.name]
+                same = (image.sort is a.sort or image.sort == a.sort) and (b is image or b == image)
+            else:
+                same = b is a or b == a
+        # an image of another sort, in the premise's sides or hypotheses, is
+        # reported first; the sides fix the sort, hypotheses are compared as a set
+        if not same or phyps:
+            for side in (peq.left, peq.right, *(t for h in phyps for t in (h.left, h.right))):
+                for v in subterms(side):
+                    if type(v) is Var and v.name in env and env[v.name].sort != v.sort:
+                        return (
+                            f"Subst substitution is malformed: substitution for {v.name} has sort "
+                            f"{render_sort(env[v.name].sort)}, expected {render_sort(v.sort)}"
+                        )
+        sub = _substituter(env) if same and phyps else None
+        same = same and (hyps == frozenset(_subst_eq(h, sub) for h in phyps) if phyps else not hyps)
+        if not same or (eq.eps, eq.quantified) != (peq.eps, peq.quantified):
             return "Subst conclusion must be the substituted premise"
         return None
 
-    return f"unknown rule {rule!r}"
+
+_RULE_METHODS = {rule: getattr(_RuleChecks, rule.lower()) for rule in _LEAF_RULES | {"Cut", "Subst"}}
 
 
 def check_derivation(d: Derivation, th: Theory) -> CheckResult:
     """Check every node against its rule schema; locate the first failure.
 
-    Equation sides are typechecked against th.signature once per distinct
-    equation of this call, through one set of the terms already checked,
-    so each distinct equation and each distinct term is checked once
-    however often the derivation repeats it.  (Typechecking ignores binder
-    hints, so equations are kept by value.)  The walk keeps its own stack:
-    a recursive closure would sit in a reference cycle and keep both sets
-    alive after the call, until the collector next reached them.
+    Each node, equation and equation side object is checked once, at its
+    first visit in depth-first order: by a node's next visit its whole
+    subtree has passed.  Sides are typechecked against th.signature
+    through one set of the terms already checked, so each distinct term is
+    checked once however often the derivation repeats it (typechecking
+    ignores binder hints, so terms are kept by value).  The walk keeps its
+    own stack: a recursive closure would sit in a reference cycle and keep
+    the sets alive after the call, until the collector next reached them.
     """
     checked: set[Term] = set()
-    typed: set[QuantEquation] = set()
+    done: set[int] = set()  # ids of the objects checked, which d keeps alive
+    rules, sig = _RuleChecks(th), th.signature
     # a node's path is kept as (last index, parent's path), () at the root,
     # so pushing a premise costs the same at any depth
     stack: list[tuple[Derivation, tuple]] = [(d, ())]
     while stack:  # depth first, premises in order
         node, path = stack.pop()
+        if id(node) in done:
+            continue
+        done.add(id(node))
         inf = node.conclusion
         for eq in (*inf.hypotheses, inf.conclusion):
-            if eq in typed:
+            if id(eq) in done:
                 continue
             try:
-                _typecheck(eq.left, th.signature, checked)
-                _typecheck(eq.right, th.signature, checked)
+                for side in (eq.left, eq.right):
+                    # of a side equal to one checked, only its root's regime is left
+                    if id(side) not in done and (side not in checked or (side.sort is STAR) != sig.untyped):
+                        _typecheck(side, sig, checked)
+                    done.add(id(side))
             except Exception as exc:
                 return CheckResult(False, _unwind(path), f"ill-typed equation: {exc}")
-            typed.add(eq)
-        reason = _check_node(node, th)
+            done.add(id(eq))
+        reason = rules.check(node)
         if reason is not None:
             return CheckResult(False, _unwind(path), reason)
-        stack += reversed([(p, (i, path)) for i, p in enumerate(node.premises)])
+        if node.premises:
+            stack += reversed([(p, (i, path)) for i, p in enumerate(node.premises)])
     return CheckResult(True)
 
 

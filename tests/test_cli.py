@@ -15,11 +15,22 @@ from qlam.quant_deduction import (
     Derivation,
     Inference,
     QuantEquation,
+    builtin_theory,
     d_cut,
     d_refl,
     derivation_to_json,
 )
-from qlam.term_syntax import STAR, Const, Var, arrow, render_sort, term_to_json
+from qlam.term_syntax import (
+    STAR,
+    App,
+    BaseSort,
+    Const,
+    Signature,
+    Var,
+    arrow,
+    render_sort,
+    term_to_json,
+)
 
 runner = CliRunner()
 
@@ -214,6 +225,27 @@ def test_check_proof_reports_an_ill_sorted_subst(tmp_path):
         "path": [],
         "reason": "Subst substitution is malformed: substitution for x has sort "
         "[0,1]->[0,1], expected [0,1]",
+    }
+
+
+def test_check_proof_reports_an_ill_sorted_nexp(tmp_path):
+    """f a ~1 g b from a ~1 a, with f : o->o and g : p->o, is a failed
+    check, not an error document."""
+    o, p = BaseSort("o"), BaseSort("p")
+    f, g = Const("f", arrow(o, o)), Const("g", arrow(p, o))
+    a, b = Const("a", o), Const("b", p)
+    th = builtin_theory("U_CL", Signature(constants={"f": f.sort, "g": g.sort, "a": o, "b": p}))
+    hyp = QuantEquation(a, a, Fraction(1), o)
+    d = Derivation("NExp", Inference(frozenset({hyp}), QuantEquation(App(f, a), App(g, b), Fraction(1), o)))
+    theory_file, proof_file = tmp_path / "theory.json", tmp_path / "d.json"
+    theory_file.write_text(json.dumps(th.to_json()))
+    proof_file.write_text(json.dumps(derivation_to_json(d)))
+    res = run("check-proof", str(proof_file), "--theory", str(theory_file))
+    assert res.exit_code == 1
+    assert json.loads(res.stdout) == {
+        "ok": False,
+        "path": [],
+        "reason": "NExp hypotheses must equate the components at the same epsilon",
     }
 
 

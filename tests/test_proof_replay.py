@@ -29,7 +29,6 @@ from qlam.quant_deduction import (
     Inference,
     QuantEquation,
     _axiom_for_step,
-    _check_node,
     _cl_axiom_index,
     _d_app,
     _d_triang,
@@ -69,6 +68,7 @@ from qlam.term_syntax import (
     term_to_json,
 )
 
+from test_check_oracle import oracle_check_node
 from test_mutants import _node, _resides, all_mutants, paths, replace_at
 from test_term_syntax import oracle_print_term
 
@@ -308,7 +308,7 @@ def oracle_check(d, th):
                 oracle_typecheck(eq.right, th.signature)
             except Exception as exc:
                 return CheckResult(False, path, f"ill-typed equation: {exc}")
-        reason = _check_node(node, th)
+        reason = oracle_check_node(node, th)
         if reason is not None:
             return CheckResult(False, path, reason)
         for i, child in enumerate(node.premises):

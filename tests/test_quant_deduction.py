@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +14,7 @@ from qlam.quant_deduction import (
     Inference,
     QuantEquation,
     Theory,
+    _RuleChecks,
     builtin_theory,
     check_derivation,
     d_axiom,
@@ -442,14 +446,10 @@ def _side_condition_table():
 
 
 def test_every_side_condition_is_pinned():
-    """Each entry's root fails with exactly its reason, and the table has
-    one entry per reason that _check_node returns, plus the typecheck and
-    a second malformed substitution."""
-    import ast
-    import inspect
-
-    from qlam.quant_deduction import _check_node
-
+    """Each entry's root fails with exactly its reason, and every reason the
+    rule checks can return is pinned: the strings that the methods of
+    _RuleChecks return and the table's reasons, apart from the typecheck's,
+    match one to one (a formatted part of a string matches any text)."""
     table = _side_condition_table()
     wrong = [
         (reason, result)
@@ -459,13 +459,27 @@ def test_every_side_condition_is_pinned():
     assert not wrong
     returns = [
         node.value
-        for node in ast.walk(ast.parse(inspect.getsource(_check_node)))
+        for node in ast.walk(ast.parse(inspect.getsource(_RuleChecks)))
         if isinstance(node, ast.Return)
     ]
     reasons = [v for v in returns if isinstance(v, ast.JoinedStr) or isinstance(getattr(v, "value", None), str)]
-    # the malformed substitution is pinned twice, by a StructuralError
-    # (stray indices) and a SortError (an image of another sort)
-    assert len({reason for _, _, reason in table}) == len(table) == len(reasons) + 2 == 62
+    pinned = {reason for _, _, reason in table} - {"ill-typed equation: unknown constant zz"}
+    matches = {
+        ast.unparse(v): [reason for reason in pinned if re.fullmatch(_reason_pattern(v), reason)]
+        for v in reasons
+    }
+    assert all(len(found) == 1 for found in matches.values()), matches
+    assert sorted(found for (found,) in matches.values()) == sorted(pinned)
+    assert len(pinned) + 1 == len(table) == len(reasons) + 1 == 62
+
+
+def _reason_pattern(value) -> str:
+    """The regular expression of the texts a returned string can take."""
+    if isinstance(value, ast.Constant):
+        return re.escape(value.value)
+    return "".join(
+        re.escape(part.value) if isinstance(part, ast.Constant) else ".+" for part in value.values
+    )
 
 
 # ---------------------------------------------------------------------------
