@@ -333,7 +333,7 @@ def oracle_check_node(node: Derivation, th: Theory) -> Optional[str]:
 def oracle_check_derivation(d: Derivation, th: Theory) -> CheckResult:
     """Check every node against its rule schema at every visit, depth
     first; locate the first failure.  Each distinct equation is
-    typechecked once, as check_derivation does."""
+    typechecked once per call."""
     checked: set[Term] = set()
     typed: set[QuantEquation] = set()
     # a node's path is kept as (last index, parent's path), () at the root,
