@@ -21,6 +21,13 @@ count of the tree's src/.  Each run records its pass count, read from
 run.py's metadata line, next to its metrics.  Nothing under perfbench/
 is changed.
 
+Each side runs with its own bytecode cache: PYTHONPYCACHEPREFIX points
+at a directory under DIR, which is filled before the first run by
+compiling the side's src/ and perfbench/ and by one set-up probe that
+writes the bytecode of every module it imports.  So neither side reads
+a __pycache__ directory of its checkout, which may be stale or missing,
+and set-up compiles nothing on either side.
+
 With --ops, each side also runs one untraced pass of the workload's item
 list in a fresh interpreter, loaded as `run.py --setup-probe` loads it,
 with every item run under `sys.settrace` and `f_trace_opcodes`.  The
@@ -96,7 +103,25 @@ def export(base: str, workdir: Path) -> Path:
     return dest
 
 
-def run_once(root: Path, args) -> dict:
+def bytecode_env(root: Path, side: str, workdir: Path, args) -> dict:
+    """The environment of one side's runs, with its bytecode cache under
+    workdir filled from the checkout at root."""
+    prefix = workdir / f"pycache-{side}"
+    shutil.rmtree(prefix, ignore_errors=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(prefix)}
+    # the filling runs write bytecode even where the environment says not to
+    fill = {name: value for name, value in env.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    for cmd in (
+        [sys.executable, "-m", "compileall", "-q", str(root / "src"), str(root / "perfbench")],
+        [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed), "--setup-probe"],
+    ):
+        proc = subprocess.run(cmd, cwd=root, env=fill, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return env
+
+
+def run_once(root: Path, env: dict, args) -> dict:
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", args.workload,
@@ -104,7 +129,7 @@ def run_once(root: Path, args) -> dict:
         "--seconds", str(args.seconds),
         "--trace", str(args.trace),
     ]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -223,12 +248,14 @@ def main(argv=None) -> int:
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     base_root = export(args.base, workdir)
     print(f"base {args.base} exported to {base_root}", flush=True)
+    roots = {"base": base_root, "tree": ROOT}
+    envs = {side: bytecode_env(root, side, workdir, args) for side, root in roots.items()} if args.pairs else {}
     runs = []
     for pair in range(args.pairs):
         order = ("base", "tree") if pair % 2 == 0 else ("tree", "base")
         record = {"pair": pair + 1, "first": order[0]}
         for side in order:
-            record[side] = run_once(base_root if side == "base" else ROOT, args)
+            record[side] = run_once(roots[side], envs[side], args)
         runs.append(record)
         b, t = record["base"], record["tree"]
         print(
@@ -257,7 +284,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds, "trace": args.trace, "runs": runs, "summary": summary,
     }
     if args.ops:
-        ops = {side: count_ops(base_root if side == "base" else ROOT, args) for side in ("base", "tree")}
+        ops = {side: count_ops(roots[side], args) for side in ("base", "tree")}
         print(f"{args.workload}, seed {args.seed}: executed bytecode instructions, one untraced pass")
         for kind in sorted(ops["base"]):
             b, t = ops["base"][kind]["instructions"], ops["tree"][kind]["instructions"]

@@ -30,7 +30,7 @@ from .quant_deduction import (
     derive_equal_reducts,
     interval_constant_name,
 )
-from .rewrite_engine import NormalForm, bracket_abstract, cl_reduce, normalize
+from .rewrite_engine import NormalForm, bracket_abstract, cl_reduce, normalize, shift
 from .term_syntax import (
     App,
     BaseSort,
@@ -406,8 +406,6 @@ def _lambda_derivations(th: Theory, eta: bool) -> list[tuple[str, Derivation]]:
     out.append(("subst_lambda", subst))
 
     if eta:
-        from .rewrite_engine import shift
-
         eta_eq = _eq(idf, Lam("x", I01, App(shift(idf, 1), Bound(0, I01))), F(0))
         eta_leaf = _leaf("Eta", (), eta_eq)
         out.append(("eta", eta_leaf))

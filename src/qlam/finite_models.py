@@ -31,6 +31,7 @@ from .quant_deduction import Derivation, Inference, QuantEquation, Theory, check
 from .term_syntax import (
     App,
     ArrowSort,
+    BaseSort,
     Bottom,
     Bound,
     COMBINATORS,
@@ -230,11 +231,7 @@ class FiniteQuantAlgebra:
             gs = self.populate_arrow(sort.cod.dom)
             # gs holds maps into the sort, so its carrier and index exist
             jdx = self._index[sort.cod.dom.cod]
-            g_indices = [[jdx[b] for b in g] for g in gs]
-            return tuple(
-                tuple([tuple([fx[j] for fx, j in zip(f, gi)]) for gi in g_indices])
-                for f in fs
-            )
+            return _STable(fs, [[jdx[b] for b in g] for g in gs])
         raise InterpretationError(f"unknown combinator {name}")
 
     # rendering ----------------------------------------------------------
@@ -261,6 +258,45 @@ class FiniteQuantAlgebra:
         }
 
 
+class _STable:
+    """S at (i->j->k)->(i->j)->i->k: the table of f |-> S f, the rows in
+    fs's order, each row built the first time it is read and then kept.
+    Row f is the tuple over g_indices (each g as its indices into the
+    carrier at j) of the maps x |-> f[x][g[x]].  Integer indexing, len,
+    iteration, == and hash act as on the tuple of all rows, so an S value
+    is an element like any other table; == and hash build every row."""
+
+    __slots__ = ("_fs", "_g_indices", "_rows")
+
+    def __init__(self, fs: Sequence[tuple], g_indices: Sequence[Sequence[int]]):
+        self._fs = fs
+        self._g_indices = g_indices
+        self._rows: list = [None] * len(fs)
+
+    def __getitem__(self, i: int) -> tuple:
+        row = self._rows[i]
+        if row is None:
+            f = self._fs[i]
+            row = self._rows[i] = tuple(
+                [tuple([fx[j] for fx, j in zip(f, gi)]) for gi in self._g_indices]
+            )
+        return row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _STable)):
+            return NotImplemented
+        return self is other or (len(self) == len(other) and tuple(self) == tuple(other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 # ---------------------------------------------------------------------------
 # Builders
 
@@ -280,8 +316,6 @@ def build_full_type_structure(
     maps as its carrier, with the closed-form hom distance.  bottom is
     the base element that interprets bottom, if any.
     """
-    from .term_syntax import BaseSort
-
     base_sort = base_sort or BaseSort("o")
     alg = FiniteQuantAlgebra(
         name, signature or Signature(), {base_sort: base}, size_budget, bottom

@@ -148,7 +148,9 @@ class FiniteMetricSpace:
             raise StructuralError("duplicate point identifiers")
         if len(rows) != self.size or any(len(row) != self.size for row in rows):
             raise StructuralError("distance matrix is not square on the point list")
-        g = math.gcd(scale, *(v for row in rows for v in row if v != inf))
+        values = set().union(*rows)
+        values.discard(inf)
+        g = math.gcd(scale, *values)
         if g != 1:
             rows = [[v if v == inf else v // g for v in row] for row in rows]
         self.scale = scale // g
@@ -228,7 +230,9 @@ class FiniteMetricSpace:
             raise StructuralError("step does not divide the interval")
         n = count.numerator + 1
         names = tuple(str(lo + i * step) for i in range(n))
-        m = tuple(tuple(abs(i - j) * step.numerator for j in range(n)) for i in range(n))
+        # d[k] is k steps; row i is d[i], ..., d[1], then d[0], ..., d[n-1-i]
+        d = tuple(range(0, n * step.numerator, step.numerator))
+        m = tuple(d[i:0:-1] + d[: n - i] for i in range(n))
         return FiniteMetricSpace(names, m, step.denominator)
 
     def dumps(self) -> str:

@@ -758,6 +758,13 @@ def _print(t: Term, texts: Optional[dict[int, str]], used: Optional[frozenset] =
     node once.  The nodes must outlive texts."""
     parts: list[str] = []
     names: list[str] = []  # the enclosing binders' names, innermost last
+    # made at the first binder: the names a binder may not take (used and
+    # the enclosing binders' names).  Made at the first binder whose hint
+    # is taken: per such hint the least suffix not known to be taken, and
+    # the (depth, hint, floor) to restore on leaving each such binder
+    taken: Optional[set[str]] = None
+    floors: Optional[dict[str, int]] = None
+    saved: list[tuple[int, str, int]]
     scoped = 0  # Lam and Bound nodes printed so far
     # an entry is a piece of text, (node, precedence) to print, None to
     # leave a binder, or (node, start, scoped) to store the node's text
@@ -767,7 +774,10 @@ def _print(t: Term, texts: Optional[dict[int, str]], used: Optional[frozenset] =
         if type(item) is str:
             parts.append(item)
         elif item is None:
-            names.pop()
+            taken.discard(names.pop())
+            if floors and saved and saved[-1][0] == len(names):
+                _, hint, floor = saved.pop()
+                floors[hint] = floor
         elif len(item) == 3:
             s, start, before = item
             if before == scoped:
@@ -796,12 +806,23 @@ def _print(t: Term, texts: Optional[dict[int, str]], used: Optional[frozenset] =
                 parts.append("bot" if s.sort is STAR else f"bot:{render_sort(s.sort)}")
             elif kind is Lam:  # parenthesised as a function or an argument
                 scoped += 1
-                if used is None:
-                    used = frozenset(free_vars(t))
-                name, k = s.hint, 0
-                while name in used or name in names:
-                    k += 1
-                    name = f"{s.hint}{k}"
+                if taken is None:
+                    taken = set(free_vars(t) if used is None else used)
+                name = s.hint
+                if name in taken:
+                    # names only join the scope while a binder is open, so
+                    # every suffix below the floor is still taken
+                    if floors is None:
+                        floors, saved = {}, []
+                    hint = name
+                    k = floor = floors.get(hint, 1)
+                    name = f"{hint}{k}"
+                    while name in taken:
+                        k += 1
+                        name = f"{hint}{k}"
+                    saved.append((len(names), hint, floor))
+                    floors[hint] = k + 1
+                taken.add(name)
                 if prec:
                     parts.append("(")
                     stack.append(")")

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qlam.corpus import (
@@ -42,6 +42,7 @@ from qlam.term_syntax import (
     Var,
     arrow,
     render_sort,
+    subterms,
 )
 
 ALGS = corpus_algebras()
@@ -383,6 +384,119 @@ def test_algebra_carriers_and_arrow_distances_match_extreal_oracle(base, data):
             want = [[dist_oracle(alg, base, sort, f, g, memo) for g in elems] for f in elems]
             got = [[ExtReal.scaled(d, alg.scale) for d in row] for row in alg._matrix(sort)]
             assert got == want, render_sort(sort)
+
+
+# ---------------------------------------------------------------------------
+# S against the eager table
+
+
+def oracle_s_table(alg, sort):
+    """S at (i->j->k)->(i->j)->i->k by definition, every row at once: the
+    table of f |-> (g |-> (x |-> f x (g x)))."""
+    fs = alg.populate_arrow(sort.dom)
+    gs = alg.populate_arrow(sort.cod.dom)
+    jdx = alg._index[sort.cod.dom.cod]
+    g_indices = [[jdx[b] for b in g] for g in gs]
+    return tuple(
+        tuple([tuple([fx[j] for fx, j in zip(f, gi)]) for gi in g_indices]) for f in fs
+    )
+
+
+def assert_s_acts_as_its_table(alg, sort):
+    """S from the algebra (a fresh copy for each check, so that each one
+    starts with no row built) against the eager table: each row, len,
+    iteration, == both ways, hash and the rendered text.  Where the
+    carrier at S's sort fits the budget, I S looks S up in its index, by
+    hash and ==; returns whether it did."""
+    want = oracle_s_table(alg, sort)
+    fresh = lambda: alg._combinator("S", sort)
+    assert hash(fresh()) == hash(want)
+    assert fresh() == want and want == fresh() and not fresh() != want
+    assert fresh() == fresh() and {want: 0}[fresh()] == 0
+    assert len(fresh()) == len(want)
+    assert list(fresh()) == list(want)
+    table = fresh()
+    for i in reversed(range(len(want))):
+        assert type(table[i]) is tuple and table[i] == want[i]
+    assert table[-1] == want[-1]
+    assert table == want
+    assert fresh() != want[:-1] and fresh() != want + ((),) and fresh() != list(want)
+    assert alg.render_element(sort, fresh()) == alg.render_element(sort, want)
+    try:
+        alg.populate_arrow(sort)
+    except BudgetError:
+        return False
+    i_sort = arrow(sort, sort)
+    assert interpret(App(Const("I", i_sort), Const("S", sort)), alg) == want
+    assert alg.apply(i_sort, alg.symbol("I", i_sort), fresh()) == want
+    return True
+
+
+def harness_s_sorts():
+    """(algebra name, algebra, sort) for every sort at which a derivation
+    of the harness corpus names S in an algebra with combinators."""
+    out = {}
+    for _, derivs, algs in harness_corpus():
+        for _, deriv in derivs:
+            inf = deriv.conclusion
+            for eq in [*inf.hypotheses, inf.conclusion]:
+                for side in (eq.left, eq.right):
+                    for t in subterms(side):
+                        if isinstance(t, Const) and t.name == "S":
+                            for aname, alg in algs:
+                                if alg.signature.combinators:
+                                    out.setdefault((aname, t.sort), alg)
+    return [(aname, alg, sort) for (aname, sort), alg in out.items()]
+
+
+def test_s_acts_as_its_table_at_every_harness_sort():
+    checked = []
+    for aname, alg, sort in harness_s_sorts():
+        try:
+            alg.populate_arrow(sort.dom)
+            alg.populate_arrow(sort.cod.dom)
+        except BudgetError:
+            checked.append((aname, "budget"))
+            continue
+        rows = len(alg.carrier(sort.dom)) * len(alg.carrier(sort.cod.dom))
+        checked.append((aname, rows, assert_s_acts_as_its_table(alg, sort)))
+    # fts3 has no carrier at (o->o)->o, where its second S sort needs one;
+    # I S fits on the one-point base alone
+    assert sorted(checked, key=str) == sorted(
+        [
+            ("fts1", 1, True),
+            ("fts1", 1, True),
+            ("fts2", 64, False),
+            ("fts2", 4096, False),
+            ("fts3", 23_137, False),
+            ("fts3", "budget"),
+        ],
+        key=str,
+    )
+
+
+def test_s_builds_only_the_rows_it_reads():
+    alg = corpus_algebras()["fts3"]
+    sort = arrow(arrow(O, OO), arrow(OO, OO))
+    table = alg.symbol("S", sort)
+    fs = alg.carrier(sort.dom)
+    row = alg.apply(sort, table, fs[700])
+    assert row == oracle_s_table(alg, sort)[700]
+    assert sum(r is not None for r in table._rows) == 1 and len(table) == len(fs) == 1361
+
+
+S_OOO = arrow(arrow(O, OO), arrow(OO, OO))
+
+
+@seed(20261)
+@settings(max_examples=12, deadline=None)
+@given(random_base())
+def test_s_acts_as_its_table_on_random_bases(base):
+    alg = build_full_type_structure(base, [S_OOO.dom, S_OOO.cod.dom])
+    # the draw has bases with 19,683 maps at o->o->o (531,441 rows); the
+    # harness test above covers tables up to 23,137 rows
+    assume(len(alg.carrier(S_OOO.dom)) * len(alg.carrier(S_OOO.cod.dom)) <= 8_000)
+    assert assert_s_acts_as_its_table(alg, S_OOO) or base.size > 1
 
 
 def test_grid_arrow_distance_without_a_full_carrier_matches_oracle():

@@ -538,6 +538,46 @@ def test_space_keeps_extreal_rows_and_json_round_trip(space):
     assert space.scale == math.lcm(*(v.denominator for v in finite))
 
 
+def oracle_normalize(rows, scale):
+    """The integer rows and scale divided by their gcd, taken over every
+    finite entry one by one."""
+    g = math.gcd(scale, *(v for row in rows for v in row if v != math.inf))
+    return tuple(tuple(v if v == math.inf else v // g for v in row) for row in rows), scale // g
+
+
+def oracle_line_grid(lo, hi, step):
+    """(points, m, scale) of the grid by definition: m[i][j] is
+    |i - j| * step at the step's denominator, entry by entry, normalized."""
+    n = int((hi - lo) / step) + 1
+    rows = [[abs(i - j) * step.numerator for j in range(n)] for i in range(n)]
+    m, scale = oracle_normalize(rows, step.denominator)
+    return tuple(str(lo + i * step) for i in range(n)), m, scale
+
+
+def test_line_grid_matches_the_entrywise_oracle():
+    steps = [F(1, 2**j) for j in range(5)] + [F(3, 2)]
+    for lo, step, count in itertools.product(range(-3, 4), steps, range(13)):
+        lo = F(lo)
+        space = grid(lo, lo + count * step, step)
+        assert (space.points, space.m, space.scale) == oracle_line_grid(lo, lo + count * step, step)
+
+
+def test_space_divides_out_the_gcd_of_its_finite_entries():
+    inf = math.inf
+    rows = ((0, 6, inf), (6, 0, 9), (inf, 9, 0))
+    space = FiniteMetricSpace(("a", "b", "c"), rows, 12)
+    assert (space.m, space.scale) == oracle_normalize(rows, 12) == (
+        ((0, 2, inf), (2, 0, 3), (inf, 3, 0)),
+        4,
+    )
+    assert space.d(0, 2) == INF and space.d(1, 2) == ExtReal(F(3, 4))
+    # no finite entry but 0: the scale divides itself out
+    rows = ((0, inf), (inf, 0))
+    apart = FiniteMetricSpace(("a", "b"), rows, 6)
+    assert (apart.m, apart.scale) == oracle_normalize(rows, 6) == (rows, 1)
+    assert FiniteMetricSpace((), (), 5).scale == 1
+
+
 def test_scale_is_canonical_across_constructions():
     halves = FiniteMetricSpace(("a", "b"), ((ZERO, ExtReal(F(2, 4))), (ExtReal(F(1, 2)), ZERO)))
     assert halves.scale == 2 and halves.m == ((0, 1), (1, 0))

@@ -592,6 +592,27 @@ def test_one_pass_dnf_matches_per_level_oracle():
     assert statuses == {"exact", "lower_bound"} and failing
 
 
+def test_dnf_fails_a_self_distance_at_its_stabilization_depth():
+    # A witness pair failing exactly at level depth(t) of d(t, t) is a
+    # failure, not a stabilized 0; no corpus reaches this tie, so the
+    # context is built by hand: its one witness pair (v, w) lies within
+    # 1/4, and t's outputs on it 1/2 apart, so it fails level 2 = depth(t).
+    t = nf("\\f:o->o. f (f c1)")
+    v, w = nf("\\x:o. c1"), nf("\\x:o. c2")
+    assert nf_depth(t.term) == 2
+    quarter, half = Dyadic(F(1, 4)), Dyadic(F(1, 2))
+    certs = []
+    for ctx in (DnfContext(4, REMARK25_CONSTANTS), _PerLevelContext(4, REMARK25_CONSTANTS)):
+        ctx._witnesses[OO] = ([v, w], True)
+        ctx._memo[(v.term, w.term)] = DistCertificate(quarter, "exact", 4)
+        c1, c2 = ctx._apply(t, v), ctx._apply(t, w)
+        assert (c1.term, c2.term) == (Const("c1", O), Const("c2", O))
+        ctx._memo[(c1.term, c2.term)] = DistCertificate(half, "exact", 4)
+        cert = ctx.distance(t, t)
+        certs.append((cert.value, cert.status, cert.failing_witness))
+    assert certs[0] == certs[1] == (half, "exact", (v.term, w.term))
+
+
 # the nf-distances corpora and two higher-order sorts whose pairs reach
 # lower bounds, with their enumeration budgets
 MONOTONE_SORTS = (
