@@ -469,12 +469,13 @@ def _theta_xi_payload() -> dict:
     a, b, f, g = _corpus.theta_xi_maps()
     theta = hom_distance("theta", a, b, f, g)
     xi = hom_distance("xi", a, b, f, g)
-    bound = 2**0.5 / 2 + 1 / 8
+    # xi <= sqrt(2)/2 + 1/8, exactly: gap <= 0, or 2 gap^2 <= 1
+    gap = xi.value - Fraction(1, 8)
     return {
         "theta": theta.render(),
         "xi": xi.render(),
         "xi_bound": "sqrt(2)/2 + 1/8",
-        "xi_within_bound": float(xi.fraction) <= bound,
+        "xi_within_bound": gap <= 0 or 2 * gap * gap <= 1,
     }
 
 

@@ -48,19 +48,17 @@ class ExtReal:
 
     __slots__ = ("_frac",)
 
-    def __init__(self, value: "ExtReal | Fraction | int | str | None"):
-        if isinstance(value, ExtReal):
+    def __init__(self, value: "ExtReal | Fraction | int | str"):
+        if type(value) is Fraction:
+            frac = value
+        elif isinstance(value, ExtReal):
             self._frac: Optional[Fraction] = value._frac
             return
-        if value is None:
+        elif value == "inf":
             self._frac = None
             return
-        if isinstance(value, str):
-            if value == "inf":
-                self._frac = None
-                return
-            value = Fraction(value)
-        frac = Fraction(value)
+        else:
+            frac = Fraction(value)
         if frac < 0:
             raise StructuralError(f"negative distance value: {frac}")
         self._frac = frac
@@ -70,7 +68,7 @@ class ExtReal:
         return self._frac is None
 
     @property
-    def fraction(self) -> Fraction:
+    def value(self) -> Fraction:
         if self._frac is None:
             raise StructuralError("infinite value has no finite fraction")
         return self._frac

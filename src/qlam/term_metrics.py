@@ -16,14 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import (
-    InterpretationError,
-    PreconditionError,
-    SortError,
-    StructuralError,
-)
+from .errors import InterpretationError, PreconditionError, SortError
 from .finite_models import build_full_type_structure, interpret
-from .metric_core import ExtReal, FiniteMetricSpace
+from .metric_core import ZERO, ExtReal, FiniteMetricSpace
 from .rewrite_engine import NormalForm, normalize
 from .term_syntax import (
     _print,
@@ -48,9 +43,6 @@ from .term_syntax import (
 )
 
 __all__ = [
-    "Dyadic",
-    "DYADIC_ZERO",
-    "DYADIC_ONE",
     "project",
     "nf_depth",
     "agreement_level",
@@ -70,35 +62,10 @@ __all__ = [
 # Dyadic values
 
 
-@dataclass(frozen=True, order=True)
-class Dyadic:
-    """0 or 1/2^m; the value range of the tree distances."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        v = self.value
-        ok = v == 0 or (
-            v.numerator == 1 and v.denominator & (v.denominator - 1) == 0 and v <= 1
-        )
-        if not ok:
-            raise StructuralError(f"{v} is not 0 or a dyadic 1/2^m")
-
-    @classmethod
-    def from_level(cls, m: int) -> "Dyadic":
-        return cls(Fraction(1, 2**m))
-
-    def render(self) -> str:
-        return str(self.value)
-
-
-DYADIC_ZERO = Dyadic(Fraction(0))
-DYADIC_ONE = Dyadic(Fraction(1))
-
-
-def _level(d: Dyadic) -> float:
-    """m for d = 1/2^m; inf for 0."""
-    return d.value.denominator.bit_length() - 1 if d.value else math.inf
+def _dyadic(level: float) -> ExtReal:
+    """1/2^level, and 0 for level inf: the values of the tree distances,
+    which compute on integer levels."""
+    return ZERO if level == math.inf else ExtReal(Fraction(1, 1 << level))
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +148,10 @@ def agreement_level(t: NormalForm, s: NormalForm) -> Optional[int]:
     return best
 
 
-def e_distance(t: NormalForm, s: NormalForm) -> Dyadic:
+def e_distance(t: NormalForm, s: NormalForm) -> ExtReal:
     """1/2^m with m the largest level at which the projections agree."""
     level = agreement_level(t, s)
-    if level is None:
-        return DYADIC_ZERO
-    return Dyadic.from_level(max(level, 0))
+    return ZERO if level is None else _dyadic(max(level, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +280,7 @@ def enumerate_closed_nfs(
 
 @dataclass(frozen=True)
 class DistCertificate:
-    value: Dyadic
+    value: ExtReal
     status: str  # "exact" | "lower_bound"
     witness_budget: int
     failing_witness: Optional[tuple[Term, Term]] = None
@@ -357,14 +322,18 @@ class DnfContext:
     def distance(self, t: NormalForm, s: NormalForm) -> DistCertificate:
         if t.sort != s.sort:
             raise SortError("distance requires equal sorts")
+        level, exact, failing = self._entry(t, s)
+        status = "exact" if exact else "lower_bound"
+        return DistCertificate(_dyadic(level), status, self.witness_budget, failing)
+
+    def _entry(self, t: NormalForm, s: NormalForm) -> tuple:
+        """The memo entry (level, exact, failing witness) of t and s, with
+        the distance 1/2^level (level inf for 0); t and s share a sort."""
         key = (t.term, s.term)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        cert = self._compute(t, s)
-        self._memo[key] = cert
-        self._memo[(s.term, t.term)] = cert
-        return cert
+        if hit is None:
+            hit = self._memo[key] = self._memo[(s.term, t.term)] = self._compute(t, s)
+        return hit
 
     def _apply(self, f: NormalForm, a: NormalForm) -> NormalForm:
         key = (f.term, a.term)
@@ -373,11 +342,10 @@ class DnfContext:
             hit = self._applied[key] = normalize(App(f.term, a.term))
         return hit
 
-    def _compute(self, t: NormalForm, s: NormalForm) -> DistCertificate:
+    def _compute(self, t: NormalForm, s: NormalForm) -> tuple:
         sort = t.sort
         if not isinstance(sort, ArrowSort):
-            v = DYADIC_ZERO if t.term == s.term else DYADIC_ONE
-            return DistCertificate(v, "exact", self.witness_budget)
+            return (math.inf if t.term == s.term else 0), True, None
 
         witnesses, exhausted = self.witnesses(sort.dom)
         stabilize = max(nf_depth(t.term), nf_depth(s.term))
@@ -390,45 +358,31 @@ class DnfContext:
         # are read only when level 1 is reached
         if agree > 1 and stabilize > 0:
             for v, w in itertools.combinations_with_replacement(witnesses, 2):
-                pair = self.distance(v, w)
-                p = _level(pair.value)
+                p, pair_exact, _ = self._entry(v, w)
                 if p == 0:
                     continue
                 # the pair fails level n when q < n <= p, with 1/2^q the
                 # farther of the two sides' outputs
                 q = math.inf
                 for side in (t, s):
-                    out = self.distance(self._apply(side, v), self._apply(side, w))
-                    q = min(q, _level(out.value))
+                    out, out_exact, _ = self._entry(self._apply(side, v), self._apply(side, w))
+                    q = min(q, out)
                     if q == 0:
                         break
-                    all_exact = all_exact and out.status == "exact"
+                    all_exact = all_exact and out_exact
                 if q < p and q + 1 < fail:
-                    fail, failing, fail_certified = q + 1, (v.term, w.term), pair.status == "exact"
+                    fail, failing, fail_certified = q + 1, (v.term, w.term), pair_exact
                     if fail == 1:
                         break
         # a level from 1 on is certified when the witnesses are exhaustive and
-        # every output examined is exact; ties go to agreement, then witnesses
+        # every output examined is exact; ties go to agreement, then witnesses.
+        # Level n is the first to fail: the value is 1/2^(n-1), 1 below.
         certified = exhausted and all_exact
         if agree <= min(fail, stabilize):
-            return self._fail_cert(agree, None, True, certified)
+            return max(agree - 1, 0), agree <= 1 or certified, None
         if fail <= stabilize:
-            return self._fail_cert(fail, failing, fail_certified, certified)
-        status = "exact" if stabilize == 0 or certified else "lower_bound"
-        return DistCertificate(DYADIC_ZERO, status, self.witness_budget)
-
-    def _fail_cert(
-        self,
-        n: int,
-        failing: Optional[tuple[Term, Term]],
-        fail_certified: bool,
-        certified: bool,
-    ) -> DistCertificate:
-        """Level n is the first to fail: the value is 1/2^(n-1), 1 below."""
-        value = DYADIC_ONE if n <= 1 else Dyadic.from_level(n - 1)
-        exact = fail_certified and (n <= 1 or certified)
-        status = "exact" if exact else "lower_bound"
-        return DistCertificate(value, status, self.witness_budget, failing)
+            return max(fail - 1, 0), fail_certified and (fail <= 1 or certified), failing
+        return math.inf, stabilize == 0 or certified, None
 
 
 def dnf_distance(
@@ -486,16 +440,16 @@ def _join(a: Term, b: Term) -> Optional[Term]:
     return app(ha, *joined)
 
 
-def order_distance(t: NormalForm, s: NormalForm) -> tuple[Dyadic, OrderResult]:
+def order_distance(t: NormalForm, s: NormalForm) -> tuple[ExtReal, OrderResult]:
     """0 on equality, 1/2 when a join exists, 1 otherwise."""
     if t.sort != s.sort:
         raise SortError("order_distance requires equal sorts")
     if t.term == s.term:
-        return DYADIC_ZERO, OrderResult(True, t)
+        return ZERO, OrderResult(True, t)
     j = _join(t.term, s.term)
     if j is None:
-        return DYADIC_ONE, OrderResult(False, None)
-    return Dyadic(Fraction(1, 2)), OrderResult(True, NormalForm(j))
+        return _dyadic(0), OrderResult(False, None)
+    return _dyadic(1), OrderResult(True, NormalForm(j))
 
 
 # ---------------------------------------------------------------------------

@@ -260,13 +260,13 @@ def brute_exp_full(space):
             total = space.d(i, j)
             if total.is_infinite:
                 continue
-            t = total.fraction
+            t = total.value
             for num in range(0, 17):
                 alpha = t * F(num, 16)
                 beta = t - alpha
                 if not any(
-                    space.d(i, k).fraction <= alpha
-                    and space.d(k, j).fraction <= beta
+                    space.d(i, k).value <= alpha
+                    and space.d(k, j).value <= beta
                     for k in range(n)
                     if not space.d(i, k).is_infinite and not space.d(k, j).is_infinite
                 ):
@@ -369,13 +369,13 @@ def hom_oracle(kind, a, b, f, g):
 
 
 def _breakpoints_oracle(space, total):
-    finite = sorted({v for v in space.values() if not v.is_infinite}, key=lambda v: v.fraction)
-    t = total.fraction
+    finite = sorted({v for v in space.values() if not v.is_infinite}, key=lambda v: v.value)
+    t = total.value
     cands = {F(0), t / 2}
     for v in finite:
-        cands.add(v.fraction)
-        if t - v.fraction >= 0:
-            cands.add(t - v.fraction)
+        cands.add(v.value)
+        if t - v.value >= 0:
+            cands.add(t - v.value)
     return [ExtReal(c) for c in sorted(c for c in cands if 0 <= c <= t)]
 
 
@@ -397,13 +397,13 @@ def exp_oracle(space, mode):
                         v
                         for v in image
                         if not v.is_infinite
-                        and v.fraction <= total.fraction
-                        and ExtReal(total.fraction - v.fraction) in image
+                        and v.value <= total.value
+                        and ExtReal(total.value - v.value) in image
                     ),
-                    key=lambda v: v.fraction,
+                    key=lambda v: v.value,
                 )
             for alpha in alphas:
-                beta = ExtReal(total.fraction - alpha.fraction)
+                beta = ExtReal(total.value - alpha.value)
                 if not any(
                     space.d(x0, x1) <= alpha and space.d(x1, x2) <= beta for x1 in range(n)
                 ):
@@ -534,7 +534,7 @@ def test_space_keeps_extreal_rows_and_json_round_trip(space):
     assert data["dist"] == [[v.render() for v in row] for row in rows]
     again = FiniteMetricSpace.from_json(json.loads(json.dumps(data)))
     assert again == space and hash(again) == hash(space)
-    finite = [v.fraction for row in rows for v in row if not v.is_infinite]
+    finite = [v.value for row in rows for v in row if not v.is_infinite]
     assert space.scale == math.lcm(*(v.denominator for v in finite))
 
 

@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -13,11 +15,9 @@ from qlam.errors import BudgetError, InterpretationError, SortError, StructuralE
 from qlam.metric_core import ExtReal
 from qlam.rewrite_engine import normalize
 from qlam.term_metrics import (
-    Dyadic,
-    DYADIC_ONE,
-    DYADIC_ZERO,
     DistCertificate,
     DnfContext,
+    _dyadic,
     _Enumerator,
     _min_size,
     agreement_level,
@@ -61,16 +61,68 @@ def nf(text):
 
 
 # ---------------------------------------------------------------------------
-# Dyadic
+# Dyadic values: the former value class of the tree distances, kept as the
+# oracle of _dyadic and e_distance
 
 
-def test_dyadic_validation_and_render():
-    assert Dyadic(F(1, 8)).render() == "1/8"
-    assert DYADIC_ONE.render() == "1"
-    assert DYADIC_ZERO.render() == "0"
+@dataclass(frozen=True, order=True)
+class Dyadic:
+    """0 or 1/2^m; the value range of the tree distances."""
+
+    value: F
+
+    def __post_init__(self) -> None:
+        v = self.value
+        ok = v == 0 or (
+            v.numerator == 1 and v.denominator & (v.denominator - 1) == 0 and v <= 1
+        )
+        if not ok:
+            raise StructuralError(f"{v} is not 0 or a dyadic 1/2^m")
+
+    @classmethod
+    def from_level(cls, m: int) -> "Dyadic":
+        return cls(F(1, 2**m))
+
+    def render(self) -> str:
+        return str(self.value)
+
+
+ZERO, ONE, HALF, QUARTER = (ExtReal(F(k, 4)) for k in (0, 4, 2, 1))
+
+
+def _agrees_with_oracle(values, oracles):
+    """ExtReal values against Dyadic oracles of the same distances: the
+    same text, value and hash of the value, and the same == and < with
+    every other value."""
+    for x, d in zip(values, oracles):
+        assert (x.render(), x.value, hash(x)) == (d.render(), d.value, hash(d.value))
+    for (x, d), (y, c) in itertools.product(zip(values, oracles), repeat=2):
+        assert (x == y, x < y) == (d == c, d < c)
+
+
+def test_dyadic_matches_the_oracle_class():
+    levels = list(range(201)) + [math.inf]
+    values = [_dyadic(m) for m in levels]
+    oracles = [Dyadic(F(0)) if m == math.inf else Dyadic.from_level(m) for m in levels]
+    _agrees_with_oracle(values, oracles)
+    assert [x.render() for x in values[:3] + values[-1:]] == ["1", "1/2", "1/4", "0"]
     with pytest.raises(StructuralError):
         Dyadic(F(1, 3))
-    assert Dyadic.from_level(2) == Dyadic(F(1, 4))
+
+
+def test_e_distance_matches_the_oracle_class_on_the_criterion_07_corpus():
+    rng = random.Random(2207)
+    for sort, budget in ((arrow(OO, O), 140), (arrow(OO, OO), 120), (arrow(O, arrow(OO, O)), 140)):
+        terms = enumerate_closed_nfs(sort, budget, {"c1": O, "c2": O})[0][:200]
+        pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(150)]
+        pairs += [(t, t) for t, _ in pairs[:5]]
+        levels = [agreement_level(t, s) for t, s in pairs]
+        _agrees_with_oracle(
+            [e_distance(t, s) for t, s in pairs],
+            [Dyadic(F(0)) if m is None else Dyadic.from_level(max(m, 0)) for m in levels],
+        )
+        # the sample reaches 0, 1 and levels in between
+        assert {None, -1} <= set(levels) and max(m for m in levels if m is not None) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +172,17 @@ def test_projection_coherence_on_corpus():
 
 def test_remark_pair_values():
     t = remark27_terms()
-    assert e_distance(t["t"], t["s"]) == Dyadic(F(1, 4))
+    assert e_distance(t["t"], t["s"]) == QUARTER
     ut = normalize(App(t["u"].term, t["t"].term))
     us = normalize(App(t["u"].term, t["s"].term))
-    assert e_distance(ut, us) == DYADIC_ONE
+    assert e_distance(ut, us) == ONE
 
 
 def test_e_distance_ultrametric_laws():
     for sort in (O, OO):
         terms = corpus_at(sort)
         for a in terms:
-            assert e_distance(a, a) == DYADIC_ZERO
+            assert e_distance(a, a) == ZERO
             for b in terms:
                 assert e_distance(a, b) == e_distance(b, a)
                 for c in terms:
@@ -143,8 +195,8 @@ def test_e_distance_detects_level():
     # projections agree up to level 1 (\x. x bot) and differ at level 2
     a = nf("\\x:o->o. x (x c1)")
     b = nf("\\x:o->o. x (x c2)")
-    assert e_distance(a, b) == Dyadic(F(1, 2))
-    assert e_distance(nf("c1"), nf("c2")) == DYADIC_ONE
+    assert e_distance(a, b) == HALF
+    assert e_distance(nf("c1"), nf("c2")) == ONE
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +207,13 @@ def test_dnf_reproduces_normal_form_distances():
     terms = remark25_terms()
     t, s, u = terms["t"], terms["s"], terms["u"]
     cert_ts = dnf_distance(t, s, constants=REMARK25_CONSTANTS)
-    assert cert_ts.value == Dyadic(F(1, 2)) and cert_ts.status == "exact"
+    assert cert_ts.value == HALF and cert_ts.status == "exact"
     ut = normalize(App(u.term, t.term))
     us = normalize(App(u.term, s.term))
     cert_app = dnf_distance(ut, us, constants=REMARK25_CONSTANTS)
-    assert cert_app.value == DYADIC_ONE and cert_app.status == "exact"
+    assert cert_app.value == ONE and cert_app.status == "exact"
     cert_uu = dnf_distance(u, u, constants=REMARK25_CONSTANTS)
-    assert cert_uu.value == DYADIC_ONE and cert_uu.status == "exact"
+    assert cert_uu.value == ONE and cert_uu.status == "exact"
     wa, wb = cert_uu.failing_witness
     assert {wa, wb} == {t.term, s.term}
 
@@ -169,7 +221,7 @@ def test_dnf_reproduces_normal_form_distances():
 def test_dnf_self_distance_zero_at_base():
     c = nf("c1")
     cert = dnf_distance(c, c, constants=REMARK25_CONSTANTS)
-    assert cert.value == DYADIC_ZERO and cert.status == "exact"
+    assert cert.value == ZERO and cert.status == "exact"
 
 
 def test_dnf_symmetry():
@@ -199,13 +251,13 @@ def test_dnf_dominates_e_distance():
 def test_order_distance_values():
     a = nf("\\x:o->o. x (x c1)")
     cut = project(a, 1)
-    assert order_distance(a, a)[0] == DYADIC_ZERO
+    assert order_distance(a, a)[0] == ZERO
     d, res = order_distance(a, cut)
-    assert d == Dyadic(F(1, 2)) and res.comparable
+    assert d == HALF and res.comparable
     assert res.join.term == a.term
     b = nf("\\x:o->o. x (x c2)")
     d2, res2 = order_distance(a, b)
-    assert d2 == DYADIC_ONE and not res2.comparable
+    assert d2 == ONE and not res2.comparable
 
 
 def test_order_leq_matches_projection():
@@ -396,9 +448,7 @@ def test_agreement_level_matches_projection(sort, data):
     s = terms[data.draw(st.integers(0, len(terms) - 1))]
     level = agreement_level(t, s)
     assert level == _agreement_by_projection(t, s) == agreement_level(s, t)
-    assert e_distance(t, s) == (
-        DYADIC_ZERO if level is None else Dyadic.from_level(max(level, 0))
-    )
+    assert e_distance(t, s) == (ZERO if level is None else ExtReal(F(1, 2 ** max(level, 0))))
 
 
 def test_agreement_level_on_fixed_points_and_binders():
@@ -439,12 +489,12 @@ def _dnf_by_definition(t, s, budget):
     for every witness pair within 1/2^n, both sides map it to outputs
     within 1/2^n.  Returns (value, status, failing witness)."""
     if not isinstance(t.sort, ArrowSort):
-        return (DYADIC_ZERO if t == s else DYADIC_ONE), "exact", None
+        return (ZERO if t == s else ONE), "exact", None
     witnesses, exhausted = _witnesses(t.sort.dom, budget)
     best, prior_certified = None, True
 
     def fail(failing, fail_certified):
-        value = DYADIC_ONE if best is None else Dyadic.from_level(best)
+        value = ONE if best is None else ExtReal(F(1, 2**best))
         exact = fail_certified and (best is None or prior_certified)
         return value, "exact" if exact else "lower_bound", failing
 
@@ -465,7 +515,7 @@ def _dnf_by_definition(t, s, budget):
                     return fail((v.term, w.term), pair_status == "exact")
                 certified = certified and out_status == "exact"
         best, prior_certified = n, prior_certified and certified
-    return DYADIC_ZERO, "exact" if prior_certified else "lower_bound", None
+    return ZERO, "exact" if prior_certified else "lower_bound", None
 
 
 DNF_SORTS = (arrow(OO, O), arrow(O, arrow(OO, O)), arrow(arrow(OO, O), O))
@@ -519,14 +569,14 @@ def oracle_dnf_per_level(ctx, t, s):
     applications go through ctx's memo tables."""
     sort, budget = t.sort, ctx.witness_budget
     if not isinstance(sort, ArrowSort):
-        return DistCertificate(DYADIC_ZERO if t.term == s.term else DYADIC_ONE, "exact", budget)
+        return DistCertificate(ZERO if t.term == s.term else ONE, "exact", budget)
     witnesses, exhausted = ctx.witnesses(sort.dom)
     stabilize = max(nf_depth(t.term), nf_depth(s.term))
     level = agreement_level(t, s)
     best, prior_certified = None, True
 
     def fail(failing, fail_certified):
-        value = DYADIC_ONE if best is None else Dyadic.from_level(best)
+        value = ONE if best is None else ExtReal(F(1, 2**best))
         exact = fail_certified and (best is None or prior_certified)
         return DistCertificate(value, "exact" if exact else "lower_bound", budget, failing)
 
@@ -549,13 +599,17 @@ def oracle_dnf_per_level(ctx, t, s):
         best, prior_certified = n, prior_certified and certified
         if n >= stabilize:
             status = "exact" if prior_certified else "lower_bound"
-            return DistCertificate(DYADIC_ZERO, status, budget)
+            return DistCertificate(ZERO, status, budget)
         n += 1
 
 
 class _PerLevelContext(DnfContext):
     def _compute(self, t, s):
-        return oracle_dnf_per_level(self, t, s)
+        # the memo entry of the certificate: (level, exact, failing witness)
+        cert = oracle_dnf_per_level(self, t, s)
+        v = cert.value.value
+        level = v.denominator.bit_length() - 1 if v else math.inf
+        return level, cert.status == "exact", cert.failing_witness
 
 
 NF_CONSTANTS = {"c1": O, "c2": O}
@@ -600,17 +654,17 @@ def test_dnf_fails_a_self_distance_at_its_stabilization_depth():
     t = nf("\\f:o->o. f (f c1)")
     v, w = nf("\\x:o. c1"), nf("\\x:o. c2")
     assert nf_depth(t.term) == 2
-    quarter, half = Dyadic(F(1, 4)), Dyadic(F(1, 2))
     certs = []
     for ctx in (DnfContext(4, REMARK25_CONSTANTS), _PerLevelContext(4, REMARK25_CONSTANTS)):
         ctx._witnesses[OO] = ([v, w], True)
-        ctx._memo[(v.term, w.term)] = DistCertificate(quarter, "exact", 4)
+        # memo entries (level, exact, failing witness): 1/4 and 1/2, exact
+        ctx._memo[(v.term, w.term)] = (2, True, None)
         c1, c2 = ctx._apply(t, v), ctx._apply(t, w)
         assert (c1.term, c2.term) == (Const("c1", O), Const("c2", O))
-        ctx._memo[(c1.term, c2.term)] = DistCertificate(half, "exact", 4)
+        ctx._memo[(c1.term, c2.term)] = (1, True, None)
         cert = ctx.distance(t, t)
         certs.append((cert.value, cert.status, cert.failing_witness))
-    assert certs[0] == certs[1] == (half, "exact", (v.term, w.term))
+    assert certs[0] == certs[1] == (HALF, "exact", (v.term, w.term))
 
 
 # the nf-distances corpora and two higher-order sorts whose pairs reach
