@@ -19,7 +19,7 @@ from typing import Optional
 
 import click
 
-from .errors import QlamError
+from .errors import QlamError, StructuralError
 from .metric_core import (
     FiniteMetricSpace,
     PointMap,
@@ -272,7 +272,9 @@ def _load_map(path: str, dom: FiniteMetricSpace, cod: FiniteMetricSpace) -> Poin
     table = _read_json(path)
     if not isinstance(table, list):
         raise click.UsageError(f"{path} must hold a JSON list of codomain points")
-    return PointMap(dom, cod, tuple(table))
+    if len(table) != dom.size:
+        raise StructuralError("map table length does not match domain size")
+    return PointMap(dom, cod, tuple(map(cod.index, table)))
 
 
 @main.command("hom-dist")

@@ -115,16 +115,13 @@ def church(n: int) -> NormalForm:
 # Spaces and hom-distance pairs
 
 
-def _grid_map(fn: Callable[[F], F]) -> Callable[[str], str]:
-    return lambda name: str(fn(F(name)))
-
-
 def shift_maps(m: F, k: F, step: F) -> tuple[FiniteMetricSpace, FiniteMetricSpace, PointMap, PointMap]:
     """Identity vs shift-by-k from the [0,m] grid into the [0,m+k] grid."""
     a = FiniteMetricSpace.line_grid(F(0), F(m), step)
     b = FiniteMetricSpace.line_grid(F(0), F(m) + F(k), step)
-    f = PointMap.from_function(a, b, _grid_map(lambda p: p))
-    g = PointMap.from_function(a, b, _grid_map(lambda p: p + F(k)))
+    s = int(F(k) / F(step))  # whole: both grids end on a step
+    f = PointMap(a, b, tuple(range(a.size)))
+    g = PointMap(a, b, tuple(range(s, s + a.size)))
     return a, b, f, g
 
 
@@ -132,8 +129,10 @@ def theta_xi_maps() -> tuple[FiniteMetricSpace, FiniteMetricSpace, PointMap, Poi
     """f = id and g = x for x <= 0, x/2 for x > 0, on the [-1,1] grid."""
     a = FiniteMetricSpace.line_grid(F(-1), F(1), F(1, 8))
     b = FiniteMetricSpace.line_grid(F(-1), F(1), F(1, 16))
-    f = PointMap.from_function(a, b, _grid_map(lambda p: p))
-    g = PointMap.from_function(a, b, _grid_map(lambda p: p if p <= 0 else p / 2))
+    # a's point i is -1 + i/8, b's point j is -1 + j/16: x = -1 + i/8 is
+    # b's point 2i, and x/2 for x > 0 (i > 8) is b's point i + 8
+    f = PointMap(a, b, tuple(2 * i for i in range(a.size)))
+    g = PointMap(a, b, tuple(2 * i if i <= 8 else i + 8 for i in range(a.size)))
     return a, b, f, g
 
 

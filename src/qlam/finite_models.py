@@ -121,12 +121,6 @@ class FiniteQuantAlgebra:
         self._index[sort] = {f: i for i, f in enumerate(out)}
         return out
 
-    def _table_nonexpansive(self, sort: ArrowSort, f: tuple) -> bool:
-        """Every ordered pair, as PointMap.is_nonexpansive tests."""
-        dist = functools.partial(self._idist, sort.cod)
-        am = self._matrix(sort.dom)
-        return all(dist(f[i], f[j]) <= v for i, row in enumerate(am) for j, v in enumerate(row))
-
     # distances ----------------------------------------------------------
     def dist(self, sort: Sort, x, y) -> ExtReal:
         return ExtReal.scaled(self._idist(sort, x, y), self.scale)
@@ -198,7 +192,10 @@ class FiniteQuantAlgebra:
 
     def set_symbol(self, name: str, sort: Sort, element) -> None:
         if isinstance(sort, ArrowSort):
-            if not self._table_nonexpansive(sort, element):
+            if len(element) != len(self.carrier(sort.dom)):
+                raise StructuralError(f"table of {name} has the wrong length at {render_sort(sort)}")
+            # the sup of d(f x, f y) above d(x, y) is 0 exactly when f is non-expansive
+            if self._idist(sort, element, element):
                 raise PreconditionError(
                     f"interpretation of {name} is expansive at {render_sort(sort)}"
                 )
@@ -343,42 +340,37 @@ def build_grid_algebra(
     expansive).
     """
     spaces: dict[Sort, FiniteMetricSpace] = {}
-    grids: dict[Sort, list[Fraction]] = {}
+    grids: dict[Sort, dict[Fraction, int]] = {}
     for lo, hi, step in intervals:
-        sort = IntervalSort(Fraction(lo), Fraction(hi))
+        lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+        sort = IntervalSort(lo, hi)
         space = FiniteMetricSpace.line_grid(lo, hi, step)
-        grids[sort] = [Fraction(p) for p in space.points]
+        grids[sort] = {lo + i * step: i for i in range(space.size)}
         spaces[sort] = space
     sig = signature or Signature(combinators=False)
     alg = FiniteQuantAlgebra(name, sig, spaces)
 
     for cname, (sort, value) in (constants or {}).items():
         if isinstance(sort, IntervalSort):
-            pts = grids.get(sort)
-            if pts is None or Fraction(value) not in pts:
+            index = grids.get(sort, {}).get(Fraction(value))
+            if index is None:
                 raise PreconditionError(f"{cname} is not a grid point of its sort")
-            alg.set_symbol(cname, sort, pts.index(Fraction(value)))
+            alg.set_symbol(cname, sort, index)
         elif isinstance(sort, ArrowSort):
-            table = _grid_table(alg, grids, sort, value)
-            alg.set_symbol(cname, sort, table)
+            dom, cod = grids.get(sort.dom), grids.get(sort.cod)
+            if dom is None or cod is None:
+                raise PreconditionError("grid constants must map interval sorts")
+            table = []
+            for p in dom:
+                v = Fraction(value(p))
+                if v not in cod:
+                    raise PreconditionError(f"table value {v} is not a grid point")
+                table.append(cod[v])
+            alg.set_symbol(cname, sort, tuple(table))
         else:
             raise PreconditionError(f"unsupported constant sort for {cname}")
         sig.constants.setdefault(cname, sort)
     return alg
-
-
-def _grid_table(alg, grids, sort: ArrowSort, fn) -> tuple:
-    dom_pts = grids.get(sort.dom)
-    cod_pts = grids.get(sort.cod)
-    if dom_pts is None or cod_pts is None:
-        raise PreconditionError("grid constants must map interval sorts")
-    out = []
-    for p in dom_pts:
-        v = Fraction(fn(p))
-        if v not in cod_pts:
-            raise PreconditionError(f"table value {v} is not a grid point")
-        out.append(cod_pts.index(v))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -73,25 +73,23 @@ class ExtReal:
             raise StructuralError("infinite value has no finite fraction")
         return self._frac
 
-    def __add__(self, other: "ExtReal") -> "ExtReal":
-        other = ExtReal(other)
+    def __add__(self, other: "ExtReal | Fraction | int") -> "ExtReal":
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         if self._frac is None or other._frac is None:
             return INF
         return ExtReal(self._frac + other._frac)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ExtReal, Fraction, int)):
-            return NotImplemented
-        other = ExtReal(other)
-        return self._frac == other._frac
+        other = _coerce(other)
+        return other if other is NotImplemented else self._frac == other._frac
 
-    def __lt__(self, other: "ExtReal") -> bool:
-        other = ExtReal(other)
-        if self._frac is None:
-            return False
-        if other._frac is None:
-            return True
-        return self._frac < other._frac
+    def __lt__(self, other: "ExtReal | Fraction | int") -> bool:
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
+        return self._frac is not None and (other._frac is None or self._frac < other._frac)
 
     def __hash__(self) -> int:
         return hash(self._frac)
@@ -106,6 +104,14 @@ class ExtReal:
 
     def __repr__(self) -> str:
         return f"ExtReal({self.render()!r})"
+
+
+def _coerce(other):
+    """An ExtReal operand as it is, a Fraction or int wrapped, and
+    NotImplemented for anything else (a str too)."""
+    if isinstance(other, ExtReal):
+        return other
+    return ExtReal(other) if isinstance(other, (Fraction, int)) else NotImplemented
 
 
 INF = ExtReal("inf")
@@ -281,27 +287,29 @@ def classify_space(space: FiniteMetricSpace) -> SpaceClass:
 
 @dataclass(frozen=True)
 class PointMap:
-    """A total map between finite spaces, given pointwise in domain order."""
+    """A total map between finite spaces, as codomain indices in domain order."""
 
     domain: FiniteMetricSpace
     codomain: FiniteMetricSpace
-    table: tuple[str, ...]
+    indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.domain.size:
+        if len(self.indices) != self.domain.size:
             raise StructuralError("map table length does not match domain size")
-        for name in self.table:
-            self.codomain.index(name)
+        for c in self.indices:
+            if type(c) is not int or not 0 <= c < self.codomain.size:
+                raise StructuralError(f"map entry {c!r} is not a codomain index")
+
+    @property
+    def table(self) -> tuple[str, ...]:
+        """The image of each domain point by name."""
+        return tuple(self.codomain.points[c] for c in self.indices)
 
     def apply(self, point: str) -> str:
-        return self.table[self.domain.index(point)]
-
-    def _indices(self) -> tuple[int, ...]:
-        index = self.codomain._index
-        return tuple(index[p] for p in self.table)
+        return self.codomain.points[self.indices[self.domain.index(point)]]
 
     def is_nonexpansive(self) -> bool:
-        idx = self._indices()
+        idx = self.indices
         fd, fc = _factors(self.domain, self.codomain)
         cm = self.codomain.m
         return all(
@@ -309,10 +317,6 @@ class PointMap:
             for i, row in enumerate(self.domain.m)
             for j, v in enumerate(row)
         )
-
-    @staticmethod
-    def from_function(domain: FiniteMetricSpace, codomain: FiniteMetricSpace, fn) -> "PointMap":
-        return PointMap(domain, codomain, tuple(fn(p) for p in domain.points))
 
 
 def nonexpansive_tables(
@@ -365,7 +369,7 @@ def enumerate_nonexpansive(
     fa, fb = _factors(a, b)
     am = [[v * fa for v in row] for row in a.m]
     bm = [[v * fb for v in row] for row in b.m]
-    return [PointMap(a, b, table) for table in nonexpansive_tables(am, bm, b.points)]
+    return [PointMap(a, b, table) for table in nonexpansive_tables(am, bm, range(b.size))]
 
 
 HomKind = Literal["phi", "xi", "xi_prime", "theta"]
@@ -397,13 +401,13 @@ def hom_distance(
         if not h.is_nonexpansive():
             raise PreconditionError("hom_distance requires non-expansive maps")
     fa, fb = _factors(a, b)
-    gi = g._indices()
+    gi = g.indices
     # bf[x][y] = b(f(x), g(y)) at b's scale
-    bf = [[row[j] for j in gi] for row in (b.m[i] for i in f._indices())]
+    bf = [[row[j] for j in gi] for row in (b.m[i] for i in f.indices)]
     if kind == "phi":
         return ExtReal.scaled(max((row[x] for x, row in enumerate(bf)), default=0), b.scale)
     if kind == "theta":
-        if f.table == g.table:
+        if f.indices == g.indices:
             return ZERO
         return ExtReal.scaled(max((v for row in bf for v in row), default=0), b.scale)
     # the pairs with a(x, y) < b(f(x), g(y)), as (a, b) at the common scale

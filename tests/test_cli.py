@@ -11,6 +11,7 @@ from qlam import corpus
 from qlam.cli import SCENARIOS, _dumps, main
 from qlam.corpus import I01, corpus_derivations, corpus_theories, theta_xi_maps
 from qlam.finite_models import satisfies_inference
+from qlam.metric_core import FiniteMetricSpace
 from qlam.quant_deduction import (
     Derivation,
     Inference,
@@ -162,6 +163,30 @@ def test_hom_dist_via_files(tmp_path):
         res = run("hom-dist", "--kind", kind, str(pa), str(pb), str(pf), str(pg))
         assert res.exit_code == 0
         assert json.loads(res.output) == {"value": value}
+
+
+@pytest.mark.parametrize(
+    "g_table, error",
+    [
+        (["-1", "x", "1"], {"error": "unknown point 'x'", "kind": "StructuralError"}),
+        (
+            ["-1", "x"],
+            {"error": "map table length does not match domain size", "kind": "StructuralError"},
+        ),
+    ],
+    ids=["unknown-point", "wrong-length"],
+)
+def test_hom_dist_bad_map_is_exit_1(tmp_path, g_table, error):
+    """Names become indices at the boundary: the length is checked before
+    the names."""
+    a = FiniteMetricSpace.line_grid(Fraction(-1), Fraction(1), Fraction(1))
+    files = {"a": a.dumps(), "f": json.dumps(list(a.points)), "g": json.dumps(g_table)}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    paths = [str(tmp_path / f"{name}.json") for name in ("a", "a", "f", "g")]
+    res = run("hom-dist", "--kind", "phi", *paths)
+    assert res.exit_code == 1
+    assert json.loads(res.output) == error
 
 
 @pytest.mark.parametrize(

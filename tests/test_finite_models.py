@@ -89,11 +89,8 @@ def test_arrow_carriers_are_the_maps_is_nonexpansive_accepts(base, sizes):
     alg = build_full_type_structure(base, sorts)
     for sort in sorts:
         dom, cod = space_at(alg, sort.dom), space_at(alg, sort.cod)
-        want = [
-            table
-            for table in itertools.product(cod.points, repeat=dom.size)
-            if PointMap(dom, cod, table).is_nonexpansive()
-        ]
+        maps = (PointMap(dom, cod, idx) for idx in itertools.product(range(cod.size), repeat=dom.size))
+        want = [h.table for h in maps if h.is_nonexpansive()]
         got = [tuple(str(alg.index(sort.cod, c)) for c in f) for f in alg.carrier(sort)]
         assert got == want, render_sort(sort)
     assert [len(alg.carrier(sort)) for sort in sorts] == sizes
@@ -107,6 +104,13 @@ def test_symbols_at_arrow_sorts_are_checked_on_every_ordered_pair():
     alg.set_symbol("f", OO, (0, 1))
     with pytest.raises(PreconditionError, match="expansive"):
         alg.set_symbol("g", OO, (1, 1))
+
+
+@pytest.mark.parametrize("table", [(0,), (0, 1, 0)], ids=["short", "long"])
+def test_set_symbol_rejects_a_table_of_the_wrong_length(table):
+    alg = build_full_type_structure(TWO, [OO])
+    with pytest.raises(StructuralError, match="table of f has the wrong length at o->o"):
+        alg.set_symbol("f", OO, table)
 
 
 def test_grid_carrier_size():

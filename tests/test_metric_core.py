@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from qlam.corpus import remark25_space
+from qlam.corpus import remark25_space, shift_maps, theta_xi_maps
 from qlam.errors import PreconditionError, StructuralError
 from qlam.metric_core import (
     ExpCheckResult,
@@ -30,7 +30,7 @@ def grid(lo, hi, step):
 
 def xi_oracle(a, b, f, g):
     """Least delta with b(f(x), g(y)) <= max(a(x, y), delta) everywhere."""
-    fi, gi = f._indices(), g._indices()
+    fi, gi = f.indices, g.indices
     candidates = sorted({ZERO} | b.values())
     for delta in candidates:
         if all(
@@ -54,6 +54,49 @@ def test_extreal_arith_and_render():
     assert ExtReal(F(1, 2)) < INF
     with pytest.raises(StructuralError):
         ExtReal(F(-1))
+
+
+EXT_VALUES = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2)]
+
+
+@pytest.mark.parametrize("left", EXT_VALUES + [None])
+def test_extreal_orders_and_compares_as_its_fraction(left):
+    """None stands for infinity, above every fraction.  A Fraction or int
+    operand is wrapped; an ExtReal one is read as it is."""
+    x = INF if left is None else ExtReal(left)
+    for right in EXT_VALUES + [None]:
+        y = INF if right is None else ExtReal(right)
+        key = lambda v: (v is None, v or 0)
+        want_lt, want_eq = key(left) < key(right), left == right
+        others = [y] if right is None else [y, right] + ([int(right)] if right.denominator == 1 else [])
+        for other in others:
+            assert (x < other, x <= other, x > other, x >= other) == (
+                want_lt, want_lt or want_eq, not (want_lt or want_eq), not want_lt
+            )
+            assert (x == other, x != other) == (want_eq, not want_eq)
+        total = None if left is None or right is None else left + right
+        assert x + y == (INF if total is None else ExtReal(total))
+        if right is not None:
+            assert x + right == x + y
+
+
+@pytest.mark.parametrize("text", ["inf", "1/2", "0", "x"])
+def test_extreal_orders_no_string(text):
+    """A str is not coerced: every ordering raises, == is False and + raises,
+    whatever the text reads.  The constructor still parses strings."""
+    for x in (ExtReal(F(1, 2)), INF):
+        for op in (
+            lambda: x < text,
+            lambda: x <= text,
+            lambda: x > text,
+            lambda: x >= text,
+            lambda: text < x,
+            lambda: x + text,
+        ):
+            with pytest.raises(TypeError):
+                op()
+        assert not x == text and x != text
+    assert ExtReal("inf") == INF and ExtReal("1/2") == F(1, 2)
 
 
 def test_line_grid_keeps_both_ends():
@@ -136,8 +179,10 @@ def test_partial_space_classes():
 
 
 def maps_on(a, b, fn_f, fn_g):
-    f = PointMap.from_function(a, b, lambda p: str(fn_f(F(p))))
-    g = PointMap.from_function(a, b, lambda p: str(fn_g(F(p))))
+    """Two maps between line grids, given by value."""
+    index = {F(q): j for j, q in enumerate(b.points)}
+    f = PointMap(a, b, tuple(index[fn_f(F(p))] for p in a.points))
+    g = PointMap(a, b, tuple(index[fn_g(F(p))] for p in a.points))
     return f, g
 
 
@@ -168,7 +213,7 @@ def test_xi_prime_threshold_oracle():
     b = grid(0, 2, "1/4")
     f, g = maps_on(a, b, lambda p: p, lambda p: p + F(1, 2))
     got = hom_distance("xi_prime", a, b, f, g)
-    fi, gi = f._indices(), g._indices()
+    fi, gi = f.indices, g.indices
     best = None
     for delta in sorted({ZERO} | b.values()):
         if all(
@@ -193,9 +238,45 @@ def test_theta_zero_only_on_equal_tables():
 def test_hom_distance_rejects_expansive_maps():
     a = grid(0, 1, "1/2")
     b = grid(0, 2, "1/2")
-    f = PointMap.from_function(a, b, lambda p: str(F(p) * 2))
+    f = PointMap(a, b, tuple(2 * i for i in range(a.size)))  # p |-> 2p
     with pytest.raises(PreconditionError):
         hom_distance("phi", a, b, f, f)
+
+
+def test_point_map_holds_codomain_indices():
+    a, b = grid(0, 1, "1/2"), grid(0, 2, "1/2")
+    f = PointMap(a, b, (0, 2, 4))
+    assert f.table == ("0", "1", "2") and f.apply("1/2") == "1"
+    for bad in [(0, 2, 5), (0, -1, 4), (0, True, 4), (0, "1", 4), (0, 1.0, 4), (0, None, 4)]:
+        with pytest.raises(StructuralError, match="is not a codomain index"):
+            PointMap(a, b, bad)
+    for bad in [(0, 2), (0, 2, 4, 4), ()]:
+        with pytest.raises(StructuralError, match="length does not match domain size"):
+            PointMap(a, b, bad)
+
+
+SHIFT_PARAMS = [(F(10), k) for k in (F(1, 4), F(1, 2), F(1))] + [
+    (m, F(1, 2)) for m in (F(1), F(2), F(4), F(8))
+]
+
+
+@pytest.mark.parametrize("m, k", SHIFT_PARAMS)
+def test_shift_maps_agree_with_the_maps_by_value(m, k):
+    """The index tables name the same points as p |-> p and p |-> p + k."""
+    a, b, f, g = shift_maps(m, k, F(1, 4))
+    assert f.table == tuple(str(F(p)) for p in a.points)
+    assert g.table == tuple(str(F(p) + k) for p in a.points)
+
+
+def test_shift_maps_need_a_whole_number_of_steps():
+    with pytest.raises(StructuralError):
+        shift_maps(F(2), F(1, 8), F(1, 4))
+
+
+def test_theta_xi_maps_agree_with_the_maps_by_value():
+    a, b, f, g = theta_xi_maps()
+    assert f.table == tuple(str(F(p)) for p in a.points)
+    assert g.table == tuple(str(F(p) if F(p) <= 0 else F(p) / 2) for p in a.points)
 
 
 @st.composite
@@ -345,15 +426,12 @@ def classify_oracle(space):
 
 def nonexpansive_oracle(a, b):
     """Every table whose map passes is_nonexpansive, in product order."""
-    return [
-        table
-        for table in itertools.product(b.points, repeat=a.size)
-        if PointMap(a, b, table).is_nonexpansive()
-    ]
+    maps = (PointMap(a, b, idx) for idx in itertools.product(range(b.size), repeat=a.size))
+    return [h.table for h in maps if h.is_nonexpansive()]
 
 
 def hom_oracle(kind, a, b, f, g):
-    fi, gi = f._indices(), g._indices()
+    fi, gi = f.indices, g.indices
     n = a.size
     pairs = [(a.d(x, y), b.d(fi[x], gi[y])) for x in range(n) for y in range(n)]
     if kind == "phi":
@@ -458,9 +536,8 @@ def test_enumerate_nonexpansive_matches_product_oracle(a, b):
     maps = enumerate_nonexpansive(a, b)
     assert [h.table for h in maps] == nonexpansive_oracle(a, b)
     # is_nonexpansive tests every ordered pair, the diagonal included
-    for table in itertools.islice(itertools.product(b.points, repeat=a.size), 50):
-        h = PointMap(a, b, table)
-        idx = h._indices()
+    for idx in itertools.islice(itertools.product(range(b.size), repeat=a.size), 50):
+        h = PointMap(a, b, idx)
         want = all(
             b.d(idx[i], idx[j]) <= a.d(i, j) for i in range(a.size) for j in range(a.size)
         )
