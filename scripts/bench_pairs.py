@@ -32,7 +32,8 @@ With --ops, each side also runs one untraced pass of the workload's item
 list in a fresh interpreter, loaded as `run.py --setup-probe` loads it,
 with every item run under `sys.settrace` and `f_trace_opcodes`.  The
 executed bytecode instructions per item kind, base against tree, are
-printed and added to the final JSON under "ops".  A count does not move
+printed with their sum over all kinds and added to the final JSON under
+"ops", the sums under "ops"["total"].  A count does not move
 with the host's speed, so it backs a timing claim on a noisy host; it
 costs minutes per side.  --pairs 0 --ops gives the counts alone.
 """
@@ -285,13 +286,16 @@ def main(argv=None) -> int:
     }
     if args.ops:
         ops = {side: count_ops(roots[side], args) for side in ("base", "tree")}
+        rows = [
+            (kind, ops["tree"][kind]["items"], ops["base"][kind]["instructions"], ops["tree"][kind]["instructions"])
+            for kind in sorted(ops["base"])
+        ]
+        total = {side: sum(row["instructions"] for row in ops[side].values()) for side in ("base", "tree")}
+        rows.append(("total", sum(row[1] for row in rows), total["base"], total["tree"]))
         print(f"{args.workload}, seed {args.seed}: executed bytecode instructions, one untraced pass")
-        for kind in sorted(ops["base"]):
-            b, t = ops["base"][kind]["instructions"], ops["tree"][kind]["instructions"]
-            print(
-                f"  {kind} ({ops['tree'][kind]['items']} items): base {b}  tree {t}  tree/base {t / b:.4f}"
-            )
-        final["ops"] = ops
+        for kind, items, b, t in rows:
+            print(f"  {kind} ({items} items): base {b}  tree {t}  tree/base {t / b:.4f}")
+        final["ops"] = {**ops, "total": total}
     print(json.dumps(final))
     if args.out:
         args.out.write_text(json.dumps({"meta": metadata(args.base), **final}, indent=1) + "\n")

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .metric_core import ExtReal, FiniteMetricSpace, nonexpansive_tables
+from .metric_core import ExtReal, FiniteMetricSpace, nonexpansive_tables, sup_above
 from .quant_deduction import Derivation, Inference, QuantEquation, Theory, check_derivation
 from .term_syntax import (
     App,
@@ -128,35 +128,22 @@ class FiniteQuantAlgebra:
     def _matrix(self, sort: Sort) -> list[list]:
         """Integer distances over the full carrier at a sort.  At an
         arrow sort every map is read as its table of codomain indices,
-        and d(f, g) is the largest cm[f_i][g_j] above am[i][j], or 0."""
+        and row f is sup_above over the domain and codomain matrices."""
         hit = self._matrices.get(sort)
         if hit is None:
             elems = self.carrier(sort)
             am, cm = self._matrix(sort.dom), self._matrix(sort.cod)
             cdx = self._index[sort.cod]
             tables = [[cdx[c] for c in f] for f in elems]
-            hit = []
-            for f in tables:
-                pairs = [(cm[c], arow) for c, arow in zip(f, am)]
-                row = []
-                for g in tables:
-                    best = 0
-                    for crow, arow in pairs:
-                        for j, a in zip(g, arow):
-                            b = crow[j]
-                            if b > a and b > best:
-                                best = b
-                    row.append(best)
-                hit.append(row)
+            hit = [sup_above(am, cm, f, tables) for f in tables]
             self._matrices[sort] = hit
         return hit
 
     def _idist(self, sort: Sort, x, y):
-        """dist at the algebra's scale, as an integer or math.inf.  It
-        reads the sort's matrix when there is one; otherwise, at an arrow
-        sort, it takes the same sup over the domain matrix for x and y
-        alone (a sort without a full carrier, or one whose matrix nothing
-        has asked for: fts3 has 1,361 maps at o->o->o)."""
+        """dist at the algebra's scale, as an integer or math.inf: the
+        sort's matrix entry if it has one, else at an arrow sort the sup
+        for x and y alone, through sup_above when the codomain is a base
+        sort and entry by entry otherwise (fts3 has 1,361 maps at o->o->o)."""
         m = self._matrices.get(sort)
         if not isinstance(sort, ArrowSort):
             if m is None:
@@ -167,7 +154,9 @@ class FiniteQuantAlgebra:
             i, j = idx.get(x), idx.get(y)
             if i is not None and j is not None:
                 return m[i][j]
-        am = self._matrix(sort.dom)
+        am, cm = self._matrix(sort.dom), self._matrices.get(sort.cod)
+        if cm is not None and not isinstance(sort.cod, ArrowSort):
+            return sup_above(am, cm, x, [y])[0]
         cod_dist = self._reader(sort.cod)
         best = 0
         for xi, row in zip(x, am):
@@ -191,14 +180,20 @@ class FiniteQuantAlgebra:
         return f[self.index(fsort.dom, a)]
 
     def set_symbol(self, name: str, sort: Sort, element) -> None:
-        if isinstance(sort, ArrowSort):
-            if len(element) != len(self.carrier(sort.dom)):
-                raise StructuralError(f"table of {name} has the wrong length at {render_sort(sort)}")
-            # the sup of d(f x, f y) above d(x, y) is 0 exactly when f is non-expansive
-            if self._idist(sort, element, element):
-                raise PreconditionError(
-                    f"interpretation of {name} is expansive at {render_sort(sort)}"
-                )
+        arrow = isinstance(sort, ArrowSort)
+        if arrow and len(element) != len(self.carrier(sort.dom)):
+            raise StructuralError(f"table of {name} has the wrong length at {render_sort(sort)}")
+        cod = sort.cod if arrow else sort
+        members = self._index.get(cod, {})  # one lookup: equal sorts compare by fields
+        for c in element if arrow else (element,):
+            if type(c) is bool or c not in members:  # a bool is no element
+                self.carrier(cod)
+                raise StructuralError(f"element is not in the carrier at {render_sort(cod)}")
+        # the sup of d(f x, f y) above d(x, y) is 0 exactly when f is non-expansive
+        if arrow and self._idist(sort, element, element):
+            raise PreconditionError(
+                f"interpretation of {name} is expansive at {render_sort(sort)}"
+            )
         self._sym[(name, sort)] = element
 
     def symbol(self, name: str, sort: Sort):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import PreconditionError, StructuralError
 
@@ -32,6 +32,7 @@ __all__ = [
     "classify_space",
     "enumerate_nonexpansive",
     "nonexpansive_tables",
+    "sup_above",
     "hom_distance",
     "ExpCheckResult",
     "check_exponentiable",
@@ -117,12 +118,6 @@ def _coerce(other):
 INF = ExtReal("inf")
 ZERO = ExtReal(0)
 inf = math.inf
-
-
-def _factors(a: "FiniteMetricSpace", b: "FiniteMetricSpace") -> tuple[int, int]:
-    """Multipliers that bring a's and b's integers to the lcm of their scales."""
-    common = math.lcm(a.scale, b.scale)
-    return common // a.scale, common // b.scale
 
 
 class FiniteMetricSpace:
@@ -309,14 +304,39 @@ class PointMap:
         return self.codomain.points[self.indices[self.domain.index(point)]]
 
     def is_nonexpansive(self) -> bool:
-        idx = self.indices
-        fd, fc = _factors(self.domain, self.codomain)
-        cm = self.codomain.m
-        return all(
-            cm[idx[i]][idx[j]] * fc <= v * fd
-            for i, row in enumerate(self.domain.m)
-            for j, v in enumerate(row)
-        )
+        am, bm, _ = _common_scale(self.domain, self.codomain)
+        return not sup_above(am, bm, self.indices, [self.indices])[0]
+
+
+def _common_scale(a: FiniteMetricSpace, b: FiniteMetricSpace) -> tuple[Sequence, Sequence, int]:
+    """a's and b's integer matrices over the lcm of their scales, and the
+    lcm; a matrix already at that scale is passed on uncopied."""
+    common = math.lcm(a.scale, b.scale)
+    ka, kb = common // a.scale, common // b.scale
+    am = a.m if ka == 1 else [[v * ka for v in row] for row in a.m]
+    bm = b.m if kb == 1 else [[v * kb for v in row] for row in b.m]
+    return am, bm, common
+
+
+def sup_above(
+    am: Sequence[Sequence], bm: Sequence[Sequence], f: Sequence[int], gs: Iterable[Sequence[int]]
+) -> list:
+    """For each index table g in gs, the largest bm[f_i][g_j] above
+    am[i][j] over every ordered pair (i, j), the diagonal included, or 0:
+    the sup-style hom distance of the maps f and g, 0 for g = f exactly
+    when f is non-expansive.  am and bm are integer matrices at one
+    scale, math.inf for infinity; f and each g index bm."""
+    pairs = [(bm[c], arow) for c, arow in zip(f, am)]
+    out = []
+    for g in gs:
+        best = 0
+        for brow, arow in pairs:
+            for j, a in zip(g, arow):
+                b = brow[j]
+                if b > a and b > best:
+                    best = b
+        out.append(best)
+    return out
 
 
 def nonexpansive_tables(
@@ -366,9 +386,7 @@ def enumerate_nonexpansive(
     a: FiniteMetricSpace, b: FiniteMetricSpace
 ) -> list[PointMap]:
     """All non-expansive total maps a -> b, lexicographic in point orders."""
-    fa, fb = _factors(a, b)
-    am = [[v * fa for v in row] for row in a.m]
-    bm = [[v * fb for v in row] for row in b.m]
+    am, bm, _ = _common_scale(a, b)
     return [PointMap(a, b, table) for table in nonexpansive_tables(am, bm, range(b.size))]
 
 
@@ -395,36 +413,33 @@ def hom_distance(
                b(f(x), g(y)).
     a- and b-values are compared over the lcm of the two scales.
     """
+    am, bm, scale = _common_scale(a, b)
     for h in (f, g):
         if h.domain != a or h.codomain != b:
             raise PreconditionError("map endpoints do not match the given spaces")
-        if not h.is_nonexpansive():
+        if sup_above(am, bm, h.indices, [h.indices])[0]:
             raise PreconditionError("hom_distance requires non-expansive maps")
-    fa, fb = _factors(a, b)
-    gi = g.indices
-    # bf[x][y] = b(f(x), g(y)) at b's scale
-    bf = [[row[j] for j in gi] for row in (b.m[i] for i in f.indices)]
+    fi, gi = f.indices, g.indices
     if kind == "phi":
-        return ExtReal.scaled(max((row[x] for x, row in enumerate(bf)), default=0), b.scale)
+        return ExtReal.scaled(max((bm[c][j] for c, j in zip(fi, gi)), default=0), scale)
     if kind == "theta":
-        if f.indices == g.indices:
+        if fi == gi:
             return ZERO
-        return ExtReal.scaled(max((v for row in bf for v in row), default=0), b.scale)
-    # the pairs with a(x, y) < b(f(x), g(y)), as (a, b) at the common scale
-    over = [
-        (u * fa, v * fb) for ra, rb in zip(a.m, bf) for u, v in zip(ra, rb) if u * fa < v * fb
-    ]
+        return ExtReal.scaled(max((bm[c][j] for c in fi for j in gi), default=0), scale)
     if kind == "xi":
-        return ExtReal.scaled(max((v for _, v in over), default=0), b.scale * fb)
+        return ExtReal.scaled(sup_above(am, bm, fi, [gi])[0], scale)
     if kind == "xi_prime":
-        over.sort()
+        # the pairs with a(x, y) < b(f(x), g(y)), as (a, b)
+        over = sorted(
+            (u, bm[c][j]) for arow, c in zip(am, fi) for u, j in zip(arow, gi) if u < bm[c][j]
+        )
         reach, k = -1, 0
-        for delta in sorted({0} | {v for row in b.m for v in row}):
-            while k < len(over) and over[k][0] <= delta * fb:
+        for delta in sorted({0} | {v for row in bm for v in row}):
+            while k < len(over) and over[k][0] <= delta:
                 reach = max(reach, over[k][1])
                 k += 1
-            if reach <= delta * fb:
-                return ExtReal.scaled(delta, b.scale)
+            if reach <= delta:
+                return ExtReal.scaled(delta, scale)
         return INF
     raise StructuralError(f"unknown hom-distance kind {kind!r}")
 

@@ -113,6 +113,18 @@ def test_set_symbol_rejects_a_table_of_the_wrong_length(table):
         alg.set_symbol("f", OO, table)
 
 
+@pytest.mark.parametrize(
+    "sort, element",
+    [(OO, (0, -1)), (OO, (True, False)), (OO, (0, 5)), (O, 7), (O, -1), (O, True)],
+    ids=["negative-entry", "bool-entries", "entry-too-large", "too-large", "negative", "bool"],
+)
+def test_set_symbol_rejects_an_element_outside_the_carrier(sort, element):
+    alg = build_full_type_structure(TWO, [OO])
+    with pytest.raises(StructuralError, match="element is not in the carrier at o$"):
+        alg.set_symbol("f", sort, element)
+    alg.set_symbol("f", sort, (0, 1) if sort == OO else 1)
+
+
 def test_grid_carrier_size():
     alg = ALGS["grid8"]
     assert len(alg.carrier(I01)) == 9

@@ -241,6 +241,13 @@ def test_hom_distance_rejects_expansive_maps():
     f = PointMap(a, b, tuple(2 * i for i in range(a.size)))  # p |-> 2p
     with pytest.raises(PreconditionError):
         hom_distance("phi", a, b, f, f)
+    # f's non-expansiveness is checked before g's endpoints
+    elsewhere = PointMap(a, a, (0, 1, 2))
+    with pytest.raises(PreconditionError, match="hom_distance requires non-expansive maps"):
+        hom_distance("phi", a, b, f, elsewhere)
+    identity = PointMap(a, b, (0, 1, 2))
+    with pytest.raises(PreconditionError, match="hom_distance requires non-expansive maps"):
+        hom_distance("phi", a, b, identity, f)
 
 
 def test_point_map_holds_codomain_indices():
@@ -425,9 +432,14 @@ def classify_oracle(space):
 
 
 def nonexpansive_oracle(a, b):
-    """Every table whose map passes is_nonexpansive, in product order."""
-    maps = (PointMap(a, b, idx) for idx in itertools.product(range(b.size), repeat=a.size))
-    return [h.table for h in maps if h.is_nonexpansive()]
+    """Every table with b(f_i, f_j) <= a(i, j) for every ordered pair (i, j),
+    the diagonal included, in product order."""
+    pairs = [(i, j) for i in range(a.size) for j in range(a.size)]
+    return [
+        tuple(b.points[c] for c in idx)
+        for idx in itertools.product(range(b.size), repeat=a.size)
+        if all(b.d(idx[i], idx[j]) <= a.d(i, j) for i, j in pairs)
+    ]
 
 
 def hom_oracle(kind, a, b, f, g):
